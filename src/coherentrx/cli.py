@@ -15,6 +15,7 @@ atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -77,10 +78,14 @@ def _fmt(value) -> str:
 
 def _meta(args: argparse.Namespace, command: str) -> dict:
     # destination paths do not affect the data; leaving them out keeps
-    # reruns byte-identical wherever the files land
+    # reruns byte-identical wherever the files land.  The input spec is
+    # named by its content hash for the same reason.
     skip = {"func", "out", "out_dir", "trace"}
     meta = {"tool": "coherentrx", "version": __version__, "command": command}
     for key, val in sorted(vars(args).items()):
+        if key == "spec":
+            with open(val, "rb") as fh:
+                val = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
         if key not in skip:
             meta[key] = val
     return meta

@@ -38,10 +38,11 @@ from .photonics import (
     sample_draws,
 )
 from .simulator import (
-    PathDistribution,
     averaged_distribution,
+    batch_distribution,
+    draw_arrays,
+    draw_chunks,
     error_rate,
-    exact_distribution,
     map_table,
 )
 from .tree import DecisionTable, DecisionTree, level_offset, num_nodes
@@ -166,15 +167,6 @@ def _draw_batch(nm: NoiseModel, batch_size: int, seed) -> list[NoiseDraw]:
     return sample_draws(nm, batch_size, seed)
 
 
-def _mean_distribution(
-    tree: DecisionTree, c: Constellation, nm: NoiseModel, draws: list[NoiseDraw]
-) -> PathDistribution:
-    acc = np.zeros((c.n_codewords, tree.arity**tree.rounds))
-    for draw in draws:
-        acc += exact_distribution(tree, c, nm, draw).probs
-    return PathDistribution(acc / len(draws), tree.rounds, tree.arity, c)
-
-
 def loss(
     tree: DecisionTree,
     table: DecisionTable,
@@ -187,6 +179,63 @@ def loss(
     return error_rate(averaged_distribution(tree, c, nm, batch_size, seed), table)
 
 
+def _sensitivities(
+    tree: DecisionTree,
+    c: Constellation,
+    nm: NoiseModel,
+    weights: np.ndarray,
+    phase: np.ndarray,
+    scale: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw success-probability derivatives, each of shape (B, nodes).
+
+    One forward/backward sweep over the whole batch: forward prefix
+    probabilities F and backward suffix sums B of the per-path success
+    ``weights``; a node's sensitivity combines them with the binned-Poisson
+    derivative of its round and the chain rule through the detected mean,
+    which is quadratic in the displacement components.
+    """
+    n, m = tree.rounds, tree.arity
+    k_codes = c.n_codewords
+    batch = phase.shape[0]
+    slices = c.amplitudes / math.sqrt(n)
+    a = scale[:, None, None]
+    w = slices[None, :] * np.exp(-1j * phase[:, None])
+    q_levels = []
+    dq_levels = []
+    forward = [np.ones((batch, k_codes, 1))]
+    for level in range(n):
+        u = tree.level_nodes(level)
+        means = detected_mean_jitter(
+            slices[None, :, None], u[None, None, :], nm, phase[:, None, None], a
+        )
+        q, dq = outcome_prob_derivs(means, m)
+        q_levels.append(q)
+        dq_levels.append(dq)
+        forward.append((forward[-1][:, :, :, None] * q).reshape(batch, k_codes, -1))
+    sx = np.empty((batch, num_nodes(n, m)))
+    sy = np.empty((batch, num_nodes(n, m)))
+    backward = weights[None]
+    for level in range(n - 1, -1, -1):
+        b_next = backward.reshape(backward.shape[0], k_codes, m**level, m)
+        coeff = forward[level] * (dq_levels[level] * b_next).sum(axis=3)
+        u = tree.level_nodes(level)
+        dn_dx = nm.efficiency * (
+            2.0 * a * a * u.real[None, None, :]
+            - 2.0 * nm.visibility * a * w.real[:, :, None]
+        )
+        dn_dy = nm.efficiency * (
+            2.0 * a * a * u.imag[None, None, :]
+            - 2.0 * nm.visibility * a * w.imag[:, :, None]
+        )
+        start = level_offset(m, level)
+        stop = start + m**level
+        sx[:, start:stop] = (coeff * dn_dx).sum(axis=1)
+        sy[:, start:stop] = (coeff * dn_dy).sum(axis=1)
+        backward = (q_levels[level] * b_next).sum(axis=3)
+    return sx, sy
+
+
 def _gradient_on_draws(
     tree: DecisionTree,
     table: DecisionTable,
@@ -196,54 +245,23 @@ def _gradient_on_draws(
 ) -> np.ndarray:
     """Exact loss gradient, packed as d/d(re) + 1j * d/d(im) per node.
 
-    For each draw the sweep computes forward prefix probabilities F and
-    backward suffix sums B of the per-path success weights; a node's
-    sensitivity combines them with the binned-Poisson derivative of its
-    round and the chain rule through the detected mean, which is quadratic
-    in the displacement components.
+    The draws are swept in chunks of bounded memory, and their
+    sensitivities are summed one draw at a time in batch order, as in
+    :func:`~coherentrx.simulator.batch_distribution`, so that numpy's
+    pairwise summation never reorders the additions.
     """
-    n, m = tree.rounds, tree.arity
-    k_codes = c.n_codewords
-    slices = c.amplitudes / math.sqrt(n)
-    labels = np.arange(k_codes)
+    labels = np.arange(c.n_codewords)
     # success weight of each (codeword, leaf): prior if the table guesses it
     weights = c.priors[:, None] * (table.guesses[None, :] == labels[:, None])
-    gx = np.zeros(num_nodes(n, m))
-    gy = np.zeros(num_nodes(n, m))
-    for draw in draws:
-        a = draw.amplitude_scale
-        w = slices * np.exp(-1j * draw.phase_offset)
-        q_levels = []
-        dq_levels = []
-        forward = [np.ones((k_codes, 1))]
-        for level in range(n):
-            u = tree.level_nodes(level)
-            means = detected_mean_jitter(
-                slices[:, None], u[None, :], nm, draw.phase_offset, a
-            )
-            q, dq = outcome_prob_derivs(means, m)
-            q_levels.append(q)
-            dq_levels.append(dq)
-            forward.append((forward[-1][:, :, None] * q).reshape(k_codes, -1))
-        backward = weights
-        for level in range(n - 1, -1, -1):
-            b_next = backward.reshape(k_codes, m**level, m)
-            coeff = forward[level] * (dq_levels[level] * b_next).sum(axis=2)
-            u = tree.level_nodes(level)
-            dn_dx = nm.efficiency * (
-                2.0 * a * a * u.real[None, :]
-                - 2.0 * nm.visibility * a * w.real[:, None]
-            )
-            dn_dy = nm.efficiency * (
-                2.0 * a * a * u.imag[None, :]
-                - 2.0 * nm.visibility * a * w.imag[:, None]
-            )
-            start = level_offset(m, level)
-            stop = start + m**level
-            gx[start:stop] += (coeff * dn_dx).sum(axis=0)
-            gy[start:stop] += (coeff * dn_dy).sum(axis=0)
-            backward = (q_levels[level] * b_next).sum(axis=2)
-    return -(gx + 1j * gy) / len(draws)
+    phase, scale = draw_arrays(draws)
+    gx = np.zeros(tree.nodes.size)
+    gy = np.zeros(tree.nodes.size)
+    for ph, sc in draw_chunks(phase, scale, weights.size):
+        sx, sy = _sensitivities(tree, c, nm, weights, ph, sc)
+        for rx, ry in zip(sx, sy):
+            gx += rx
+            gy += ry
+    return -(gx + 1j * gy) / phase.shape[0]
 
 
 def gradient(
@@ -294,7 +312,8 @@ def formulate(
     converged = False
     for it in range(cfg.max_iterations):
         draws = _draw_batch(nm, cfg.batch_size, iter_seqs[it])
-        dist = _mean_distribution(tree, c, nm, draws)
+        phase, scale = draw_arrays(draws)
+        dist = batch_distribution(tree, c, nm, phase, scale)
         new_table = map_table(dist)
         loss_start = error_rate(dist, table if table is not None else new_table)
         table = new_table
@@ -307,7 +326,7 @@ def formulate(
             step = cfg.learning_rate
             for _ in range(cfg.max_backtracks):
                 cand = DecisionTree(rounds, arity, tree.nodes - step * grad)
-                cand_loss = error_rate(_mean_distribution(cand, c, nm, draws), table)
+                cand_loss = error_rate(batch_distribution(cand, c, nm, phase, scale), table)
                 if cand_loss <= loss_post_table:
                     tree = cand
                     loss_end = cand_loss
@@ -335,7 +354,7 @@ def formulate(
         best_iteration=best_iteration,
     )
     holdout_draws = _draw_batch(nm, cfg.holdout_factor * cfg.batch_size, holdout_seq)
-    final_dist = _mean_distribution(best_tree, c, nm, holdout_draws)
+    final_dist = batch_distribution(best_tree, c, nm, *draw_arrays(holdout_draws))
     final_table = map_table(final_dist)
     final_loss = error_rate(final_dist, final_table)
     return FormulateResult(best_tree, final_table, trace, final_loss)

@@ -19,7 +19,8 @@ Documented defaults for the unpublished lab noise pattern live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,6 +64,10 @@ class NoiseModel:
     amplitude_jitter: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so reject it (and inf) up front
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError("visibility must be in [0, 1]")
         if not 0.0 <= self.efficiency <= 1.0:
@@ -88,6 +93,11 @@ class NoiseModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
+        if not isinstance(d, dict):
+            raise ValueError("noise model must be a JSON object")
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown noise model keys: {unknown}")
         return cls(**{k: float(v) for k, v in d.items()})
 
 

@@ -22,7 +22,6 @@ from .photonics import (
     IDEAL_DRAW,
     NoiseDraw,
     NoiseModel,
-    detected_mean_array,
     detected_mean_jitter,
     outcome_probs,
     sample_draws,
@@ -31,7 +30,11 @@ from .tree import DecisionTable, DecisionTree
 
 __all__ = [
     "PathDistribution",
+    "path_probs",
+    "draw_arrays",
     "exact_distribution",
+    "draw_chunks",
+    "batch_distribution",
     "averaged_distribution",
     "map_table",
     "error_rate",
@@ -69,13 +72,53 @@ class PathDistribution:
         object.__setattr__(self, "probs", probs)
 
 
-def _per_round_draws(draw, rounds: int) -> list[NoiseDraw]:
-    if isinstance(draw, NoiseDraw):
-        return [draw] * rounds
-    draws = list(draw)
-    if len(draws) != rounds:
-        raise ValueError("need one NoiseDraw per round")
-    return draws
+def path_probs(
+    tree: DecisionTree,
+    c: Constellation,
+    nm: NoiseModel,
+    phase,
+    scale,
+) -> np.ndarray:
+    """Conditional path probabilities for a batch of jitter draws.
+
+    ``phase`` and ``scale`` hold the jitter of ``B`` receiver runs: shape
+    ``(B,)`` for per-run jitter held fixed across the rounds, or ``(B, N)``
+    for jitter redrawn every round.  Returns ``probs`` of shape
+    ``(B, K, M^N)``; ``probs[b]`` is the distribution of run ``b``.  Each
+    round is evaluated for the whole batch at once, with the same
+    elementwise arithmetic as a single draw, so every ``probs[b]`` equals
+    the single-draw result bit for bit.
+    """
+    phase = np.asarray(phase, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    if phase.shape != scale.shape or phase.ndim not in (1, 2):
+        raise ValueError("phase and scale must share a shape (B,) or (B, N)")
+    if phase.ndim == 2 and phase.shape[1] != tree.rounds:
+        raise ValueError(f"per-round jitter needs {tree.rounds} columns, got {phase.shape[1]}")
+    if np.any(scale <= 0):
+        raise ValueError("amplitude scales must be positive")
+    batch, k_codes = phase.shape[0], c.n_codewords
+    if phase.ndim == 1:
+        # per-run jitter: the same draw in every round
+        phase = np.broadcast_to(phase[:, None], (batch, tree.rounds))
+        scale = np.broadcast_to(scale[:, None], (batch, tree.rounds))
+    slices = (c.amplitudes / np.sqrt(tree.rounds))[None, :, None]
+    probs = np.ones((batch, k_codes, 1))
+    for level in range(tree.rounds):
+        disp = tree.level_nodes(level)[None, None, :]
+        means = detected_mean_jitter(
+            slices, disp, nm, phase[:, level, None, None], scale[:, level, None, None]
+        )
+        q = outcome_probs(means, tree.arity)
+        probs = (probs[:, :, :, None] * q).reshape(batch, k_codes, -1)
+    return probs
+
+
+def draw_arrays(draws: Sequence[NoiseDraw]) -> tuple[np.ndarray, np.ndarray]:
+    """Phase offsets and amplitude scales of a list of draws, as arrays."""
+    phase = np.array([d.phase_offset for d in draws], dtype=np.float64)
+    scale = np.array([d.amplitude_scale for d in draws], dtype=np.float64)
+    return phase, scale
 
 
 def exact_distribution(
@@ -89,15 +132,53 @@ def exact_distribution(
     ``draw`` is a single per-run :class:`NoiseDraw` (held fixed across all
     rounds, the default physical regime) or a sequence of N per-round draws.
     """
-    slices = c.amplitudes / np.sqrt(tree.rounds)
-    draws = _per_round_draws(draw, tree.rounds)
-    probs = np.ones((c.n_codewords, 1))
-    for level in range(tree.rounds):
-        disp = tree.level_nodes(level)
-        means = detected_mean_array(slices[:, None], disp[None, :], nm, draws[level])
-        q = outcome_probs(means, tree.arity)
-        probs = (probs[:, :, None] * q).reshape(c.n_codewords, -1)
+    if isinstance(draw, NoiseDraw):
+        phase, scale = draw_arrays([draw])
+    else:
+        phase, scale = draw_arrays(list(draw))
+        phase, scale = phase[None, :], scale[None, :]
+    probs = path_probs(tree, c, nm, phase, scale)[0]
     return PathDistribution(probs, tree.rounds, tree.arity, c)
+
+
+# Upper bound on the per-draw values one batched call holds, so that large
+# batches are evaluated in chunks of bounded memory.
+_CHUNK_ELEMS = 1 << 18
+
+
+def draw_chunks(phase: np.ndarray, scale: np.ndarray, per_draw: int):
+    """Consecutive chunks ``(phase, scale)`` of a batch of draws, in order.
+
+    Each chunk holds at most ``_CHUNK_ELEMS // per_draw`` draws (at least
+    one), where ``per_draw`` is the size of one draw's result.
+    """
+    step = max(1, _CHUNK_ELEMS // per_draw)
+    for start in range(0, phase.shape[0], step):
+        yield phase[start : start + step], scale[start : start + step]
+
+
+def batch_distribution(
+    tree: DecisionTree,
+    c: Constellation,
+    nm: NoiseModel,
+    phase,
+    scale,
+) -> PathDistribution:
+    """Path distribution averaged over a batch of jitter draws.
+
+    ``phase`` and ``scale`` are as in :func:`path_probs`.  The draws are
+    summed one at a time in batch order: ``np.sum`` over the draw axis would
+    switch to pairwise summation whenever that axis is contiguous, which
+    reorders the additions and changes the last bits.
+    """
+    phase = np.asarray(phase, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    n_paths = tree.arity**tree.rounds
+    acc = np.zeros((c.n_codewords, n_paths))
+    for ph, sc in draw_chunks(phase, scale, c.n_codewords * n_paths):
+        for probs in path_probs(tree, c, nm, ph, sc):
+            acc += probs
+    return PathDistribution(acc / phase.shape[0], tree.rounds, tree.arity, c)
 
 
 def averaged_distribution(
@@ -120,15 +201,11 @@ def averaged_distribution(
     if nm.is_deterministic:
         return exact_distribution(tree, c, nm, IDEAL_DRAW)
     n_draws = batch_size * tree.rounds if per_round else batch_size
-    flat = sample_draws(nm, n_draws, seed)
-    acc = np.zeros((c.n_codewords, tree.arity**tree.rounds))
-    for b in range(batch_size):
-        if per_round:
-            draw = flat[b * tree.rounds : (b + 1) * tree.rounds]
-        else:
-            draw = flat[b]
-        acc += exact_distribution(tree, c, nm, draw).probs
-    return PathDistribution(acc / batch_size, tree.rounds, tree.arity, c)
+    phase, scale = draw_arrays(sample_draws(nm, n_draws, seed))
+    if per_round:
+        phase = phase.reshape(batch_size, tree.rounds)
+        scale = scale.reshape(batch_size, tree.rounds)
+    return batch_distribution(tree, c, nm, phase, scale)
 
 
 def map_table(d: PathDistribution, priors: np.ndarray | None = None) -> DecisionTable:
@@ -254,9 +331,9 @@ def per_draw_table_error(
     if nm.is_deterministic:
         d = exact_distribution(tree, c, nm, IDEAL_DRAW)
         return error_rate(d, map_table(d))
-    draws = sample_draws(nm, batch_size, seed)
+    phase, scale = draw_arrays(sample_draws(nm, batch_size, seed))
     errs = []
-    for draw in draws:
-        d = exact_distribution(tree, c, nm, draw)
+    for probs in path_probs(tree, c, nm, phase, scale):
+        d = PathDistribution(probs, tree.rounds, tree.arity, c)
         errs.append(error_rate(d, map_table(d)))
     return float(np.mean(errs))

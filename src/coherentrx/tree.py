@@ -200,6 +200,9 @@ def displacement_report(
     return amp_db, sign
 
 
+_SPEC_KEYS = ("N", "M", "constellation", "noise_model", "nodes", "table")
+
+
 @dataclass
 class Receiver:
     """A deployable receiver: control logic plus its design context."""
@@ -225,6 +228,11 @@ class Receiver:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Receiver":
+        if not isinstance(d, dict):
+            raise ValueError("receiver spec must be a JSON object")
+        missing = [k for k in _SPEC_KEYS if k not in d]
+        if missing:
+            raise ValueError(f"receiver spec is missing keys: {missing}")
         rounds, arity = int(d["N"]), int(d["M"])
         nodes = np.array([complex(n["re"], n["im"]) for n in d["nodes"]])
         tree = DecisionTree(rounds, arity, nodes)

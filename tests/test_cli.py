@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -67,6 +68,18 @@ class TestOptimize:
         second = json.loads(out2.read_text())
         assert first == second
 
+    @pytest.mark.parametrize("flag", ["--dark", "--phase-jitter", "--amp-jitter"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_noise_is_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "r.json"
+        code = run(
+            "optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2,
+            "--mean-photon", 1.0, flag, value, "--iters", 3, "--out", out,
+        )
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_rounds_is_usage_error(self, tmp_path, capsys):
         code = run(
             "optimize", "--encoding", "bpsk", "--rounds", 0, "--arity", 2,
@@ -120,6 +133,48 @@ class TestEvaluate:
                    "--mean-photon", 1.0, "--out", tmp_path / "o.csv")
         assert code == 1
         assert "nope.json" in capsys.readouterr().err
+
+    def test_spec_header_is_content_hash(self, bpsk_receiver, tmp_path):
+        outs = []
+        for name in ("a", "b"):
+            spec = tmp_path / name / "receiver.json"
+            spec.parent.mkdir()
+            spec.write_bytes(bpsk_receiver.read_bytes())
+            out = tmp_path / f"{name}.csv"
+            assert run("evaluate", "--spec", spec, "--mean-photon", 1.2,
+                       "--mc-samples", 2000, "--batch", 4, "--out", out) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        digest = hashlib.sha256(bpsk_receiver.read_bytes()).hexdigest()
+        assert read_csv(tmp_path / "a.csv")[0]["spec"] == f"sha256:{digest}"
+
+
+_SPEC_COMMAND_ARGS = {
+    "evaluate": ("--mean-photon", 1.0, "--out"),
+    "metrics": ("--out-dir",),
+}
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("command", ["evaluate", "metrics"])
+    def test_spec_missing_key_is_usage_error(self, bpsk_receiver, tmp_path, capsys, command):
+        doc = json.loads(bpsk_receiver.read_text())
+        del doc["N"]
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        code = run(command, "--spec", spec, *_SPEC_COMMAND_ARGS[command], tmp_path / "out")
+        assert code == 2
+        assert "missing keys" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics"])
+    def test_spec_unknown_noise_key_is_usage_error(self, bpsk_receiver, tmp_path, capsys, command):
+        doc = json.loads(bpsk_receiver.read_text())
+        doc["noise_model"]["gain"] = 2.0
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        code = run(command, "--spec", spec, *_SPEC_COMMAND_ARGS[command], tmp_path / "out")
+        assert code == 2
+        assert "unknown noise model keys" in capsys.readouterr().err
 
 
 class TestBaseline:

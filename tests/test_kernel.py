@@ -1,0 +1,212 @@
+"""The batched forward kernel and gradient sweep against per-draw loops.
+
+The references below evaluate one draw at a time with scalar jitter, the
+way the forward recursion and the gradient sweep are written for a single
+receiver run.  The batched code performs the same elementwise arithmetic
+and sums over draws in the same order, so the comparisons are exact.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coherentrx import simulator
+from coherentrx.constellation import custom
+from coherentrx.formulator import _gradient_on_draws
+from coherentrx.photonics import (
+    NoiseModel,
+    detected_mean_jitter,
+    outcome_prob_derivs,
+    outcome_probs,
+    sample_draws,
+)
+from coherentrx.simulator import averaged_distribution, batch_distribution, map_table, path_probs
+from coherentrx.tree import DecisionTree, level_offset, num_nodes
+
+
+def random_instance(rng, rounds, arity, k_codes):
+    amps = rng.normal(0, 0.8, k_codes) + 1j * rng.normal(0, 0.8, k_codes)
+    pri = rng.uniform(0.2, 1.0, k_codes)
+    c = custom(amps, pri / pri.sum())
+    n = num_nodes(rounds, arity)
+    tree = DecisionTree(rounds, arity, rng.normal(0, 0.8, n) + 1j * rng.normal(0, 0.8, n))
+    nm = NoiseModel(
+        visibility=float(rng.choice([1.0, rng.uniform(0.9, 1.0)])),
+        efficiency=float(rng.uniform(0.6, 1.0)),
+        dark_counts=float(rng.uniform(0.0, 0.02)),
+        phase_jitter=float(rng.uniform(0.01, 0.1)),
+        amplitude_jitter=float(rng.uniform(0.005, 0.05)),
+    )
+    return tree, c, nm
+
+
+def reference_probs(tree, c, nm, phases, scales):
+    """One draw: per-round scalar jitter ``phases[level]``, ``scales[level]``."""
+    slices = c.amplitudes / math.sqrt(tree.rounds)
+    probs = np.ones((c.n_codewords, 1))
+    for level in range(tree.rounds):
+        disp = tree.level_nodes(level)
+        means = detected_mean_jitter(
+            slices[:, None], disp[None, :], nm, float(phases[level]), float(scales[level])
+        )
+        q = outcome_probs(means, tree.arity)
+        probs = (probs[:, :, None] * q).reshape(c.n_codewords, -1)
+    return probs
+
+
+def reference_gradient(tree, table, c, nm, draws):
+    """Forward/backward sweep one draw at a time, summed in draw order."""
+    n, m = tree.rounds, tree.arity
+    k_codes = c.n_codewords
+    slices = c.amplitudes / math.sqrt(n)
+    labels = np.arange(k_codes)
+    weights = c.priors[:, None] * (table.guesses[None, :] == labels[:, None])
+    gx = np.zeros(num_nodes(n, m))
+    gy = np.zeros(num_nodes(n, m))
+    for draw in draws:
+        a = draw.amplitude_scale
+        w = slices * np.exp(-1j * draw.phase_offset)
+        q_levels, dq_levels = [], []
+        forward = [np.ones((k_codes, 1))]
+        for level in range(n):
+            u = tree.level_nodes(level)
+            means = detected_mean_jitter(slices[:, None], u[None, :], nm, draw.phase_offset, a)
+            q, dq = outcome_prob_derivs(means, m)
+            q_levels.append(q)
+            dq_levels.append(dq)
+            forward.append((forward[-1][:, :, None] * q).reshape(k_codes, -1))
+        backward = weights
+        for level in range(n - 1, -1, -1):
+            b_next = backward.reshape(k_codes, m**level, m)
+            coeff = forward[level] * (dq_levels[level] * b_next).sum(axis=2)
+            u = tree.level_nodes(level)
+            dn_dx = nm.efficiency * (
+                2.0 * a * a * u.real[None, :] - 2.0 * nm.visibility * a * w.real[:, None]
+            )
+            dn_dy = nm.efficiency * (
+                2.0 * a * a * u.imag[None, :] - 2.0 * nm.visibility * a * w.imag[:, None]
+            )
+            start = level_offset(m, level)
+            stop = start + m**level
+            gx[start:stop] += (coeff * dn_dx).sum(axis=0)
+            gy[start:stop] += (coeff * dn_dy).sum(axis=0)
+            backward = (q_levels[level] * b_next).sum(axis=2)
+    return -(gx + 1j * gy) / len(draws)
+
+
+def random_shapes(seed):
+    rng = np.random.default_rng(seed)
+    return (
+        rng,
+        int(rng.integers(1, 5)),
+        int(rng.integers(2, 5)),
+        int(rng.integers(2, 7)),
+    )
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("seed", range(6))
+def test_path_probs_per_run_matches_reference_loop(seed, batch):
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    phase = rng.normal(0.0, 0.1, batch)
+    scale = rng.normal(1.0, 0.05, batch)
+    got = path_probs(tree, c, nm, phase, scale)
+    assert got.shape == (batch, k_codes, arity**rounds)
+    for b in range(batch):
+        want = reference_probs(tree, c, nm, [phase[b]] * rounds, [scale[b]] * rounds)
+        assert np.array_equal(got[b], want)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("seed", range(6, 12))
+def test_path_probs_per_round_matches_reference_loop(seed, batch):
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    phase = rng.normal(0.0, 0.1, (batch, rounds))
+    scale = rng.normal(1.0, 0.05, (batch, rounds))
+    got = path_probs(tree, c, nm, phase, scale)
+    for b in range(batch):
+        assert np.array_equal(got[b], reference_probs(tree, c, nm, phase[b], scale[b]))
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("seed", range(12, 18))
+def test_gradient_matches_reference_loop(seed, batch):
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    draws = sample_draws(nm, batch, seed)
+    table = map_table(averaged_distribution(tree, c, nm, batch, seed))
+    got = _gradient_on_draws(tree, table, c, nm, draws)
+    assert np.array_equal(got, reference_gradient(tree, table, c, nm, draws))
+
+
+def test_batch_mean_is_sequential_and_chunk_invariant(monkeypatch):
+    rng, rounds, arity, k_codes = random_shapes(20)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    phase = rng.normal(0.0, 0.1, 40)
+    scale = rng.normal(1.0, 0.05, 40)
+    acc = np.zeros((k_codes, arity**rounds))
+    for b in range(40):
+        acc += reference_probs(tree, c, nm, [phase[b]] * rounds, [scale[b]] * rounds)
+    whole = batch_distribution(tree, c, nm, phase, scale).probs
+    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 1)
+    chunked = batch_distribution(tree, c, nm, phase, scale).probs
+    assert np.array_equal(whole, acc / 40)
+    assert np.array_equal(chunked, whole)
+
+
+def test_chunked_gradient_matches_reference_loop(monkeypatch):
+    rng, rounds, arity, k_codes = random_shapes(21)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    draws = sample_draws(nm, 7, 21)
+    table = map_table(averaged_distribution(tree, c, nm, 7, 21))
+    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 1)
+    got = _gradient_on_draws(tree, table, c, nm, draws)
+    assert np.array_equal(got, reference_gradient(tree, table, c, nm, draws))
+
+
+def test_shape_validation():
+    rng, _, _, _ = random_shapes(0)
+    tree, c, nm = random_instance(rng, 3, 2, 2)
+    with pytest.raises(ValueError):
+        path_probs(tree, c, nm, np.zeros(3), np.ones(2))
+    with pytest.raises(ValueError):
+        path_probs(tree, c, nm, np.zeros((4, 2)), np.ones((4, 2)))
+    with pytest.raises(ValueError):
+        path_probs(tree, c, nm, np.zeros(2), np.array([1.0, 0.0]))
+
+
+instance_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=instance_seeds, batch=st.integers(1, 8), per_round=st.booleans())
+def test_rows_sum_to_one(seed, batch, per_round):
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    shape = (batch, rounds) if per_round else (batch,)
+    probs = path_probs(tree, c, nm, rng.normal(0.0, 0.3, shape), rng.uniform(0.5, 1.5, shape))
+    np.testing.assert_allclose(probs.sum(axis=2), 1.0, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=instance_seeds, theta=st.floats(-math.pi, math.pi, allow_nan=False))
+def test_common_phase_rotation_invariance(seed, theta):
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    rot = np.exp(1j * theta)
+    c_rot = custom(c.amplitudes * rot, c.priors)
+    tree_rot = DecisionTree(rounds, arity, tree.nodes * rot)
+    phase = rng.normal(0.0, 0.1, 4)
+    scale = rng.normal(1.0, 0.05, 4)
+    np.testing.assert_allclose(
+        path_probs(tree_rot, c_rot, nm, phase, scale),
+        path_probs(tree, c, nm, phase, scale),
+        rtol=0,
+        atol=1e-12,
+    )
+

@@ -143,3 +143,15 @@ class TestSampling:
     def test_round_trip_dict(self):
         nm = NoiseModel(0.99, 0.8, 1e-3, 0.02, 0.005)
         assert NoiseModel.from_dict(nm.to_dict()) == nm
+
+    @pytest.mark.parametrize(
+        "field", ["visibility", "efficiency", "dark_counts", "phase_jitter", "amplitude_jitter"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseModel(**{field: value})
+
+    def test_unknown_dict_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown noise model keys"):
+            NoiseModel.from_dict({"visibility": 1.0, "gain": 2.0})

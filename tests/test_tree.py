@@ -172,6 +172,18 @@ class TestReceiverSpecFile:
         with pytest.raises(ValueError):
             load_receiver(str(path))
 
+    def test_missing_key_rejected(self):
+        doc = self._receiver().to_dict()
+        del doc["N"]
+        with pytest.raises(ValueError, match="missing keys"):
+            Receiver.from_dict(doc)
+
+    def test_unknown_noise_model_key_rejected(self):
+        doc = self._receiver().to_dict()
+        doc["noise_model"]["gain"] = 2.0
+        with pytest.raises(ValueError, match="unknown noise model keys"):
+            Receiver.from_dict(doc)
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         rx = self._receiver()
         save_receiver(str(tmp_path / "r.json"), rx)
