@@ -26,7 +26,7 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from .constellation import Constellation, bpsk
-from .photonics import IDEAL_DRAW, NoiseModel, detected_mean_array, outcome_probs
+from .photonics import NoiseModel, detected_mean_jitter, outcome_probs
 from .simulator import exact_distribution, map_table
 from .tree import DecisionTable, DecisionTree, level_offset, num_nodes
 
@@ -106,7 +106,7 @@ def cn_tree(c: Constellation, rounds: int, arity: int) -> DecisionTree:
         disp = slices[y_star]
         start = level_offset(arity, level)
         nodes[start : start + arity**level] = disp
-        means = detected_mean_array(slices[:, None], disp[None, :], ideal, IDEAL_DRAW)
+        means = detected_mean_jitter(slices[:, None], disp[None, :], ideal, 0.0, 1.0)
         q = outcome_probs(means, arity)
         probs = (probs[:, :, None] * q).reshape(c.n_codewords, -1)
     return DecisionTree(rounds, arity, nodes)

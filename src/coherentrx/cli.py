@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .constellation import Constellation, bpsk, custom, mean_energy, qam6
 from .formulator import FormulatorConfig, formulate, optimize_sweep
 from .photonics import NoiseModel
 from .simulator import averaged_distribution, error_rate, mc_sample
-from .tree import Receiver, load_receiver, save_receiver
+from .tree import Receiver, atomic_write, load_receiver, save_receiver
 
 _ENCODINGS = {"bpsk": bpsk, "qam6": qam6}
 
@@ -49,25 +48,12 @@ def _parse_sweep(text: str) -> list[float]:
     return values
 
 
-def _atomic_write(path: str, payload: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_csv(path: str, meta: dict, columns: list[str], rows: list[list]) -> None:
     lines = [f"# {k} = {meta[k]}" for k in sorted(meta)]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _fmt(value) -> str:
@@ -230,41 +216,45 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-_BASELINE_CHOICES = ("helstrom", "homodyne", "heterodyne", "kennedy", "cn", "dolinar")
+# Reference receivers by name: (bpsk only, closed-form error curve(args, nbar),
+# design(args, c, nbar) -> (tree, design table)).  Each has a curve or a
+# design; a designed receiver is scored by its noise-averaged error.
+_BASELINES = {
+    "helstrom": (True, lambda args, nbar: baselines.helstrom_bpsk(nbar), None),
+    "homodyne": (True, lambda args, nbar: baselines.homodyne_sql_bpsk(nbar), None),
+    "heterodyne": (
+        False,
+        lambda args, nbar: baselines.heterodyne_sql(_build_constellation(args.encoding, nbar)),
+        None,
+    ),
+    "kennedy": (True, lambda args, nbar: baselines.kennedy_bpsk(nbar), None),
+    "cn": (False, None, lambda args, c, nbar: baselines.cn_receiver(c, args.rounds, args.arity)),
+    "dolinar": (True, None, lambda args, c, nbar: baselines.dolinar_receiver(nbar, args.rounds)),
+}
+_BASELINE_CHOICES = tuple(_BASELINES)
+
+
+def _baseline_error(args, nm: NoiseModel, name: str, nbar: float, seed) -> float:
+    _, curve, design = _BASELINES[name]
+    if curve is not None:
+        return curve(args, nbar)
+    c = _build_constellation(args.encoding, nbar)
+    tree, table = design(args, c, nbar)
+    return error_rate(averaged_distribution(tree, c, nm, args.batch, seed), table)
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:
     receivers = [r.strip() for r in args.receivers.split(",") if r.strip()]
     for r in receivers:
-        if r not in _BASELINE_CHOICES:
+        if r not in _BASELINES:
             raise ValueError(f"unknown receiver {r!r}; choose from {_BASELINE_CHOICES}")
     nm = _noise_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     grid = args.sweep
-    binary_only = {"helstrom", "homodyne", "kennedy", "dolinar"}
     for name in receivers:
-        if name in binary_only and args.encoding != "bpsk":
+        if _BASELINES[name][0] and args.encoding != "bpsk":
             raise ValueError(f"{name} curve is defined for the bpsk encoding only")
-        errors = []
-        for i, nbar in enumerate(grid):
-            if name == "helstrom":
-                errors.append(baselines.helstrom_bpsk(nbar))
-            elif name == "homodyne":
-                errors.append(baselines.homodyne_sql_bpsk(nbar))
-            elif name == "kennedy":
-                errors.append(baselines.kennedy_bpsk(nbar))
-            elif name == "heterodyne":
-                errors.append(baselines.heterodyne_sql(_build_constellation(args.encoding, nbar)))
-            elif name == "cn":
-                c = _build_constellation(args.encoding, nbar)
-                tree, table = baselines.cn_receiver(c, args.rounds, args.arity)
-                dist = averaged_distribution(tree, c, nm, args.batch, args.seed + i)
-                errors.append(error_rate(dist, table))
-            elif name == "dolinar":
-                c = _build_constellation(args.encoding, nbar)
-                tree, table = baselines.dolinar_receiver(nbar, args.rounds)
-                dist = averaged_distribution(tree, c, nm, args.batch, args.seed + i)
-                errors.append(error_rate(dist, table))
+        errors = [_baseline_error(args, nm, name, nbar, args.seed + i) for i, nbar in enumerate(grid)]
         curve = baselines.BoundCurve(name, np.asarray(grid), np.asarray(errors))
         out = os.path.join(args.out_dir, f"{name}.csv")
         _write_csv(
@@ -305,10 +295,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
     kl_rows = []
     for model_name, model in models:
-        if model.is_deterministic:
-            dist = averaged_distribution(tree, c, model, 1, args.seed)
-        else:
-            dist = averaged_distribution(tree, c, model, args.batch, args.seed)
+        dist = averaged_distribution(tree, c, model, args.batch, args.seed)
         for p in range(k_codes):
             for q in range(k_codes):
                 for rnd in range(tree.rounds + 1):

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .constellation import Constellation
-from .photonics import IDEAL_DRAW, NoiseDraw, NoiseModel, detected_mean_array, outcome_probs
+from .photonics import NoiseModel, detected_mean_jitter, outcome_probs
 from .simulator import PathDistribution, exact_distribution
 from .tree import DecisionTree, decode_leaf_index
 
@@ -53,7 +53,6 @@ def posterior_trajectory(
     c: Constellation,
     nm: NoiseModel,
     path: Sequence[int],
-    draw: NoiseDraw = IDEAL_DRAW,
 ) -> PosteriorTrajectory:
     """Bayesian belief after each round of a complete measurement record.
 
@@ -68,7 +67,7 @@ def posterior_trajectory(
     out = [c.priors.copy()]
     for j, k in enumerate(path):
         u = tree.node(path[:j])
-        means = detected_mean_array(slices, u, nm, draw)
+        means = detected_mean_jitter(slices, u, nm, 0.0, 1.0)
         likelihood = likelihood * outcome_probs(means, tree.arity)[:, k]
         joint = c.priors * likelihood
         total = joint.sum()
@@ -83,13 +82,12 @@ def most_probable_path(
     c: Constellation,
     nm: NoiseModel,
     label: int,
-    draw: NoiseDraw = IDEAL_DRAW,
 ) -> tuple[int, ...]:
     """Most likely complete outcome path for a given true codeword.
 
     Ties break toward the lowest leaf index.
     """
-    d = exact_distribution(tree, c, nm, draw)
+    d = exact_distribution(tree, c, nm)
     leaf = int(np.argmax(d.probs[label]))
     return decode_leaf_index(tree.arity, tree.rounds, leaf)
 
@@ -99,7 +97,6 @@ def expected_posterior_trajectory(
     c: Constellation,
     nm: NoiseModel,
     label: int,
-    draw: NoiseDraw = IDEAL_DRAW,
 ) -> np.ndarray:
     """Probability-weighted posterior per round for a given true codeword.
 
@@ -107,7 +104,7 @@ def expected_posterior_trajectory(
     weighted by the prefix probability under the true codeword.  Row 0 is
     the prior.
     """
-    d = exact_distribution(tree, c, nm, draw)
+    d = exact_distribution(tree, c, nm)
     k_codes, m, n = c.n_codewords, tree.arity, tree.rounds
     rows = [c.priors.copy()]
     for j in range(1, n + 1):

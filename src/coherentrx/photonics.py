@@ -32,12 +32,9 @@ __all__ = [
     "DEFAULT_PHASE_JITTER",
     "DEFAULT_AMPLITUDE_JITTER",
     "lab_noise",
-    "detected_mean",
-    "detected_mean_array",
     "detected_mean_jitter",
     "outcome_probs",
     "outcome_prob_derivs",
-    "sample_noise",
     "sample_draws",
 ]
 
@@ -156,28 +153,6 @@ def detected_mean_jitter(
     return nm.efficiency * np.maximum(raw, 0.0) + nm.dark_counts
 
 
-def detected_mean_array(
-    slice_amps: np.ndarray,
-    displacements: np.ndarray,
-    nm: NoiseModel,
-    draw: NoiseDraw = IDEAL_DRAW,
-) -> np.ndarray:
-    """:func:`detected_mean_jitter` for one per-run :class:`NoiseDraw`."""
-    return detected_mean_jitter(
-        slice_amps, displacements, nm, draw.phase_offset, draw.amplitude_scale
-    )
-
-
-def detected_mean(
-    slice_amp: complex,
-    displacement: complex,
-    nm: NoiseModel,
-    draw: NoiseDraw = IDEAL_DRAW,
-) -> float:
-    """Scalar convenience wrapper around :func:`detected_mean_array`."""
-    return float(detected_mean_array(slice_amp, displacement, nm, draw))
-
-
 def outcome_probs(n, arity: int) -> np.ndarray:
     """Binned Poisson outcome probabilities for mean ``n``.
 
@@ -218,24 +193,21 @@ def outcome_prob_derivs(n, arity: int) -> tuple[np.ndarray, np.ndarray]:
     return probs, derivs
 
 
-def sample_noise(nm: NoiseModel, rng: np.random.Generator) -> NoiseDraw:
-    """Draw one per-run jitter realization from an explicit generator.
+def sample_draws(nm: NoiseModel, batch_size: int, seed) -> list[NoiseDraw]:
+    """Deterministic batch of per-run jitter draws for a given seed.
 
+    Each draw takes its phase, then its amplitude scale, from one generator.
     The amplitude scale is Normal(1, sigma^2) redrawn until positive, which
     for realistic sigmas essentially never loops.
     """
-    phase = float(rng.normal(0.0, nm.phase_jitter)) if nm.phase_jitter > 0 else 0.0
-    scale = 1.0
-    if nm.amplitude_jitter > 0:
-        scale = float(rng.normal(1.0, nm.amplitude_jitter))
-        while scale <= 0.0:
-            scale = float(rng.normal(1.0, nm.amplitude_jitter))
-    return NoiseDraw(phase_offset=phase, amplitude_scale=scale)
-
-
-def sample_draws(nm: NoiseModel, batch_size: int, seed) -> list[NoiseDraw]:
-    """Deterministic batch of per-run jitter draws for a given seed."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     rng = np.random.default_rng(seed)
-    return [sample_noise(nm, rng) for _ in range(batch_size)]
+    draws = []
+    for _ in range(batch_size):
+        phase = float(rng.normal(0.0, nm.phase_jitter)) if nm.phase_jitter > 0 else 0.0
+        scale = 0.0 if nm.amplitude_jitter > 0 else 1.0
+        while scale <= 0.0:
+            scale = float(rng.normal(1.0, nm.amplitude_jitter))
+        draws.append(NoiseDraw(phase_offset=phase, amplitude_scale=scale))
+    return draws

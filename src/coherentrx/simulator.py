@@ -40,7 +40,6 @@ __all__ = [
     "error_rate",
     "MCResult",
     "mc_sample",
-    "per_draw_table_error",
 ]
 
 _ROW_SUM_TOL = 1e-10
@@ -125,19 +124,14 @@ def exact_distribution(
     tree: DecisionTree,
     c: Constellation,
     nm: NoiseModel,
-    draw: NoiseDraw | Sequence[NoiseDraw] = IDEAL_DRAW,
+    draw: NoiseDraw = IDEAL_DRAW,
 ) -> PathDistribution:
-    """Exact conditional path distribution for one jitter realization.
+    """Exact conditional path distribution for one per-run jitter draw.
 
-    ``draw`` is a single per-run :class:`NoiseDraw` (held fixed across all
-    rounds, the default physical regime) or a sequence of N per-round draws.
+    Jitter redrawn every round is evaluated by :func:`path_probs` with
+    ``(B, N)`` arrays.
     """
-    if isinstance(draw, NoiseDraw):
-        phase, scale = draw_arrays([draw])
-    else:
-        phase, scale = draw_arrays(list(draw))
-        phase, scale = phase[None, :], scale[None, :]
-    probs = path_probs(tree, c, nm, phase, scale)[0]
+    probs = path_probs(tree, c, nm, *draw_arrays([draw]))[0]
     return PathDistribution(probs, tree.rounds, tree.arity, c)
 
 
@@ -314,26 +308,3 @@ def mc_sample(
     counts = np.bincount(leaf, minlength=tree.arity**tree.rounds)
     return MCResult(num_runs, errors, counts)
 
-
-def per_draw_table_error(
-    tree: DecisionTree,
-    c: Constellation,
-    nm: NoiseModel,
-    batch_size: int,
-    seed,
-) -> float:
-    """Diagnostic: mean Bayes error when a fresh MAP table is fit per draw.
-
-    The deployable receiver uses a single table derived from the averaged
-    distribution; this quantity instead averages the per-draw optimum, a
-    lower bound that would require knowing each run's jitter.
-    """
-    if nm.is_deterministic:
-        d = exact_distribution(tree, c, nm, IDEAL_DRAW)
-        return error_rate(d, map_table(d))
-    phase, scale = draw_arrays(sample_draws(nm, batch_size, seed))
-    errs = []
-    for probs in path_probs(tree, c, nm, phase, scale):
-        d = PathDistribution(probs, tree.rounds, tree.arity, c)
-        errs.append(error_rate(d, map_table(d)))
-    return float(np.mean(errs))

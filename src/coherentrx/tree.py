@@ -28,20 +28,37 @@ __all__ = [
     "DecisionTree",
     "DecisionTable",
     "Receiver",
+    "MAX_LEAVES",
     "num_nodes",
     "level_offset",
     "node_index",
     "leaf_index",
-    "decode_node_index",
     "decode_leaf_index",
     "displacement_report",
+    "atomic_write",
     "save_receiver",
     "load_receiver",
 ]
 
 
+# Most complete outcome paths (arity**rounds) a tree may have.  Evaluation
+# holds M^N-wide arrays per codeword and draw; the largest tree in use has
+# 1024 leaves.
+MAX_LEAVES = 1 << 16
+
+
 def num_nodes(rounds: int, arity: int) -> int:
-    """Internal node count of a full arity^rounds tree: (M^N - 1) / (M - 1)."""
+    """Internal node count of a full arity^rounds tree: (M^N - 1) / (M - 1).
+
+    Every tree allocation goes through here, so this is where trees with more
+    than :data:`MAX_LEAVES` leaves are refused (``ValueError``).
+    """
+    # any arity >= 2 passes the cap by round 17; capping the exponent keeps
+    # absurd round counts from building a huge integer first
+    if arity ** min(rounds, MAX_LEAVES.bit_length()) > MAX_LEAVES:
+        raise ValueError(
+            f"a tree of arity {arity} and {rounds} rounds exceeds {MAX_LEAVES} leaves"
+        )
     return (arity**rounds - 1) // (arity - 1)
 
 
@@ -81,21 +98,6 @@ def leaf_index(arity: int, rounds: int, path: Sequence[int]) -> int:
     for k in path:
         pos = pos * arity + int(k)
     return pos
-
-
-def decode_node_index(arity: int, index: int) -> tuple[int, ...]:
-    """Inverse of :func:`node_index`: recover the outcome prefix from a slot."""
-    if index < 0:
-        raise ValueError("index must be non-negative")
-    level = 0
-    while level_offset(arity, level + 1) <= index:
-        level += 1
-    pos = index - level_offset(arity, level)
-    path = []
-    for _ in range(level):
-        path.append(pos % arity)
-        pos //= arity
-    return tuple(reversed(path))
 
 
 def decode_leaf_index(arity: int, rounds: int, index: int) -> tuple[int, ...]:
@@ -233,32 +235,39 @@ class Receiver:
         missing = [k for k in _SPEC_KEYS if k not in d]
         if missing:
             raise ValueError(f"receiver spec is missing keys: {missing}")
-        rounds, arity = int(d["N"]), int(d["M"])
-        nodes = np.array([complex(n["re"], n["im"]) for n in d["nodes"]])
+        try:
+            rounds, arity = int(d["N"]), int(d["M"])
+            nodes = np.array([complex(n["re"], n["im"]) for n in d["nodes"]])
+            guesses = np.asarray(d["table"])
+            constellation = Constellation.from_records(
+                d["constellation"], name=d.get("metadata", {}).get("encoding", "custom")
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed receiver spec: {type(exc).__name__}: {exc}") from exc
         tree = DecisionTree(rounds, arity, nodes)
-        table = DecisionTable(rounds, arity, np.asarray(d["table"]))
-        constellation = Constellation.from_records(
-            d["constellation"], name=d.get("metadata", {}).get("encoding", "custom")
-        )
+        table = DecisionTable(rounds, arity, guesses)
         if np.any(table.guesses >= constellation.n_codewords):
             raise ValueError("table guesses exceed the constellation labels")
         nm = NoiseModel.from_dict(d["noise_model"])
         return cls(tree, table, constellation, nm, dict(d.get("metadata", {})))
 
 
-def save_receiver(path: str, receiver: Receiver) -> None:
-    """Write a receiver-spec JSON document atomically (temp + rename)."""
-    payload = json.dumps(receiver.to_dict(), indent=2, sort_keys=True)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+def atomic_write(path: str, text: str) -> None:
+    """Write a text file atomically: temp file in the same directory + rename."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload + "\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_receiver(path: str, receiver: Receiver) -> None:
+    """Write a receiver-spec JSON document atomically."""
+    atomic_write(path, json.dumps(receiver.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_receiver(path: str) -> Receiver:

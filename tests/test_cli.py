@@ -88,6 +88,18 @@ class TestOptimize:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_oversized_tree_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        code = run(
+            "optimize", "--encoding", "bpsk", "--rounds", 40, "--arity", 2,
+            "--mean-photon", 1.0, "--iters", 3, "--out", out,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "65536 leaves" in err
+        assert not out.exists()
+
     def test_loadable_receiver(self, bpsk_receiver):
         rx = load_receiver(str(bpsk_receiver))
         assert rx.tree.rounds == 4
@@ -175,6 +187,27 @@ class TestSpecValidation:
         code = run(command, "--spec", spec, *_SPEC_COMMAND_ARGS[command], tmp_path / "out")
         assert code == 2
         assert "unknown noise model keys" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["nodes"][0].pop("re"),
+            lambda doc: doc["nodes"][0].update(re="abc"),
+            lambda doc: doc.update(nodes=5),
+            lambda doc: doc.update(constellation=3),
+        ],
+        ids=["node_without_re", "non_numeric_re", "nodes_not_a_list", "constellation_not_a_list"],
+    )
+    def test_malformed_spec_part_is_usage_error(self, bpsk_receiver, tmp_path, capsys, mutate):
+        doc = json.loads(bpsk_receiver.read_text())
+        mutate(doc)
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        code = run("evaluate", "--spec", spec, *_SPEC_COMMAND_ARGS["evaluate"], tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed receiver spec") and err.count("\n") == 1
 
 
 class TestBaseline:

@@ -23,7 +23,14 @@ from coherentrx.photonics import (
     outcome_probs,
     sample_draws,
 )
-from coherentrx.simulator import averaged_distribution, batch_distribution, map_table, path_probs
+from coherentrx.simulator import (
+    averaged_distribution,
+    batch_distribution,
+    draw_arrays,
+    error_rate,
+    map_table,
+    path_probs,
+)
 from coherentrx.tree import DecisionTree, level_offset, num_nodes
 
 
@@ -210,3 +217,30 @@ def test_common_phase_rotation_invariance(seed, theta):
         atol=1e-12,
     )
 
+
+@settings(max_examples=40, deadline=None)
+@given(seed=instance_seeds, batch=st.integers(1, 4))
+def test_gradient_matches_central_differences(seed, batch):
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    draws = sample_draws(nm, batch, seed)
+    phase, scale = draw_arrays(draws)
+    table = map_table(batch_distribution(tree, c, nm, phase, scale))
+    grad = _gradient_on_draws(tree, table, c, nm, draws)
+
+    def loss_at(nodes):
+        d = batch_distribution(DecisionTree(rounds, arity, nodes), c, nm, phase, scale)
+        return error_rate(d, table)
+
+    h = 1e-6
+    fd = np.zeros(tree.nodes.size, dtype=complex)
+    for j in range(tree.nodes.size):
+        for comp in (1.0, 1j):
+            up, dn = tree.nodes.copy(), tree.nodes.copy()
+            up[j] += h * comp
+            dn[j] -= h * comp
+            fd[j] += (loss_at(up) - loss_at(dn)) / (2 * h) * comp
+    # the rule of acceptance criterion 4: central differences carry ~1e-10
+    # cancellation noise, so the relative scale is floored at 1e-4
+    ref = max(float(np.abs(fd).max()), 1e-4)
+    assert float(np.abs(grad - fd).max()) / ref < 1e-5

@@ -9,43 +9,44 @@ from coherentrx.photonics import (
     IDEAL_DRAW,
     NoiseDraw,
     NoiseModel,
-    detected_mean,
-    detected_mean_array,
+    detected_mean_jitter,
     outcome_probs,
     sample_draws,
-    sample_noise,
 )
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
 
 
+def scalar_mean(b, u, nm, phase=0.0, scale=1.0):
+    return float(detected_mean_jitter(b, u, nm, phase, scale))
+
+
 class TestDetectedMean:
     def test_perfect_nulling(self):
-        assert detected_mean(1.0, 1.0, NoiseModel()) == 0.0
+        assert scalar_mean(1.0, 1.0, NoiseModel()) == 0.0
 
     def test_visibility_residual(self):
-        n = detected_mean(1.0, 1.0, NoiseModel(visibility=0.9975))
+        n = scalar_mean(1.0, 1.0, NoiseModel(visibility=0.9975))
         assert abs(n - 0.005) < 1e-12
 
     def test_efficiency_and_dark(self):
-        n = detected_mean(1.0, 0.0, NoiseModel(efficiency=0.85, dark_counts=0.001))
+        n = scalar_mean(1.0, 0.0, NoiseModel(efficiency=0.85, dark_counts=0.001))
         assert abs(n - 0.851) < 1e-12
 
     def test_unit_visibility_is_distance(self):
         nm = NoiseModel(efficiency=0.7, dark_counts=0.02)
         b, u = 0.8 + 0.3j, -0.1 + 0.5j
-        assert abs(detected_mean(b, u, nm) - (0.7 * abs(b - u) ** 2 + 0.02)) < 1e-12
+        assert abs(scalar_mean(b, u, nm) - (0.7 * abs(b - u) ** 2 + 0.02)) < 1e-12
 
     def test_draw_applies_phase_and_scale(self):
-        draw = NoiseDraw(phase_offset=0.3, amplitude_scale=1.1)
         b, u = 1.2, 0.9 + 0.1j
         expected = abs(b - 1.1 * np.exp(1j * 0.3) * u) ** 2
-        assert abs(detected_mean(b, u, NoiseModel(), draw) - expected) < 1e-12
+        assert abs(scalar_mean(b, u, NoiseModel(), 0.3, 1.1) - expected) < 1e-12
 
     @given(br=finite, bi=finite, ur=finite, ui=finite, vis=st.floats(0.0, 1.0))
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_for_any_visibility(self, br, bi, ur, ui, vis):
-        n = detected_mean(complex(br, bi), complex(ur, ui), NoiseModel(visibility=vis))
+        n = scalar_mean(complex(br, bi), complex(ur, ui), NoiseModel(visibility=vis))
         assert n >= 0.0
 
     @given(br=finite, bi=finite, ur=finite, ui=finite, phi=st.floats(-math.pi, math.pi))
@@ -54,13 +55,15 @@ class TestDetectedMean:
         nm = NoiseModel(visibility=0.93, efficiency=0.8, dark_counts=0.01)
         b, u = complex(br, bi), complex(ur, ui)
         rot = np.exp(1j * phi)
-        n0 = detected_mean(b, u, nm)
-        n1 = detected_mean(b * rot, u * rot, nm)
+        n0 = scalar_mean(b, u, nm)
+        n1 = scalar_mean(b * rot, u * rot, nm)
         assert abs(n0 - n1) < 1e-10
 
     def test_broadcasting(self):
         nm = NoiseModel()
-        out = detected_mean_array(np.array([[1.0], [2.0]]), np.array([[0.5, 1.0, 1.5]]), nm)
+        out = detected_mean_jitter(
+            np.array([[1.0], [2.0]]), np.array([[0.5, 1.0, 1.5]]), nm, 0.0, 1.0
+        )
         assert out.shape == (2, 3)
         assert abs(out[0, 1]) < 1e-15
 
@@ -102,20 +105,17 @@ class TestOutcomeProbs:
         np.testing.assert_allclose(merged, outcome_probs(n, arity - 1), atol=1e-12)
 
     def test_ideal_nulling_is_point_mass(self):
-        n = detected_mean(0.7 + 0.2j, 0.7 + 0.2j, NoiseModel())
+        n = scalar_mean(0.7 + 0.2j, 0.7 + 0.2j, NoiseModel())
         np.testing.assert_array_equal(outcome_probs(n, 3), [1.0, 0.0, 0.0])
 
 
 class TestSampling:
     def test_no_jitter_is_ideal_draw(self):
-        rng = np.random.default_rng(0)
-        draw = sample_noise(NoiseModel(), rng)
-        assert draw == IDEAL_DRAW
+        assert sample_draws(NoiseModel(), 1, 0) == [IDEAL_DRAW]
 
     def test_phase_jitter_mean(self):
         nm = NoiseModel(phase_jitter=0.1)
-        rng = np.random.default_rng(123)
-        phases = np.array([sample_noise(nm, rng).phase_offset for _ in range(100_000)])
+        phases = np.array([d.phase_offset for d in sample_draws(nm, 100_000, 123)])
         assert abs(phases.mean()) < 3 * 0.1 / math.sqrt(100_000)
         assert abs(phases.std() - 0.1) < 0.003
 

@@ -12,8 +12,9 @@ from coherentrx.simulator import (
     error_rate,
     exact_distribution,
     map_table,
+    draw_arrays,
     mc_sample,
-    per_draw_table_error,
+    path_probs,
 )
 from coherentrx.tree import DecisionTable, DecisionTree, num_nodes
 
@@ -83,11 +84,11 @@ class TestExactDistribution:
     def test_per_round_draws_accepted(self):
         rng = np.random.default_rng(3)
         tree, c, nm = random_instance(rng, rounds=3)
-        draws = sample_draws(nm, 3, 11)
-        d = exact_distribution(tree, c, nm, draws)
-        np.testing.assert_allclose(d.probs.sum(axis=1), 1.0, atol=1e-10)
+        phase, scale = draw_arrays(sample_draws(nm, 3, 11))
+        probs = path_probs(tree, c, nm, phase[None, :], scale[None, :])[0]
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
         with pytest.raises(ValueError):
-            exact_distribution(tree, c, nm, draws[:2])
+            path_probs(tree, c, nm, phase[None, :2], scale[None, :2])
 
 
 class TestAveragedDistribution:
@@ -237,16 +238,6 @@ class TestMonteCarlo:
         table = map_table(exact_distribution(tree, c, nm))
         res = mc_sample(tree, table, c, nm, 7_777, seed=4)
         assert res.path_counts.sum() == 7_777
-
-
-def test_per_draw_table_diagnostic_lower_bounds_deployed_table():
-    rng = np.random.default_rng(14)
-    tree, c, _ = random_instance(rng, rounds=2, arity=2, noisy=False)
-    nm = NoiseModel(phase_jitter=0.3, amplitude_jitter=0.1)
-    d = averaged_distribution(tree, c, nm, 300, seed=6)
-    deployed = error_rate(d, map_table(d))
-    per_draw = per_draw_table_error(tree, c, nm, 300, seed=6)
-    assert per_draw <= deployed + 1e-12
 
 
 def test_distribution_validation():

@@ -8,11 +8,11 @@ from coherentrx.constellation import bpsk, qam6
 from coherentrx.photonics import NoiseModel
 from coherentrx.simulator import exact_distribution, map_table
 from coherentrx.tree import (
+    MAX_LEAVES,
     DecisionTable,
     DecisionTree,
     Receiver,
     decode_leaf_index,
-    decode_node_index,
     displacement_report,
     leaf_index,
     load_receiver,
@@ -53,13 +53,20 @@ class TestIndexing:
     @pytest.mark.parametrize("arity", [2, 3])
     def test_node_round_trip_exhaustive(self, arity):
         rounds = 6
-        seen = set()
-        for d in range(rounds):
-            for path in itertools.product(range(arity), repeat=d):
-                idx = node_index(arity, path, rounds)
-                assert decode_node_index(arity, idx) == path
-                seen.add(idx)
-        assert seen == set(range(num_nodes(rounds, arity)))
+        slots = [
+            node_index(arity, path, rounds)
+            for d in range(rounds)
+            for path in itertools.product(range(arity), repeat=d)
+        ]
+        # every slot hit exactly once: prefixes and slots are in bijection
+        assert sorted(slots) == list(range(num_nodes(rounds, arity)))
+
+    def test_leaf_cap(self):
+        assert num_nodes(16, 2) == MAX_LEAVES - 1
+        assert num_nodes(1, MAX_LEAVES) == 1
+        for rounds, arity in [(17, 2), (11, 3), (1, MAX_LEAVES + 1), (10**9, 2)]:
+            with pytest.raises(ValueError, match="leaves"):
+                num_nodes(rounds, arity)
 
     @pytest.mark.parametrize("arity,rounds", [(2, 6), (3, 5)])
     def test_leaf_round_trip_exhaustive(self, arity, rounds):
@@ -176,6 +183,12 @@ class TestReceiverSpecFile:
         doc = self._receiver().to_dict()
         del doc["N"]
         with pytest.raises(ValueError, match="missing keys"):
+            Receiver.from_dict(doc)
+
+    def test_oversized_tree_rejected(self):
+        doc = self._receiver().to_dict()
+        doc["N"] = 40
+        with pytest.raises(ValueError, match="leaves"):
             Receiver.from_dict(doc)
 
     def test_unknown_noise_model_key_rejected(self):
