@@ -10,10 +10,15 @@ The conditional-nulling receiver CN(N, M) nulls the currently most probable
 hypothesis at every node; the discretized Dolinar receiver Dolinar(N, 2) is
 the exact zero-noise optimum over N-round binary feedback strategies,
 computed by backward-induction dynamic programming on the posterior (a
-sufficient statistic for two hypotheses).  The heterodyne SQL is the
-minimum-error decision on an isotropic Gaussian outcome with variance 1/2
-per quadrature around the codeword amplitude, which for BPSK reduces to
-``erfc(sqrt(nbar)) / 2`` (3 dB worse argument than homodyne).
+sufficient statistic for two hypotheses).  Each DP level scans a coarse
+displacement grid in blocks (a few displacements against all posteriors, one
+value-interpolant call per block), then refines by golden section.  The
+heterodyne SQL is the minimum-error decision on an isotropic Gaussian outcome
+with variance 1/2 per quadrature around the codeword amplitude, which for
+BPSK reduces to ``erfc(sqrt(nbar)) / 2`` (3 dB worse argument than homodyne).
+For a general constellation the integral over the imaginary quadrature is
+closed form (erf pieces under the upper envelope of one line per codeword)
+and only the integral over the real quadrature is adaptive.
 """
 
 from __future__ import annotations
@@ -134,16 +139,17 @@ def _binary_round_terms(p, u, slice_amp: float):
     elementwise over broadcast inputs.  Unreachable branches get posterior
     1/2; they carry zero probability weight.
     """
+    q = 1.0 - p
     m_plus = (slice_amp - u) ** 2
     m_minus = (slice_amp + u) ** 2
     e_plus = np.exp(-m_plus)
     e_minus = np.exp(-m_minus)
     joint0_p = p * e_plus
-    joint0_m = (1.0 - p) * e_minus
+    joint0_m = q * e_minus
     prob0 = joint0_p + joint0_m
     post0 = np.where(prob0 > 0, joint0_p / np.where(prob0 > 0, prob0, 1.0), 0.5)
     joint1_p = p * (1.0 - e_plus)
-    joint1_m = (1.0 - p) * (1.0 - e_minus)
+    joint1_m = q * (1.0 - e_minus)
     prob1 = joint1_p + joint1_m
     post1 = np.where(prob1 > 0, joint1_p / np.where(prob1 > 0, prob1, 1.0), 0.5)
     return prob0, post0, prob1, post1
@@ -152,10 +158,12 @@ def _binary_round_terms(p, u, slice_amp: float):
 def _expected_error(p, u, slice_amp: float, v_next):
     """Expected downstream error of displacement ``u`` at posterior ``p``.
 
-    ``v_next`` maps posteriors to next-level values (an interpolant).
+    ``v_next`` maps posteriors to next-level values (an interpolant); both
+    outcomes' posteriors go through it in one call.
     """
     prob0, post0, prob1, post1 = _binary_round_terms(p, u, slice_amp)
-    return prob0 * v_next(post0) + prob1 * v_next(post1)
+    v0, v1 = v_next(np.concatenate([post0.ravel(), post1.ravel()])).reshape((2,) + post0.shape)
+    return prob0 * v0 + prob1 * v1
 
 
 def _value_interpolant(p_grid: np.ndarray, values: np.ndarray):
@@ -170,6 +178,11 @@ def _value_interpolant(p_grid: np.ndarray, values: np.ndarray):
     return PchipInterpolator(p_grid, values, extrapolate=False)
 
 
+# Displacements per coarse-scan block: 8 x 2001 grid posteriors keeps a
+# block near 16k elements, which bounds the scan's temporaries (peak RSS).
+_SCAN_ROWS = 8
+
+
 def _best_displacements(
     p: np.ndarray,
     slice_amp: float,
@@ -178,31 +191,37 @@ def _best_displacements(
     coarse: int = 512,
     golden_iters: int = 70,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Minimize expected error over the displacement, per posterior value.
+    """Minimize expected error over the displacement, per 1-d posterior array.
 
     A coarse scan over [-bracket, bracket] (always including the two exact
-    nulling displacements and zero) locates the basin; a vectorized
-    golden-section pass refines every posterior's optimum simultaneously.
+    nulling displacements and zero) locates the basin, ``_SCAN_ROWS``
+    displacements by all posteriors at a time; the first minimum wins ties,
+    as in a one-at-a-time scan with strict ``<``.  A vectorized
+    golden-section pass then refines every posterior's optimum
+    simultaneously.
     """
     u_grid = np.concatenate(
         [np.linspace(-bracket, bracket, coarse), [-slice_amp, 0.0, slice_amp]]
     )
     step = u_grid[1] - u_grid[0]
+    cols = np.arange(p.size)
     best_val = np.full(p.shape, np.inf)
     best_u = np.zeros(p.shape)
-    for u in u_grid:
-        val = _expected_error(p, u, slice_amp, v_next)
-        better = val < best_val
-        best_val = np.where(better, val, best_val)
-        best_u = np.where(better, u, best_u)
+    for start in range(0, u_grid.size, _SCAN_ROWS):
+        u = u_grid[start : start + _SCAN_ROWS]
+        val = _expected_error(p, u[:, None], slice_amp, v_next)
+        row = np.argmin(val, axis=0)
+        block_val = val[row, cols]
+        better = block_val < best_val
+        best_val = np.where(better, block_val, best_val)
+        best_u = np.where(better, u[row], best_u)
     lo = best_u - step
     hi = best_u + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(golden_iters):
         x1 = hi - invphi * (hi - lo)
         x2 = lo + invphi * (hi - lo)
-        f1 = _expected_error(p, x1, slice_amp, v_next)
-        f2 = _expected_error(p, x2, slice_amp, v_next)
+        f1, f2 = _expected_error(p, np.stack([x1, x2]), slice_amp, v_next)
         take_left = f1 < f2
         hi = np.where(take_left, x2, hi)
         lo = np.where(take_left, lo, x1)
@@ -266,27 +285,64 @@ def dolinar_receiver(
 # ---------------------------------------------------------------------------
 
 
-def heterodyne_sql(c: Constellation, epsabs: float = 1e-10) -> float:
+def heterodyne_sql(c: Constellation) -> float:
     """Minimum-error heterodyne detection of an arbitrary constellation.
 
-    The heterodyne outcome is an isotropic Gaussian of variance 1/2 per
-    quadrature centered on the codeword amplitude; the success probability
-    integrates ``max_y prior_y * exp(-|z - beta_y|^2) / pi`` over the plane
-    with adaptive 2-d quadrature.
+    The heterodyne outcome ``z = x + iy`` is an isotropic Gaussian of
+    variance 1/2 per quadrature centered on the codeword amplitude
+    ``beta_k = a_k + i b_k``; the success probability integrates
+    ``max_k prior_k * exp(-|z - beta_k|^2) / pi`` over the plane.
+
+    At fixed x the log of ``prior_k * exp(-|z - beta_k|^2)`` is ``-y^2`` plus
+    the line ``log w_k(x) - b_k^2 + 2 b_k y`` with
+    ``w_k(x) = prior_k * exp(-(x - a_k)^2)``, so the maximum is a Gaussian
+    times the upper envelope of at most K lines.  On the envelope piece
+    ``[lo, hi]`` owned by codeword k the y-integral is closed form,
+    ``w_k(x) * sqrt(pi)/2 * (erf(hi - b_k) - erf(lo - b_k))``; only the
+    x-integral is adaptive.  Both run over the amplitudes' bounding box
+    padded by 7 (the Gaussian tail beyond it is below 1e-21).  Zero-prior
+    codewords never win the maximum and are dropped.
     """
-    amps = c.amplitudes
-    priors = c.priors
+    keep = c.priors > 0
+    amps, log_priors = c.amplitudes[keep], np.log(c.priors[keep])
     pad = 7.0
     x_lo, x_hi = amps.real.min() - pad, amps.real.max() + pad
     y_lo, y_hi = amps.imag.min() - pad, amps.imag.max() + pad
+    # lines of equal slope (one row of codewords) never cross: at each x only
+    # the row's largest w_k can own an envelope piece
+    rows: dict[float, list[tuple[float, float]]] = {}
+    for a, b, log_prior in zip(amps.real.tolist(), amps.imag.tolist(), log_priors.tolist()):
+        rows.setdefault(b, []).append((a, log_prior))
+    slopes = sorted(rows)
+    norm = 2.0 * math.sqrt(math.pi)  # 1/pi of the density over sqrt(pi)/2 per erf piece
 
-    def integrand(y: float, x: float) -> float:
-        d2 = (x - amps.real) ** 2 + (y - amps.imag) ** 2
-        return float(np.max(priors * np.exp(-d2))) / math.pi
+    def inner(x: float) -> float:
+        log_w = [max(lp - (x - a) ** 2 for a, lp in rows[b]) for b in slopes]
+        icpt = [lw - b * b for lw, b in zip(log_w, slopes)]
+        # upper envelope by increasing slope; line hull[i] owns [starts[i], starts[i+1]]
+        hull: list[int] = []
+        starts: list[float] = []
+        for k, b in enumerate(slopes):
+            start = -math.inf
+            while hull:
+                j = hull[-1]
+                start = (icpt[j] - icpt[k]) / (2.0 * (b - slopes[j]))
+                if start > starts[-1]:
+                    break
+                hull.pop()
+                starts.pop()
+                start = -math.inf
+            hull.append(k)
+            starts.append(start)
+        total = 0.0
+        for k, lo, hi in zip(hull, starts, starts[1:] + [math.inf]):
+            lo, hi = max(lo, y_lo), min(hi, y_hi)
+            if hi > lo:
+                b = slopes[k]
+                total += math.exp(log_w[k]) * (math.erf(hi - b) - math.erf(lo - b))
+        return total / norm
 
-    p_correct, _ = integrate.dblquad(
-        integrand, x_lo, x_hi, y_lo, y_hi, epsabs=epsabs, epsrel=1e-10
-    )
+    p_correct, _ = integrate.quad(inner, x_lo, x_hi, epsabs=1e-10, epsrel=1e-10)
     return float(min(max(1.0 - p_correct, 0.0), 1.0))
 
 

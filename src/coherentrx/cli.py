@@ -248,12 +248,12 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     for r in receivers:
         if r not in _BASELINES:
             raise ValueError(f"unknown receiver {r!r}; choose from {_BASELINE_CHOICES}")
+        if _BASELINES[r][0] and args.encoding != "bpsk":
+            raise ValueError(f"{r} curve is defined for the bpsk encoding only")
     nm = _noise_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     grid = args.sweep
     for name in receivers:
-        if _BASELINES[name][0] and args.encoding != "bpsk":
-            raise ValueError(f"{name} curve is defined for the bpsk encoding only")
         errors = [_baseline_error(args, nm, name, nbar, args.seed + i) for i, nbar in enumerate(grid)]
         curve = baselines.BoundCurve(name, np.asarray(grid), np.asarray(errors))
         out = os.path.join(args.out_dir, f"{name}.csv")

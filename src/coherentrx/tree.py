@@ -235,12 +235,15 @@ class Receiver:
         missing = [k for k in _SPEC_KEYS if k not in d]
         if missing:
             raise ValueError(f"receiver spec is missing keys: {missing}")
+        metadata = d.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ValueError("malformed receiver spec: metadata must be a JSON object")
         try:
             rounds, arity = int(d["N"]), int(d["M"])
             nodes = np.array([complex(n["re"], n["im"]) for n in d["nodes"]])
             guesses = np.asarray(d["table"])
             constellation = Constellation.from_records(
-                d["constellation"], name=d.get("metadata", {}).get("encoding", "custom")
+                d["constellation"], name=metadata.get("encoding", "custom")
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed receiver spec: {type(exc).__name__}: {exc}") from exc
@@ -249,7 +252,7 @@ class Receiver:
         if np.any(table.guesses >= constellation.n_codewords):
             raise ValueError("table guesses exceed the constellation labels")
         nm = NoiseModel.from_dict(d["noise_model"])
-        return cls(tree, table, constellation, nm, dict(d.get("metadata", {})))
+        return cls(tree, table, constellation, nm, dict(metadata))
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from coherentrx.baselines import (
     BoundCurve,
+    _best_displacements,
+    _value_interpolant,
     cn_receiver,
     cn_tree,
     dolinar_receiver,
@@ -25,6 +28,64 @@ IDEAL = NoiseModel()
 
 def simulated_error(tree, table, c):
     return error_rate(exact_distribution(tree, c, IDEAL), table)
+
+
+def reference_best_displacements(p, slice_amp, v_next, bracket, coarse=512, golden_iters=70):
+    """One displacement at a time: the coarse scan with strict ``<``, then a
+    golden section that evaluates its two points in separate calls."""
+
+    def expected_error(u):
+        e_plus = np.exp(-((slice_amp - u) ** 2))
+        e_minus = np.exp(-((slice_amp + u) ** 2))
+        joint0_p = p * e_plus
+        prob0 = joint0_p + (1.0 - p) * e_minus
+        post0 = np.where(prob0 > 0, joint0_p / np.where(prob0 > 0, prob0, 1.0), 0.5)
+        joint1_p = p * (1.0 - e_plus)
+        prob1 = joint1_p + (1.0 - p) * (1.0 - e_minus)
+        post1 = np.where(prob1 > 0, joint1_p / np.where(prob1 > 0, prob1, 1.0), 0.5)
+        return prob0 * v_next(post0) + prob1 * v_next(post1)
+
+    u_grid = np.concatenate([np.linspace(-bracket, bracket, coarse), [-slice_amp, 0.0, slice_amp]])
+    step = u_grid[1] - u_grid[0]
+    best_val = np.full(p.shape, np.inf)
+    best_u = np.zeros(p.shape)
+    for u in u_grid:
+        val = expected_error(u)
+        better = val < best_val
+        best_val = np.where(better, val, best_val)
+        best_u = np.where(better, u, best_u)
+    lo, hi = best_u - step, best_u + step
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(golden_iters):
+        x1 = hi - invphi * (hi - lo)
+        x2 = lo + invphi * (hi - lo)
+        take_left = expected_error(x1) < expected_error(x2)
+        hi = np.where(take_left, x2, hi)
+        lo = np.where(take_left, lo, x1)
+    u_refined = 0.5 * (lo + hi)
+    val_refined = expected_error(u_refined)
+    keep = val_refined < best_val
+    return np.where(keep, u_refined, best_u), np.where(keep, val_refined, best_val)
+
+
+def reference_heterodyne_sql(c):
+    """Adaptive 2-d quadrature of max_k prior_k exp(-|z - beta_k|^2) / pi."""
+    amps, priors = c.amplitudes, c.priors
+
+    def integrand(y, x):
+        d2 = (x - amps.real) ** 2 + (y - amps.imag) ** 2
+        return float(np.max(priors * np.exp(-d2))) / math.pi
+
+    p_correct, _ = integrate.dblquad(
+        integrand,
+        amps.real.min() - 7.0,
+        amps.real.max() + 7.0,
+        amps.imag.min() - 7.0,
+        amps.imag.max() + 7.0,
+        epsabs=1e-10,
+        epsrel=1e-10,
+    )
+    return 1.0 - p_correct
 
 
 class TestClosedForms:
@@ -141,6 +202,25 @@ class TestDolinar:
         tree = dolinar_tree(0.0, 3)
         np.testing.assert_array_equal(tree.nodes, np.zeros(7, dtype=complex))
 
+    @pytest.mark.parametrize("coarse", [50, 512])
+    def test_blocked_scan_matches_per_u_oracle(self, coarse):
+        # 53 and 515 displacements: neither is a multiple of the scan block
+        rng = np.random.default_rng(7)
+        p_grid = np.linspace(0.0, 1.0, 2001)
+        terminal = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
+        for nbar, rounds in ((0.2, 4), (5.0, 4)):
+            slice_amp = math.sqrt(nbar / rounds)
+            bracket = 2.0 + 3.0 * math.sqrt(nbar)
+            _, v = reference_best_displacements(p_grid, slice_amp, terminal, bracket, coarse)
+            level = _value_interpolant(p_grid, v)
+            # {0, 1} reach the zero-probability branch at u = -/+ slice_amp
+            for p in (p_grid, np.array([0.0, 0.5, 1.0]), rng.uniform(0.0, 1.0, 333)):
+                for v_next in (terminal, level):
+                    want = reference_best_displacements(p, slice_amp, v_next, bracket, coarse)
+                    got = _best_displacements(p, slice_amp, v_next, bracket, coarse)
+                    np.testing.assert_array_equal(got[0], want[0])
+                    np.testing.assert_array_equal(got[1], want[1])
+
 
 class TestHeterodyne:
     def test_bpsk_closed_form(self):
@@ -161,6 +241,29 @@ class TestHeterodyne:
         quad = heterodyne_sql(qam6(7.8))
         assert abs(quad - 0.04515887176617461) < 1e-9
         assert abs(quad - err) < 3 * stderr
+
+    def test_bpsk_closed_form_tight(self):
+        # x ~ N(+-a, 1/2) along the codeword axis with MAP threshold t, at any
+        # rotation of the pair.  Rotated off the real axis, the threshold is an
+        # envelope crossing of the closed-form inner integral; on it, unequal
+        # priors put a kink in the adaptive outer integrand, which quad
+        # resolves to its 1e-10 tolerance.
+        for nbar in (0.05, 0.2, 0.8, 2.0, 5.0):
+            a = math.sqrt(nbar)
+            for prior in (0.5, 0.8):
+                t = math.log((1.0 - prior) / prior) / (4.0 * a)
+                want = 0.5 * (prior * math.erfc(a - t) + (1.0 - prior) * math.erfc(a + t))
+                for angle in (0.0, math.pi / 2, 0.7, 2.0):
+                    amps = np.array([a, -a]) * np.exp(1j * angle)
+                    c = custom(amps, np.array([prior, 1.0 - prior]))
+                    tol = 1e-10 if angle == 0.0 and prior != 0.5 else 1e-13
+                    assert abs(heterodyne_sql(c) - want) < tol
+
+    def test_matches_dblquad_oracle(self):
+        # unequal priors, two codewords in one row, one codeword never used
+        amps = np.array([0.6 + 0.5j, -0.9 + 0.5j, 0.2 - 0.8j, 1.4 + 1.2j])
+        c = custom(amps, np.array([0.45, 0.25, 0.3, 0.0]))
+        assert abs(heterodyne_sql(c) - reference_heterodyne_sql(c)) < 1e-9
 
     def test_mc_matches_quadrature_bpsk(self):
         c = bpsk(0.8)

@@ -196,8 +196,15 @@ class TestSpecValidation:
             lambda doc: doc["nodes"][0].update(re="abc"),
             lambda doc: doc.update(nodes=5),
             lambda doc: doc.update(constellation=3),
+            lambda doc: doc.update(metadata=5),
         ],
-        ids=["node_without_re", "non_numeric_re", "nodes_not_a_list", "constellation_not_a_list"],
+        ids=[
+            "node_without_re",
+            "non_numeric_re",
+            "nodes_not_a_list",
+            "constellation_not_a_list",
+            "metadata_not_an_object",
+        ],
     )
     def test_malformed_spec_part_is_usage_error(self, bpsk_receiver, tmp_path, capsys, mutate):
         doc = json.loads(bpsk_receiver.read_text())
@@ -242,6 +249,14 @@ class TestBaseline:
         code = run("baseline", "--receivers", "helstrom", "--encoding", "qam6",
                    "--sweep", "1.0", "--out-dir", tmp_path / "x")
         assert code == 2
+
+    def test_bpsk_only_receiver_rejected_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = run("baseline", "--receivers", "cn,dolinar", "--encoding", "qam6",
+                   "--rounds", 2, "--arity", 2, "--sweep", "1.0", "--out-dir", out)
+        assert code == 2
+        assert "dolinar" in capsys.readouterr().err
+        assert not (out / "cn.csv").exists()
 
     def test_unknown_receiver(self, tmp_path):
         code = run("baseline", "--receivers", "psychic", "--sweep", "1.0",
