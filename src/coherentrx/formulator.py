@@ -33,7 +33,7 @@ from .photonics import (
     IDEAL_DRAW,
     NoiseDraw,
     NoiseModel,
-    detected_mean_jitter,
+    detected_mean,
     outcome_prob_derivs,
     sample_draws,
 )
@@ -200,16 +200,14 @@ def _sensitivities(
     batch = phase.shape[0]
     slices = c.amplitudes / math.sqrt(n)
     a = scale[:, None, None]
+    rot = a * np.exp(1j * phase[:, None, None])
     w = slices[None, :] * np.exp(-1j * phase[:, None])
     q_levels = []
     dq_levels = []
     forward = [np.ones((batch, k_codes, 1))]
     for level in range(n):
-        u = tree.level_nodes(level)
-        means = detected_mean_jitter(
-            slices[None, :, None], u[None, None, :], nm, phase[:, None, None], a
-        )
-        q, dq = outcome_prob_derivs(means, m)
+        u_eff = rot * tree.level_nodes(level)[None, None, :]
+        q, dq = outcome_prob_derivs(detected_mean(slices[None, :, None], u_eff, nm), m)
         q_levels.append(q)
         dq_levels.append(dq)
         forward.append((forward[-1][:, :, :, None] * q).reshape(batch, k_codes, -1))

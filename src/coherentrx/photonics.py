@@ -32,6 +32,7 @@ __all__ = [
     "DEFAULT_PHASE_JITTER",
     "DEFAULT_AMPLITUDE_JITTER",
     "lab_noise",
+    "detected_mean",
     "detected_mean_jitter",
     "outcome_probs",
     "outcome_prob_derivs",
@@ -124,6 +125,39 @@ def lab_noise(visibility: float = 0.9975, efficiency: float = 0.85) -> NoiseMode
     )
 
 
+def detected_mean(
+    slice_amps,
+    effective_displacements,
+    nm: NoiseModel,
+    slice_power=None,
+) -> np.ndarray:
+    """Mean detected photon number, broadcasting over every argument.
+
+    ``effective_displacements`` are the displacements ``u'`` as applied,
+    jitter included (see :func:`detected_mean_jitter`), and the detected
+    mean is
+
+        eta * (|b|^2 + |u'|^2 - 2*xi*Re(b * conj(u'))) + nu
+
+    which reduces to ``eta * |b - u'|^2 + nu`` at unit visibility.  A caller
+    that evaluates the same slices in every round may pass
+    ``slice_power = |b|**2``, computed once; it is read only below unit
+    visibility.
+    """
+    b = np.asarray(slice_amps, dtype=np.complex128)
+    u_eff = np.asarray(effective_displacements, dtype=np.complex128)
+    if nm.visibility == 1.0:
+        # direct form cancels exactly under perfect nulling
+        raw = np.abs(b - u_eff) ** 2
+    else:
+        if slice_power is None:
+            slice_power = np.abs(b) ** 2
+        cross = (b * np.conj(u_eff)).real
+        raw = slice_power + np.abs(u_eff) ** 2 - 2.0 * nm.visibility * cross
+    # raw >= (1 - xi) * (|b|^2 + |u'|^2) >= 0; clip only guards rounding.
+    return nm.efficiency * np.maximum(raw, 0.0) + nm.dark_counts
+
+
 def detected_mean_jitter(
     slice_amps,
     displacements,
@@ -131,26 +165,15 @@ def detected_mean_jitter(
     phase_offset,
     amplitude_scale,
 ) -> np.ndarray:
-    """Mean detected photon number, broadcasting over every argument.
+    """:func:`detected_mean` of displacements under one jitter draw.
 
-    The effective displacement is ``u' = amplitude_scale * exp(i*phase) * u``
-    and the detected mean is
-
-        eta * (|b|^2 + |u'|^2 - 2*xi*Re(b * conj(u'))) + nu
-
-    which reduces to ``eta * |b - u'|^2 + nu`` at unit visibility.
+    The effective displacement is ``u' = rot * u`` with the rotation
+    ``rot = amplitude_scale * exp(i*phase)``, associated in that order.
+    Callers that keep a draw over several rounds form ``rot`` once and call
+    :func:`detected_mean` directly; the means are the same bit for bit.
     """
-    b = np.asarray(slice_amps, dtype=np.complex128)
-    u = np.asarray(displacements, dtype=np.complex128)
-    u_eff = np.asarray(amplitude_scale) * np.exp(1j * np.asarray(phase_offset)) * u
-    if nm.visibility == 1.0:
-        # direct form cancels exactly under perfect nulling
-        raw = np.abs(b - u_eff) ** 2
-    else:
-        cross = (b * np.conj(u_eff)).real
-        raw = np.abs(b) ** 2 + np.abs(u_eff) ** 2 - 2.0 * nm.visibility * cross
-    # raw >= (1 - xi) * (|b|^2 + |u'|^2) >= 0; clip only guards rounding.
-    return nm.efficiency * np.maximum(raw, 0.0) + nm.dark_counts
+    rot = np.asarray(amplitude_scale) * np.exp(1j * np.asarray(phase_offset))
+    return detected_mean(slice_amps, rot * np.asarray(displacements, dtype=np.complex128), nm)
 
 
 def outcome_probs(n, arity: int) -> np.ndarray:

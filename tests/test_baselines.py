@@ -88,6 +88,25 @@ def reference_heterodyne_sql(c):
     return 1.0 - p_correct
 
 
+def reference_heterodyne_sql_mc(c, num_samples, seed, chunk):
+    """Each chunk decided by ``argmax`` over a (samples, codewords) score array."""
+    rng = np.random.default_rng(seed)
+    amps = c.amplitudes
+    log_priors = np.where(c.priors > 0, np.log(np.where(c.priors > 0, c.priors, 1.0)), -np.inf)
+    sigma = math.sqrt(0.5)
+    correct = 0
+    remaining = num_samples
+    while remaining > 0:
+        size = min(chunk, remaining)
+        y = rng.choice(c.n_codewords, size=size, p=c.priors)
+        z = amps[y] + sigma * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        score = log_priors[None, :] - np.abs(z[:, None] - amps[None, :]) ** 2
+        correct += int(np.count_nonzero(np.argmax(score, axis=1) == y))
+        remaining -= size
+    err = 1.0 - correct / num_samples
+    return err, math.sqrt(max(err * (1.0 - err), 0.0) / num_samples)
+
+
 class TestClosedForms:
     def test_helstrom_anchors(self):
         assert helstrom_bpsk(0.0) == 0.5
@@ -265,6 +284,17 @@ class TestHeterodyne:
         c = custom(amps, np.array([0.45, 0.25, 0.3, 0.0]))
         assert abs(heterodyne_sql(c) - reference_heterodyne_sql(c)) < 1e-9
 
+    def test_mc_matches_argmax_oracle(self):
+        # a zero-prior codeword first, and codewords 1 and 3 identical with
+        # equal priors, so every sample nearest them is a tie won by label 1
+        amps = np.array([0.0, 0.9 + 0.4j, -1.1 + 0.2j, 0.9 + 0.4j, 0.1 - 1.3j])
+        c = custom(amps, np.array([0.0, 0.3, 0.25, 0.3, 0.15]))
+        for num_samples, chunk, seed in ((100_003, 30_000, 7), (2_000, 2_000, 8), (5, 2, 9)):
+            got = heterodyne_sql_mc(c, num_samples, seed=seed, chunk=chunk)
+            assert got == reference_heterodyne_sql_mc(c, num_samples, seed, chunk)
+        got = heterodyne_sql_mc(qam6(7.8), 300_001, seed=3, chunk=70_000)
+        assert got == reference_heterodyne_sql_mc(qam6(7.8), 300_001, 3, 70_000)
+
     def test_mc_matches_quadrature_bpsk(self):
         c = bpsk(0.8)
         err, stderr = heterodyne_sql_mc(c, 1_000_000, seed=5)
@@ -277,6 +307,12 @@ class TestBoundCurves:
             BoundCurve("x", np.array([1.0, 2.0]), np.array([0.1]))
         with pytest.raises(ValueError):
             BoundCurve("x", np.array([1.0]), np.array([1.5]))
+
+    def test_nan_error_rejected(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            BoundCurve("x", np.array([0.1]), np.array([math.nan]))
+        with pytest.raises(ValueError, match="must lie in"):
+            BoundCurve("x", np.array([0.1, 0.2]), np.array([0.3, math.nan]))
 
     def test_analytic_bounds_monotone_non_increasing(self):
         grid = np.geomspace(0.02, 6, 40)

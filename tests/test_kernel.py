@@ -3,10 +3,13 @@
 The references below evaluate one draw at a time with scalar jitter, the
 way the forward recursion and the gradient sweep are written for a single
 receiver run.  The batched code performs the same elementwise arithmetic
-and sums over draws in the same order, so the comparisons are exact.
+and sums over draws in the same order, so the comparisons are exact.  The
+Monte Carlo sampler is compared the same way with a sampler that applies
+the jitter kernel to each draw's phase and scale in every round.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from coherentrx.constellation import custom
 from coherentrx.formulator import _gradient_on_draws
 from coherentrx.photonics import (
     NoiseModel,
+    detected_mean,
     detected_mean_jitter,
     outcome_prob_derivs,
     outcome_probs,
@@ -28,7 +32,9 @@ from coherentrx.simulator import (
     batch_distribution,
     draw_arrays,
     error_rate,
+    exact_distribution,
     map_table,
+    mc_sample,
     path_probs,
 )
 from coherentrx.tree import DecisionTree, level_offset, num_nodes
@@ -244,3 +250,101 @@ def test_gradient_matches_central_differences(seed, batch):
     # cancellation noise, so the relative scale is floored at 1e-4
     ref = max(float(np.abs(fd).max()), 1e-4)
     assert float(np.abs(grad - fd).max()) / ref < 1e-5
+
+
+def reference_mean(b, u, nm, phase, scale):
+    """The detected mean with the jitter rotation applied inside the kernel."""
+    b = np.asarray(b, dtype=np.complex128)
+    u = np.asarray(u, dtype=np.complex128)
+    u_eff = np.asarray(scale) * np.exp(1j * np.asarray(phase)) * u
+    if nm.visibility == 1.0:
+        raw = np.abs(b - u_eff) ** 2
+    else:
+        cross = (b * np.conj(u_eff)).real
+        raw = np.abs(b) ** 2 + np.abs(u_eff) ** 2 - 2.0 * nm.visibility * cross
+    return nm.efficiency * np.maximum(raw, 0.0) + nm.dark_counts
+
+
+def reference_mc_sample(tree, table, c, nm, num_runs, seed, per_round=False):
+    """Runs sampled with the jitter kernel on each draw's phase and scale."""
+    rng = np.random.default_rng(seed)
+    y = rng.choice(c.n_codewords, size=num_runs, p=c.priors)
+    slices = c.amplitudes[y] / np.sqrt(tree.rounds)
+
+    def draw_jitter():
+        phase = (
+            rng.normal(0.0, nm.phase_jitter, num_runs)
+            if nm.phase_jitter > 0
+            else np.zeros(num_runs)
+        )
+        scale = np.ones(num_runs)
+        if nm.amplitude_jitter > 0:
+            scale = rng.normal(1.0, nm.amplitude_jitter, num_runs)
+            bad = scale <= 0
+            while np.any(bad):
+                scale[bad] = rng.normal(1.0, nm.amplitude_jitter, int(bad.sum()))
+                bad = scale <= 0
+        return phase, scale
+
+    if not per_round:
+        phase, scale = draw_jitter()
+    leaf = np.zeros(num_runs, dtype=np.int64)
+    for level in range(tree.rounds):
+        if per_round:
+            phase, scale = draw_jitter()
+        disp = tree.level_nodes(level)[leaf]
+        means = reference_mean(slices, disp, nm, phase, scale)
+        k = np.minimum(rng.poisson(means), tree.arity - 1)
+        leaf = leaf * tree.arity + k
+    errors = int(np.count_nonzero(table.guesses[leaf] != y))
+    return errors, np.bincount(leaf, minlength=tree.arity**tree.rounds)
+
+
+@pytest.mark.parametrize("visibility", [1.0, 0.97])
+def test_jitter_kernel_is_rotation_then_detected_mean(visibility):
+    rng = np.random.default_rng(40)
+    nm = NoiseModel(visibility=visibility, efficiency=0.8, dark_counts=0.0)
+    b = rng.normal(0, 0.8, (4, 1, 1)) + 1j * rng.normal(0, 0.8, (4, 1, 1))
+    u = rng.normal(0, 0.8, (1, 5, 1)) + 1j * rng.normal(0, 0.8, (1, 5, 1))
+    # the last displacement nulls the first slice exactly
+    u[0, -1, 0] = b[0, 0, 0]
+    phase = np.append(rng.normal(0.0, 0.1, 2), 0.0)[None, None, :]
+    scale = np.append(rng.normal(1.0, 0.05, 2), 1.0)[None, None, :]
+    got = detected_mean_jitter(b, u, nm, phase, scale)
+    assert got.shape == (4, 5, 3)
+    assert np.array_equal(got, detected_mean(b, (scale * np.exp(1j * phase)) * u, nm))
+    assert np.array_equal(got, reference_mean(b, u, nm, phase, scale))
+    u_eff = (scale * np.exp(1j * phase)) * u
+    with_power = detected_mean(b, u_eff, nm, slice_power=np.abs(b) ** 2)
+    assert np.array_equal(with_power, got)
+    # under exact nulling only the visibility residual 2*(1 - xi)*|b|^2 is left
+    residual = nm.efficiency * 2.0 * (1.0 - visibility) * float(np.abs(b[0, 0, 0]) ** 2)
+    null = got[0, -1, -1]
+    if visibility == 1.0:
+        assert null == 0.0
+    else:
+        assert abs(null - residual) <= 1e-12 * residual
+    # scalar jitter, as the single-run callers pass it
+    for k in range(3):
+        scalar = detected_mean_jitter(b, u, nm, float(phase[0, 0, k]), float(scale[0, 0, k]))
+        assert np.array_equal(scalar, got[:, :, k : k + 1])
+
+
+@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("jitter", [False, True])
+@pytest.mark.parametrize("unit_visibility", [True, False])
+@pytest.mark.parametrize("seed", range(30, 33))
+def test_mc_sample_matches_reference_loop(seed, unit_visibility, jitter, per_round):
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    if unit_visibility:
+        nm = replace(nm, visibility=1.0)
+    elif nm.visibility == 1.0:
+        nm = replace(nm, visibility=0.95)
+    if not jitter:
+        nm = replace(nm, phase_jitter=0.0, amplitude_jitter=0.0)
+    table = map_table(exact_distribution(tree, c, nm))
+    got = mc_sample(tree, table, c, nm, 20_000, seed, per_round=per_round)
+    errors, counts = reference_mc_sample(tree, table, c, nm, 20_000, seed, per_round)
+    assert got.num_errors == errors
+    assert np.array_equal(got.path_counts, counts)

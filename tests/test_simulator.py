@@ -239,6 +239,14 @@ class TestMonteCarlo:
         res = mc_sample(tree, table, c, nm, 7_777, seed=4)
         assert res.path_counts.sum() == 7_777
 
+    def test_table_shape_mismatch_rejected(self):
+        c = bpsk(0.5)
+        tree = DecisionTree(2, 2, np.zeros(num_nodes(2, 2), dtype=complex))
+        for rounds, arity in ((3, 2), (2, 3)):
+            table = DecisionTable(rounds, arity, np.zeros(arity**rounds, dtype=int))
+            with pytest.raises(ValueError, match="table shape does not match"):
+                mc_sample(tree, table, c, IDEAL, 1_000, seed=0)
+
 
 def test_distribution_validation():
     c = bpsk(0.5)
@@ -246,3 +254,12 @@ def test_distribution_validation():
         PathDistribution(np.array([[0.7, 0.2], [0.5, 0.5]]), 1, 2, c)
     with pytest.raises(ValueError):
         PathDistribution(np.ones((2, 3)) / 3, 1, 2, c)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_non_finite(bad):
+    c = bpsk(0.5)
+    with pytest.raises(ValueError, match="must lie in"):
+        PathDistribution(np.array([[bad, bad], [0.5, 0.5]]), 1, 2, c)
+    with pytest.raises(ValueError, match="must lie in"):
+        PathDistribution(np.array([[0.5, 0.5], [bad, 0.5]]), 1, 2, c)
