@@ -31,9 +31,9 @@ from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 
 from .constellation import Constellation, bpsk
-from .photonics import NoiseModel, detected_mean_jitter, outcome_probs
-from .simulator import exact_distribution, map_table
-from .tree import DecisionTable, DecisionTree, level_offset, num_nodes
+from .photonics import NoiseModel
+from .simulator import _levels, exact_distribution, map_table
+from .tree import DecisionTable, DecisionTree, level_offset
 
 __all__ = [
     "BoundCurve",
@@ -62,7 +62,9 @@ class BoundCurve:
         e = np.asarray(self.error, dtype=np.float64)
         if n.shape != e.shape or n.ndim != 1:
             raise ValueError("mean_photons and error must be 1-d and congruent")
-        # written so that NaN fails it
+        # both range checks are written so that NaN fails them
+        if not (n >= 0).all():
+            raise ValueError("mean photon numbers must be non-negative")
         if not ((e >= 0) & (e <= 1)).all():
             raise ValueError("error rates must lie in [0, 1]")
         object.__setattr__(self, "mean_photons", n)
@@ -102,20 +104,16 @@ def cn_tree(c: Constellation, rounds: int, arity: int) -> DecisionTree:
         raise ValueError("rounds must be at least 1")
     if arity < 2:
         raise ValueError("arity must be at least 2")
-    ideal = NoiseModel()
+    tree = DecisionTree.zeros(rounds, arity)
     slices = c.amplitudes / math.sqrt(rounds)
-    nodes = np.zeros(num_nodes(rounds, arity), dtype=np.complex128)
-    probs = np.ones((c.n_codewords, 1))
+    probs = np.ones((1, c.n_codewords, 1))
+    # _levels reads a level's nodes only when advanced to that level
+    levels = _levels(tree, c, NoiseModel(), np.ones(1, dtype=np.complex128))
     for level in range(rounds):
-        weighted = c.priors[:, None] * probs
-        y_star = np.argmax(weighted, axis=0)
-        disp = slices[y_star]
-        start = level_offset(arity, level)
-        nodes[start : start + arity**level] = disp
-        means = detected_mean_jitter(slices[:, None], disp[None, :], ideal, 0.0, 1.0)
-        q = outcome_probs(means, arity)
-        probs = (probs[:, :, None] * q).reshape(c.n_codewords, -1)
-    return DecisionTree(rounds, arity, nodes)
+        y_star = np.argmax(c.priors[:, None] * probs[0], axis=0)
+        tree.level_nodes(level)[:] = slices[y_star]
+        probs, _, _ = next(levels)
+    return tree
 
 
 def cn_receiver(

@@ -29,15 +29,9 @@ import numpy as np
 
 from .baselines import cn_tree, dolinar_tree
 from .constellation import Constellation, mean_energy
-from .photonics import (
-    IDEAL_DRAW,
-    NoiseDraw,
-    NoiseModel,
-    detected_mean,
-    outcome_prob_derivs,
-    sample_draws,
-)
+from .photonics import IDEAL_DRAW, NoiseDraw, NoiseModel, sample_draws
 from .simulator import (
+    _levels,
     averaged_distribution,
     batch_distribution,
     draw_arrays,
@@ -200,17 +194,10 @@ def _sensitivities(
     batch = phase.shape[0]
     slices = c.amplitudes / math.sqrt(n)
     a = scale[:, None, None]
-    rot = a * np.exp(1j * phase[:, None, None])
     w = slices[None, :] * np.exp(-1j * phase[:, None])
-    q_levels = []
-    dq_levels = []
-    forward = [np.ones((batch, k_codes, 1))]
-    for level in range(n):
-        u_eff = rot * tree.level_nodes(level)[None, None, :]
-        q, dq = outcome_prob_derivs(detected_mean(slices[None, :, None], u_eff, nm), m)
-        q_levels.append(q)
-        dq_levels.append(dq)
-        forward.append((forward[-1][:, :, :, None] * q).reshape(batch, k_codes, -1))
+    levels = _levels(tree, c, nm, scale * np.exp(1j * phase), derivs=True)
+    prefix, q_levels, dq_levels = zip(*levels)
+    forward = (np.ones((batch, k_codes, 1)),) + prefix
     sx = np.empty((batch, num_nodes(n, m)))
     sy = np.empty((batch, num_nodes(n, m)))
     backward = weights[None]

@@ -19,7 +19,7 @@ import numpy as np
 from .constellation import Constellation
 from .photonics import NoiseModel, detected_mean_jitter, outcome_probs
 from .simulator import PathDistribution, exact_distribution
-from .tree import DecisionTree, decode_leaf_index
+from .tree import DecisionTree, decode_leaf_index, leaf_index
 
 __all__ = [
     "PosteriorTrajectory",
@@ -62,6 +62,7 @@ def posterior_trajectory(
     path = tuple(int(k) for k in path)
     if len(path) != tree.rounds:
         raise ValueError("path must cover all rounds")
+    leaf_index(tree.arity, tree.rounds, path)  # range check of every outcome
     slices = c.amplitudes / math.sqrt(tree.rounds)
     likelihood = np.ones(c.n_codewords)
     out = [c.priors.copy()]

@@ -6,8 +6,10 @@ over all M^N paths (at most 729 for the shapes of interest).  Each of the N
 rounds receives the equal time slice ``beta / sqrt(N)`` of the codeword
 amplitude, so the slice energies sum to the symbol energy.
 
-Exact enumeration is the workhorse; :func:`mc_sample` simulates individual
-receiver runs as an independent statistical cross-check.
+Exact enumeration is the workhorse.  Its one forward recursion, the private
+generator ``_levels``, serves :func:`path_probs`, the gradient sweep and the
+conditional-nulling design.  :func:`mc_sample` simulates individual receiver
+runs as an independent statistical cross-check.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .photonics import (
     NoiseDraw,
     NoiseModel,
     detected_mean,
+    outcome_prob_derivs,
     outcome_probs,
     sample_draws,
 )
@@ -97,17 +100,35 @@ def path_probs(
         raise ValueError(f"per-round jitter needs {tree.rounds} columns, got {phase.shape[1]}")
     if np.any(scale <= 0):
         raise ValueError("amplitude scales must be positive")
-    batch, k_codes = phase.shape[0], c.n_codewords
-    rot = scale * np.exp(1j * phase)
+    for probs, _, _ in _levels(tree, c, nm, scale * np.exp(1j * phase)):
+        pass
+    return probs
+
+
+def _levels(tree: DecisionTree, c: Constellation, nm: NoiseModel, rot, derivs: bool = False):
+    """The forward recursion over a tree, one level per step.
+
+    ``rot`` is the jitter rotation ``scale * exp(i*phase)`` of ``B`` runs,
+    shape ``(B,)`` or ``(B, N)`` as in :func:`path_probs`.  Each step yields
+    the ``(B, K, M^(level+1))`` prefix probabilities through the level, the
+    level's outcome probabilities ``q`` and their derivatives in the
+    detected mean (``None`` unless ``derivs``).  A level's nodes are read
+    only when the generator is advanced to it, so a caller may fill them
+    from the prefix probabilities of the level before.
+    """
+    batch, k_codes = rot.shape[0], c.n_codewords
     slices = (c.amplitudes / np.sqrt(tree.rounds))[None, :, None]
     probs = np.ones((batch, k_codes, 1))
     for level in range(tree.rounds):
         # per-run jitter applies the same rotation in every round
         rot_level = rot if rot.ndim == 1 else rot[:, level]
         disp = rot_level[:, None, None] * tree.level_nodes(level)[None, None, :]
-        q = outcome_probs(detected_mean(slices, disp, nm), tree.arity)
+        if derivs:
+            q, dq = outcome_prob_derivs(detected_mean(slices, disp, nm), tree.arity)
+        else:
+            q, dq = outcome_probs(detected_mean(slices, disp, nm), tree.arity), None
         probs = (probs[:, :, :, None] * q).reshape(batch, k_codes, -1)
-    return probs
+        yield probs, q, dq
 
 
 def draw_arrays(draws: Sequence[NoiseDraw]) -> tuple[np.ndarray, np.ndarray]:

@@ -19,9 +19,9 @@ from coherentrx.baselines import (
     kennedy_bpsk,
 )
 from coherentrx.constellation import bpsk, custom, qam6
-from coherentrx.photonics import NoiseModel
+from coherentrx.photonics import NoiseModel, detected_mean_jitter, outcome_probs
 from coherentrx.simulator import error_rate, exact_distribution, map_table
-from coherentrx.tree import DecisionTree
+from coherentrx.tree import DecisionTree, level_offset, num_nodes
 
 IDEAL = NoiseModel()
 
@@ -107,6 +107,24 @@ def reference_heterodyne_sql_mc(c, num_samples, seed, chunk):
     return err, math.sqrt(max(err * (1.0 - err), 0.0) / num_samples)
 
 
+def reference_cn_tree(c, rounds, arity):
+    """The level loop as written before the shared forward recursion: each
+    level's nodes from the ``argmax`` of the weighted prefix probabilities,
+    then ``detected_mean_jitter`` with no jitter and ``outcome_probs``."""
+    slices = c.amplitudes / math.sqrt(rounds)
+    nodes = np.zeros(num_nodes(rounds, arity), dtype=np.complex128)
+    probs = np.ones((c.n_codewords, 1))
+    for level in range(rounds):
+        y_star = np.argmax(c.priors[:, None] * probs, axis=0)
+        disp = slices[y_star]
+        start = level_offset(arity, level)
+        nodes[start : start + arity**level] = disp
+        means = detected_mean_jitter(slices[:, None], disp[None, :], IDEAL, 0.0, 1.0)
+        q = outcome_probs(means, arity)
+        probs = (probs[:, :, None] * q).reshape(c.n_codewords, -1)
+    return nodes
+
+
 class TestClosedForms:
     def test_helstrom_anchors(self):
         assert helstrom_bpsk(0.0) == 0.5
@@ -159,6 +177,24 @@ class TestConditionalNulling:
         tree, table = cn_receiver(c, 6, 3)
         err = simulated_error(tree, table, c)
         assert err < heterodyne_sql(c)
+
+    def test_matches_level_loop_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        cases = [(qam6(7.8), 6, 3), (bpsk(0.8), 10, 2)]
+        for _ in range(60):
+            k = int(rng.integers(2, 7))
+            amps = rng.normal(size=k) + 1j * rng.normal(size=k)
+            priors = rng.uniform(0.1, 1.0, k)
+            if k > 2:
+                # a duplicated codeword with the same prior: exact ties
+                amps[k - 1] = amps[0]
+                priors[k - 1] = priors[0]
+            c = custom(amps * rng.uniform(0.3, 2.0), priors / priors.sum())
+            cases.append((c, int(rng.integers(1, 7)), int(rng.integers(2, 5))))
+        for c, rounds, arity in cases:
+            nodes = cn_tree(c, rounds, arity).nodes
+            want = reference_cn_tree(c, rounds, arity)
+            assert nodes.tobytes() == want.tobytes(), (c, rounds, arity)
 
     def test_helstrom_lower_bounds_cn(self):
         for nbar in np.geomspace(0.05, 5, 6):
@@ -313,6 +349,12 @@ class TestBoundCurves:
             BoundCurve("x", np.array([0.1]), np.array([math.nan]))
         with pytest.raises(ValueError, match="must lie in"):
             BoundCurve("x", np.array([0.1, 0.2]), np.array([0.3, math.nan]))
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -1e-300])
+    def test_bad_mean_photons_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-negative"):
+            BoundCurve("x", np.array([0.1, bad]), np.array([0.1, 0.2]))
+        BoundCurve("x", np.array([0.0, 0.1]), np.array([0.5, 0.2]))
 
     def test_analytic_bounds_monotone_non_increasing(self):
         grid = np.geomspace(0.02, 6, 40)

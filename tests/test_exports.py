@@ -1,6 +1,8 @@
-"""Every name a coherentrx module exports through ``__all__`` must exist."""
+"""Module hygiene: exported names exist, and imported names are used."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -17,3 +19,35 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == []
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but neither uses nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                imported.append(alias.asname or alias.name.split(".")[0])
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return [n for n in imported if n not in used and n not in exported]
+
+
+def test_unused_import_detector():
+    source = "import os\nimport a.b\nfrom x import y, z as w\n__all__ = ['y']\nos.sep\n"
+    assert unused_imports(source) == ["a", "w"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    path = pathlib.Path(importlib.import_module(name).__file__)
+    assert unused_imports(path.read_text()) == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coherentrx.baselines import cn_receiver
+from coherentrx.baselines import cn_receiver, cn_tree
 from coherentrx.constellation import bpsk, custom, qam6
 from coherentrx.metrics import (
     bits_per_photon,
@@ -58,6 +58,20 @@ class TestPosteriorTrajectory:
         tree = DecisionTree.zeros(3, 2)
         with pytest.raises(ValueError):
             posterior_trajectory(tree, c, IDEAL, (0, 0))
+
+    @pytest.mark.parametrize("path", [(0, -1), (0, 2), (-1, 0), (2, 1)])
+    def test_out_of_range_outcome_rejected(self, path):
+        c = bpsk(0.5)
+        tree = cn_tree(c, 2, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            posterior_trajectory(tree, c, IDEAL, path)
+
+    def test_length_message_kept(self):
+        c = bpsk(0.5)
+        tree = cn_tree(c, 2, 2)
+        for path in [(0,), (0, 2, 0)]:
+            with pytest.raises(ValueError, match="path must cover all rounds"):
+                posterior_trajectory(tree, c, IDEAL, path)
 
     def test_final_round_argmax_agrees_with_map_table(self):
         rng = np.random.default_rng(0)
