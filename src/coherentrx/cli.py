@@ -181,6 +181,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    # checked before any evaluation, so that a bad count never waits for a
+    # --reoptimize sweep
+    for flag, value in (("--mc-samples", args.mc_samples), ("--batch", args.batch)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     receiver = load_receiver(args.spec)
     grid = args.sweep if args.sweep else [args.mean_photon]
     if any(x < 0 for x in grid):

@@ -290,13 +290,19 @@ def mc_sample(
     scores the table's guess.  Returns the empirical error count and the
     histogram of observed outcome paths.
 
-    All runs advance together, one round at a time, and the generator is
-    called in a fixed order that the result for a seed depends on: the
-    codewords, then the jitter, then each round's counts (with
-    ``per_round``, each round's jitter just before its counts).  The jitter
-    rotation ``scale * exp(i*phase)`` is formed once per draw.  Memory grows
-    linearly in ``num_runs``: the run arrays and one round's temporaries
-    peak at about 100 bytes per run (about 110 with ``per_round``).
+    The generator is called in a fixed order that the result for a seed
+    depends on: the codewords, then the jitter, then each round's counts for
+    all runs in run order (with ``per_round``, each round's jitter just
+    before its counts).  Within a round the runs are processed in
+    consecutive chunks of ``_CHUNK_ELEMS // 4`` runs; Poisson draws on
+    consecutive chunks consume the generator exactly as one draw over the
+    whole round does, so the result does not depend on the chunk size.  The
+    jitter rotation ``scale * exp(i*phase)`` is formed once per draw.
+
+    Memory: only the codewords, the rotations and the leaf indices are held
+    for every run, 32 bytes a run (40 with ``per_round`` while a round's
+    jitter is drawn).  One chunk's temporaries add about 5 MB, whatever
+    ``num_runs`` is.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be at least 1")
@@ -304,44 +310,52 @@ def mc_sample(
         raise ValueError("table shape does not match the tree")
     rng = np.random.default_rng(seed)
     y = rng.choice(c.n_codewords, size=num_runs, p=c.priors)
-    slices = c.amplitudes[y] / np.sqrt(tree.rounds)
-    # |b|^2 is the same in every round; only the visibility < 1 form reads it
-    power = None if nm.visibility == 1.0 else np.abs(slices) ** 2
+    # per-codeword slice amplitudes and |b|^2, gathered for a chunk of runs;
+    # only the visibility < 1 form reads |b|^2
+    code_slices = c.amplitudes / np.sqrt(tree.rounds)
+    code_power = None if nm.visibility == 1.0 else np.abs(code_slices) ** 2
+    # each run of a chunk holds about four values: slice, displacement,
+    # mean and count
+    step = max(1, _CHUNK_ELEMS // 4)
+    chunks = [slice(s, s + step) for s in range(0, num_runs, step)]
 
     def draw_rotation() -> np.ndarray:
-        phase = (
-            rng.normal(0.0, nm.phase_jitter, num_runs)
-            if nm.phase_jitter > 0
-            else np.zeros(num_runs)
-        )
-        scale = np.ones(num_runs)
+        # exp(i*phase), then times the scale where one is drawn: a scale of
+        # exactly 1 changes no bit of these rotations
+        if nm.phase_jitter > 0:
+            phase = rng.normal(0.0, nm.phase_jitter, num_runs)
+            rot = np.empty(num_runs, dtype=np.complex128)
+            for s in chunks:
+                np.exp(1j * phase[s], out=rot[s])
+            del phase
+        else:
+            rot = np.ones(num_runs, dtype=np.complex128)
         if nm.amplitude_jitter > 0:
             scale = rng.normal(1.0, nm.amplitude_jitter, num_runs)
             bad = scale <= 0
             while np.any(bad):
                 scale[bad] = rng.normal(1.0, nm.amplitude_jitter, int(bad.sum()))
                 bad = scale <= 0
-        return scale * np.exp(1j * phase)
+            rot *= scale
+        return rot
 
     if not per_round:
         rot = draw_rotation()
     leaf = np.zeros(num_runs, dtype=np.int64)
     for level in range(tree.rounds):
         if per_round:
+            rot = None  # drop the last round's rotations before drawing more
             rot = draw_rotation()
-        # each round's arrays are dropped once used, so that none of them
-        # is held while the next round's arrays are built
-        disp = tree.level_nodes(level)[leaf]
-        np.multiply(rot, disp, out=disp)
-        means = detected_mean(slices, disp, nm, slice_power=power)
-        del disp
-        k = rng.poisson(means)
-        del means
-        np.minimum(k, tree.arity - 1, out=k)
-        leaf *= tree.arity
-        leaf += k
-        del k
-    guesses = table.guesses[leaf]
-    errors = int(np.count_nonzero(guesses != y))
+        nodes = tree.level_nodes(level)
+        for s in chunks:
+            codes = y[s]
+            disp = nodes[leaf[s]]
+            np.multiply(rot[s], disp, out=disp)
+            power = None if code_power is None else code_power[codes]
+            k = rng.poisson(detected_mean(code_slices[codes], disp, nm, slice_power=power))
+            np.minimum(k, tree.arity - 1, out=k)
+            leaf[s] *= tree.arity
+            leaf[s] += k
+    errors = sum(int(np.count_nonzero(table.guesses[leaf[s]] != y[s])) for s in chunks)
     counts = np.bincount(leaf, minlength=tree.arity**tree.rounds)
     return MCResult(num_runs, errors, counts)

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from coherentrx import cli
 from coherentrx.cli import main
 from coherentrx.tree import load_receiver
 
@@ -139,6 +140,24 @@ class TestEvaluate:
         assert code == 0
         errs = [float(r[1]) for r in read_csv(out)[2]]
         assert errs[0] >= errs[1] >= errs[2]
+
+    @pytest.mark.parametrize("reoptimize", [False, True])
+    @pytest.mark.parametrize("flag, value", [("--mc-samples", 0), ("--mc-samples", -5), ("--batch", 0)])
+    def test_bad_count_fails_before_any_evaluation(
+        self, bpsk_receiver, tmp_path, capsys, monkeypatch, flag, value, reoptimize
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluation ran before the counts were checked")
+
+        for name in ("optimize_sweep", "averaged_distribution", "mc_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "o.csv"
+        extra = ["--reoptimize"] if reoptimize else []
+        code = run("evaluate", "--spec", bpsk_receiver, "--sweep", "0.6,1.0", *extra,
+                   flag, value, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+        assert not out.exists()
 
     def test_missing_spec_is_io_error(self, tmp_path, capsys):
         code = run("evaluate", "--spec", tmp_path / "nope.json",

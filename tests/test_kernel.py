@@ -9,6 +9,7 @@ the jitter kernel to each draw's phase and scale in every round.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coherentrx import simulator
-from coherentrx.constellation import custom
+from coherentrx.baselines import cn_receiver
+from coherentrx.constellation import custom, qam6
 from coherentrx.formulator import _gradient_on_draws
 from coherentrx.photonics import (
     NoiseModel,
@@ -348,3 +350,38 @@ def test_mc_sample_matches_reference_loop(seed, unit_visibility, jitter, per_rou
     errors, counts = reference_mc_sample(tree, table, c, nm, 20_000, seed, per_round)
     assert got.num_errors == errors
     assert np.array_equal(got.path_counts, counts)
+
+
+@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("num_runs", [7, 1001])
+@pytest.mark.parametrize("seed", [34, 35])
+def test_chunked_mc_sample_matches_reference_loop(monkeypatch, seed, num_runs, per_round):
+    # chunks of 64 runs: 7 runs fit in one, 1001 end in a partial chunk
+    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 256)
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    if nm.visibility == 1.0:
+        nm = replace(nm, visibility=0.95)
+    table = map_table(exact_distribution(tree, c, nm))
+    got = mc_sample(tree, table, c, nm, num_runs, seed, per_round=per_round)
+    errors, counts = reference_mc_sample(tree, table, c, nm, num_runs, seed, per_round)
+    assert got.num_errors == errors
+    assert np.array_equal(got.path_counts, counts)
+
+
+@pytest.mark.parametrize("per_round", [False, True])
+def test_mc_sample_memory_per_run_is_bounded(per_round):
+    # whole-run arrays take 32-40 bytes a run and one chunk's temporaries a
+    # fixed ~5 MB (~26 bytes a run here); a round's temporaries held for
+    # every run would take ~100 bytes a run
+    c = qam6(7.8)
+    tree, table = cn_receiver(c, 6, 3)
+    nm = NoiseModel(visibility=0.997, dark_counts=1e-3, phase_jitter=0.02, amplitude_jitter=0.005)
+    num_runs = 200_000
+    tracemalloc.start()
+    try:
+        mc_sample(tree, table, c, nm, num_runs, 0, per_round=per_round)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / num_runs < 75
