@@ -11,11 +11,14 @@ hypothesis at every node; the discretized Dolinar receiver Dolinar(N, 2) is
 the exact zero-noise optimum over N-round binary feedback strategies,
 computed by backward-induction dynamic programming on the posterior (a
 sufficient statistic for two hypotheses).  Each DP level scans a coarse
-displacement grid in blocks (a few displacements against all posteriors, one
-value-interpolant call per block), then refines by golden section.  The
-heterodyne SQL is the minimum-error decision on an isotropic Gaussian outcome
-with variance 1/2 per quadrature around the codeword amplitude, which for
-BPSK reduces to ``erfc(sqrt(nbar)) / 2`` (3 dB worse argument than homodyne).
+displacement grid in blocks of a fixed number of displacement-posterior pairs
+(a few displacements against the 2001-point posterior grid, all of them
+against the few posteriors of the unrolled tree), with one value-interpolant
+call per block and buffers reused for the whole scan, then refines by golden
+section.  The heterodyne SQL is the minimum-error decision on an isotropic
+Gaussian outcome with variance 1/2 per quadrature around the codeword
+amplitude, which for BPSK reduces to ``erfc(sqrt(nbar)) / 2`` (3 dB worse
+argument than homodyne).
 For a general constellation the integral over the imaginary quadrature is
 closed form (erf pieces under the upper envelope of one line per codeword)
 and only the integral over the real quadrature is adaptive.
@@ -130,39 +133,28 @@ def cn_receiver(
 # ---------------------------------------------------------------------------
 
 
-def _binary_round_terms(p, u, slice_amp: float):
-    """Outcome probabilities and updated posteriors for one binary round.
+def _round_terms(p, q, u, slice_amp: float, prob, post, joint) -> None:
+    """Outcome probabilities and updated posteriors of one binary round.
 
-    ``p`` is the posterior of the +slice_amp hypothesis; ``u`` the (real)
-    displacement.  Returns (P_noclick, p_noclick, P_click, p_click),
-    elementwise over broadcast inputs.  Unreachable branches get posterior
-    1/2; they carry zero probability weight.
+    ``p`` is the posterior of the +slice_amp hypothesis, ``q = 1 - p`` and
+    ``u`` the real displacement, broadcast against ``p``.  ``prob`` and
+    ``post`` receive each outcome's probability and posterior along their
+    leading axis (no click, click); ``joint`` is scratch of the same shape.
+    Unreachable branches get posterior 1/2; they carry zero probability
+    weight.
     """
-    q = 1.0 - p
-    m_plus = (slice_amp - u) ** 2
-    m_minus = (slice_amp + u) ** 2
-    e_plus = np.exp(-m_plus)
-    e_minus = np.exp(-m_minus)
-    joint0_p = p * e_plus
-    joint0_m = q * e_minus
-    prob0 = joint0_p + joint0_m
-    post0 = np.where(prob0 > 0, joint0_p / np.where(prob0 > 0, prob0, 1.0), 0.5)
-    joint1_p = p * (1.0 - e_plus)
-    joint1_m = q * (1.0 - e_minus)
-    prob1 = joint1_p + joint1_m
-    post1 = np.where(prob1 > 0, joint1_p / np.where(prob1 > 0, prob1, 1.0), 0.5)
-    return prob0, post0, prob1, post1
-
-
-def _expected_error(p, u, slice_amp: float, v_next):
-    """Expected downstream error of displacement ``u`` at posterior ``p``.
-
-    ``v_next`` maps posteriors to next-level values (an interpolant); both
-    outcomes' posteriors go through it in one call.
-    """
-    prob0, post0, prob1, post1 = _binary_round_terms(p, u, slice_amp)
-    v0, v1 = v_next(np.concatenate([post0.ravel(), post1.ravel()])).reshape((2,) + post0.shape)
-    return prob0 * v0 + prob1 * v1
+    e_plus = np.exp(-((slice_amp - u) ** 2))
+    e_minus = np.exp(-((slice_amp + u) ** 2))
+    np.multiply(p, e_plus, out=joint[0])
+    np.multiply(q, e_minus, out=prob[0])
+    np.add(joint[0], prob[0], out=prob[0])
+    np.subtract(1.0, e_plus, out=e_plus)
+    np.subtract(1.0, e_minus, out=e_minus)
+    np.multiply(p, e_plus, out=joint[1])
+    np.multiply(q, e_minus, out=prob[1])
+    np.add(joint[1], prob[1], out=prob[1])
+    post.fill(0.5)
+    np.divide(joint, prob, out=post, where=prob > 0)
 
 
 def _value_interpolant(p_grid: np.ndarray, values: np.ndarray):
@@ -177,9 +169,11 @@ def _value_interpolant(p_grid: np.ndarray, values: np.ndarray):
     return PchipInterpolator(p_grid, values, extrapolate=False)
 
 
-# Displacements per coarse-scan block: 8 x 2001 grid posteriors keeps a
-# block near 16k elements, which bounds the scan's temporaries (peak RSS).
-_SCAN_ROWS = 8
+# Displacement-posterior pairs per coarse-scan block.  The block buffers hold
+# both outcomes of every pair, so a scan's working set stays near a megabyte
+# for any number of posteriors: 8 displacements at a time on the 2001-point
+# grid, all 515 at once for up to 31 posteriors.
+_SCAN_ELEMS = 1 << 14
 
 
 def _best_displacements(
@@ -193,39 +187,60 @@ def _best_displacements(
     """Minimize expected error over the displacement, per 1-d posterior array.
 
     A coarse scan over [-bracket, bracket] (always including the two exact
-    nulling displacements and zero) locates the basin, ``_SCAN_ROWS``
-    displacements by all posteriors at a time; the first minimum wins ties,
-    as in a one-at-a-time scan with strict ``<``.  A vectorized
+    nulling displacements and zero) locates the basin, in blocks of about
+    ``_SCAN_ELEMS`` displacement-posterior pairs; the first minimum wins
+    ties, as in a one-at-a-time scan with strict ``<``.  A vectorized
     golden-section pass then refines every posterior's optimum
-    simultaneously.
+    simultaneously.  Each evaluation writes both outcomes' posteriors into
+    one reused buffer and passes it to ``v_next`` in a single call; the
+    golden-section pair and the refinement use contiguous prefixes of the
+    same buffers.
     """
     u_grid = np.concatenate(
         [np.linspace(-bracket, bracket, coarse), [-slice_amp, 0.0, slice_amp]]
     )
     step = u_grid[1] - u_grid[0]
-    cols = np.arange(p.size)
-    best_val = np.full(p.shape, np.inf)
-    best_u = np.zeros(p.shape)
-    for start in range(0, u_grid.size, _SCAN_ROWS):
-        u = u_grid[start : start + _SCAN_ROWS]
-        val = _expected_error(p, u[:, None], slice_amp, v_next)
+    q = 1.0 - p
+    size = p.size
+    rows = max(1, min(u_grid.size, _SCAN_ELEMS // size))
+    # prob, post and joint, each with room for the golden-section pair
+    bufs = np.empty((3, 2 * max(rows, 2) * size))
+
+    def expected_error(u: np.ndarray) -> np.ndarray:
+        # u is (rows, 1) in the scan, (2, P) for the golden pair, (1, P) at the end
+        prob, post, joint = (b[: 2 * u.shape[0] * size].reshape(2, -1, size) for b in bufs)
+        _round_terms(p, q, u, slice_amp, prob, post, joint)
+        v = v_next(post)
+        np.multiply(prob, v, out=v)
+        # the values go to the scratch buffer, so no interpolant output
+        # outlives its call
+        return np.add(v[0], v[1], out=joint[0])
+
+    cols = np.arange(size)
+    best_val = np.full(size, np.inf)
+    best_u = np.zeros(size)
+    for start in range(0, u_grid.size, rows):
+        u = u_grid[start : start + rows, None]
+        val = expected_error(u)
         row = np.argmin(val, axis=0)
         block_val = val[row, cols]
         better = block_val < best_val
-        best_val = np.where(better, block_val, best_val)
-        best_u = np.where(better, u[row], best_u)
+        np.copyto(best_val, block_val, where=better)
+        np.copyto(best_u, u[row, 0], where=better)
     lo = best_u - step
     hi = best_u + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    pair = np.empty((2, size))
     for _ in range(golden_iters):
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1, f2 = _expected_error(p, np.stack([x1, x2]), slice_amp, v_next)
+        width = invphi * (hi - lo)
+        np.subtract(hi, width, out=pair[0])
+        np.add(lo, width, out=pair[1])
+        f1, f2 = expected_error(pair)
         take_left = f1 < f2
-        hi = np.where(take_left, x2, hi)
-        lo = np.where(take_left, lo, x1)
+        np.copyto(hi, pair[1], where=take_left)
+        np.copyto(lo, pair[0], where=~take_left)
     u_refined = 0.5 * (lo + hi)
-    val_refined = _expected_error(p, u_refined, slice_amp, v_next)
+    val_refined = expected_error(u_refined[None])[0]
     # keep the scan winner when refinement does not actually improve on it
     keep = val_refined < best_val
     return np.where(keep, u_refined, best_u), np.where(keep, val_refined, best_val)
@@ -264,8 +279,10 @@ def dolinar_tree(
         u, _ = _best_displacements(posteriors, slice_amp, interpolants[level + 1], bracket)
         start = level_offset(2, level)
         tree.nodes[start : start + 2**level] = u
-        _, post0, _, post1 = _binary_round_terms(posteriors, u, slice_amp)
-        posteriors = np.stack([post0, post1], axis=1).reshape(-1)
+        prob, post, joint = np.empty((3, 2, posteriors.size))
+        _round_terms(posteriors, 1.0 - posteriors, u, slice_amp, prob, post, joint)
+        # children of node i are 2i (no click) and 2i + 1 (click)
+        posteriors = post.T.ravel()
     return tree
 
 

@@ -180,12 +180,17 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_counts(*flags: tuple[str, int]) -> None:
+    """Reject counts below 1 before any work or output."""
+    for flag, value in flags:
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # checked before any evaluation, so that a bad count never waits for a
     # --reoptimize sweep
-    for flag, value in (("--mc-samples", args.mc_samples), ("--batch", args.batch)):
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
+    _check_counts(("--mc-samples", args.mc_samples), ("--batch", args.batch))
     receiver = load_receiver(args.spec)
     grid = args.sweep if args.sweep else [args.mean_photon]
     if any(x < 0 for x in grid):
@@ -255,6 +260,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown receiver {r!r}; choose from {_BASELINE_CHOICES}")
         if _BASELINES[r][0] and args.encoding != "bpsk":
             raise ValueError(f"{r} curve is defined for the bpsk encoding only")
+    # only a designed receiver averages over noise draws
+    if any(_BASELINES[r][2] is not None for r in receivers):
+        _check_counts(("--batch", args.batch))
     nm = _noise_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     grid = args.sweep
@@ -273,6 +281,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    _check_counts(("--batch", args.batch))
     receiver = load_receiver(args.spec)
     tree, c, nm = receiver.tree, receiver.constellation, receiver.noise_model
     os.makedirs(args.out_dir, exist_ok=True)

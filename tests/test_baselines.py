@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from coherentrx.baselines import (
+    _SCAN_ELEMS,
     BoundCurve,
     _best_displacements,
     _value_interpolant,
@@ -257,9 +259,13 @@ class TestDolinar:
         tree = dolinar_tree(0.0, 3)
         np.testing.assert_array_equal(tree.nodes, np.zeros(7, dtype=complex))
 
+    # budgets: single-row blocks on the 2001-point grid, the default, and
+    # the whole scan in one block
+    @pytest.mark.parametrize("budget", [2001, _SCAN_ELEMS, 1 << 20])
     @pytest.mark.parametrize("coarse", [50, 512])
-    def test_blocked_scan_matches_per_u_oracle(self, coarse):
+    def test_blocked_scan_matches_per_u_oracle(self, coarse, budget, monkeypatch):
         # 53 and 515 displacements: neither is a multiple of the scan block
+        monkeypatch.setattr("coherentrx.baselines._SCAN_ELEMS", budget)
         rng = np.random.default_rng(7)
         p_grid = np.linspace(0.0, 1.0, 2001)
         terminal = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
@@ -275,6 +281,23 @@ class TestDolinar:
                     got = _best_displacements(p, slice_amp, v_next, bracket, coarse)
                     np.testing.assert_array_equal(got[0], want[0])
                     np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("size", [1, 512, 2001])
+    def test_scan_memory_follows_block_budget(self, size):
+        # a block pair holds three two-outcome buffers, the interpolant's
+        # output and a mask, about 66 bytes; allow 96, plus 160 bytes per
+        # posterior of running state and 32 KiB of fixed overhead
+        p_grid = np.linspace(0.0, 1.0, 2001)
+        terminal = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
+        p = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.5])
+        pairs = min(515 * size, _SCAN_ELEMS)
+        tracemalloc.start()
+        try:
+            _best_displacements(p, math.sqrt(0.05), terminal, 2.0 + 3.0 * math.sqrt(0.2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * pairs + 160 * size + 32 * 1024
 
 
 class TestHeterodyne:

@@ -277,6 +277,21 @@ class TestBaseline:
         assert "dolinar" in capsys.readouterr().err
         assert not (out / "cn.csv").exists()
 
+    @pytest.mark.parametrize("receivers", ["helstrom,cn", "helstrom,dolinar"])
+    def test_bad_batch_fails_before_any_output(self, tmp_path, capsys, receivers):
+        out = tmp_path / "x"
+        code = run("baseline", "--receivers", receivers, "--sweep", "0.5", "--batch", 0,
+                   "--phase-jitter", 0.02, "--out-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == "error: --batch must be at least 1, got 0\n"
+        assert not out.exists()
+
+    def test_batch_unused_by_closed_form_curves(self, tmp_path):
+        out = tmp_path / "x"
+        assert run("baseline", "--receivers", "helstrom", "--sweep", "0.5", "--batch", 0,
+                   "--out-dir", out) == 0
+        assert (out / "helstrom.csv").exists()
+
     def test_unknown_receiver(self, tmp_path):
         code = run("baseline", "--receivers", "psychic", "--sweep", "1.0",
                    "--out-dir", tmp_path / "x")
@@ -304,6 +319,14 @@ class TestMetrics:
                 assert float(val) == 0.0
         for vals in by_pair.values():
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_bad_batch_fails_before_any_output(self, bpsk_receiver, tmp_path, capsys, value):
+        out = tmp_path / "diag"
+        code = run("metrics", "--spec", bpsk_receiver, "--batch", value, "--out-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --batch must be at least 1, got {value}\n"
+        assert not out.exists()
 
     def test_deterministic_outputs(self, bpsk_receiver, tmp_path):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
