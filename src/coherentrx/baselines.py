@@ -15,10 +15,20 @@ displacement grid in blocks of a fixed number of displacement-posterior pairs
 (a few displacements against the 2001-point posterior grid, all of them
 against the few posteriors of the unrolled tree), with one value-interpolant
 call per block and buffers reused for the whole scan, then refines by golden
-section.  The heterodyne SQL is the minimum-error decision on an isotropic
-Gaussian outcome with variance 1/2 per quadrature around the codeword
-amplitude, which for BPSK reduces to ``erfc(sqrt(nbar)) / 2`` (3 dB worse
-argument than homodyne).
+section.  The levels of the value table run in contiguous parts of the
+posterior grid, one part per usable CPU with at least ``_MIN_PART``
+posteriors each: all parts but the last go to worker processes forked for
+the length of one ``dolinar_tree`` call, and the last runs in the calling
+process.  Every step of a level works per posterior, so the tree is the same
+to the byte for any number of parts.  The DP stays in one process when only
+one CPU is usable, when the platform lacks ``os.sched_getaffinity`` or the
+fork start method, inside a daemonic process (which may not have children)
+and for one round (no table level).
+
+The heterodyne SQL is the minimum-error decision on an isotropic Gaussian
+outcome with variance 1/2 per quadrature around the codeword amplitude,
+which for BPSK reduces to ``erfc(sqrt(nbar)) / 2`` (3 dB worse argument than
+homodyne).
 For a general constellation the integral over the imaginary quadrature is
 closed form (erf pieces under the upper envelope of one line per codeword)
 and only the integral over the real quadrature is adaptive.
@@ -27,6 +37,10 @@ and only the integral over the real quadrature is adaptive.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +89,8 @@ class BoundCurve:
 
 
 def _check_nbar(mean_photons: float) -> None:
-    if mean_photons < 0:
-        raise ValueError("mean_photons must be non-negative")
+    if not (math.isfinite(mean_photons) and mean_photons >= 0):
+        raise ValueError("mean_photons must be finite and non-negative")
 
 
 def helstrom_bpsk(mean_photons: float) -> float:
@@ -246,6 +260,23 @@ def _best_displacements(
     return np.where(keep, u_refined, best_u), np.where(keep, val_refined, best_val)
 
 
+# Fewest posteriors in one part of a value-table level: three parts at most on
+# the 2001-point grid, so a fork and a join stay small beside a part's work.
+_MIN_PART = 512
+
+
+def _dp_parts(grid_points: int) -> int:
+    """Parts of each value-table level: one per usable CPU, 1 to stay in-process."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        multiprocessing.get_context("fork")
+    except (AttributeError, ValueError):
+        return 1
+    if multiprocessing.current_process().daemon:
+        return 1
+    return max(1, min(cpus, grid_points // _MIN_PART))
+
+
 def dolinar_tree(
     mean_photons: float,
     rounds: int,
@@ -259,10 +290,17 @@ def dolinar_tree(
     section.  The optimal policy is then unrolled into tree form node by
     node at each node's exact posterior.  Displacements stay real by the
     problem's real-axis symmetry.
+
+    Each table level is cut into contiguous parts of the posterior grid; all
+    but the last run in worker processes forked once for the call, the last
+    in this process, and no worker outlives the call, whether it returns or
+    raises.  The tree does not depend on the number of parts.
     """
     _check_nbar(mean_photons)
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
+    if grid_points < 2:
+        raise ValueError("grid_points must be at least 2")
     tree = DecisionTree.zeros(rounds, 2)
     if mean_photons == 0:
         return tree
@@ -271,9 +309,21 @@ def dolinar_tree(
     p_grid = np.linspace(0.0, 1.0, grid_points)
     interpolants = [None] * (rounds + 1)
     interpolants[rounds] = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
-    for level in range(rounds - 1, 0, -1):
-        _, v = _best_displacements(p_grid, slice_amp, interpolants[level + 1], bracket)
-        interpolants[level] = _value_interpolant(p_grid, v)
+    parts = np.array_split(p_grid, _dp_parts(grid_points) if rounds > 1 else 1)
+    with ExitStack() as stack:
+        pool = None
+        if len(parts) > 1:
+            context = multiprocessing.get_context("fork")
+            pool = stack.enter_context(ProcessPoolExecutor(len(parts) - 1, mp_context=context))
+        for level in range(rounds - 1, 0, -1):
+            v_next = interpolants[level + 1]
+            futures = [
+                pool.submit(_best_displacements, part, slice_amp, v_next, bracket)
+                for part in parts[:-1]
+            ]
+            _, v = _best_displacements(parts[-1], slice_amp, v_next, bracket)
+            v = np.concatenate([f.result()[1] for f in futures] + [v])
+            interpolants[level] = _value_interpolant(p_grid, v)
     posteriors = np.array([0.5])
     for level in range(rounds):
         u, _ = _best_displacements(posteriors, slice_amp, interpolants[level + 1], bracket)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -41,10 +42,14 @@ def _parse_sweep(text: str) -> list[float]:
         start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
         if num < 1:
             raise argparse.ArgumentTypeError("grid needs at least one point")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise argparse.ArgumentTypeError("sweep values must be finite")
         return [float(x) for x in np.linspace(start, stop, num)]
     values = [float(x) for x in text.split(",") if x.strip()]
     if not values:
         raise argparse.ArgumentTypeError("empty sweep")
+    if not all(math.isfinite(x) for x in values):
+        raise argparse.ArgumentTypeError("sweep values must be finite")
     return values
 
 

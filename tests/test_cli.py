@@ -292,6 +292,15 @@ class TestBaseline:
                    "--out-dir", out) == 0
         assert (out / "helstrom.csv").exists()
 
+    @pytest.mark.parametrize("sweep", ["inf", "nan", "0.5,-inf", "0:inf:3"])
+    def test_non_finite_sweep_is_usage_error(self, tmp_path, capsys, sweep):
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            run("baseline", "--receivers", "helstrom", "--sweep", sweep, "--out-dir", out)
+        assert exc.value.code == 2
+        assert "sweep values must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_receiver(self, tmp_path):
         code = run("baseline", "--receivers", "psychic", "--sweep", "1.0",
                    "--out-dir", tmp_path / "x")
