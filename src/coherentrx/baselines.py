@@ -11,19 +11,10 @@ hypothesis at every node; the discretized Dolinar receiver Dolinar(N, 2) is
 the exact zero-noise optimum over N-round binary feedback strategies,
 computed by backward-induction dynamic programming on the posterior (a
 sufficient statistic for two hypotheses).  Each DP level scans a coarse
-displacement grid in blocks of a fixed number of displacement-posterior pairs
-(a few displacements against the 2001-point posterior grid, all of them
-against the few posteriors of the unrolled tree), with one value-interpolant
-call per block and buffers reused for the whole scan, then refines by golden
-section.  The levels of the value table run in contiguous parts of the
-posterior grid, one part per usable CPU with at least ``_MIN_PART``
-posteriors each: all parts but the last go to worker processes forked for
-the length of one ``dolinar_tree`` call, and the last runs in the calling
-process.  Every step of a level works per posterior, so the tree is the same
-to the byte for any number of parts.  The DP stays in one process when only
-one CPU is usable, when the platform lacks ``os.sched_getaffinity`` or the
-fork start method, inside a daemonic process (which may not have children)
-and for one round (no table level).
+displacement grid in blocks of displacement-posterior pairs, then refines by
+golden section; on the value-table levels all but a few anchor posteriors
+scan only windows around the anchors' winners, and the trees are the full
+scan's to the byte.
 
 The heterodyne SQL is the minimum-error decision on an isotropic Gaussian
 outcome with variance 1/2 per quadrature around the codeword amplitude,
@@ -37,10 +28,6 @@ and only the integral over the real quadrature is adaptive.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +176,10 @@ def _value_interpolant(p_grid: np.ndarray, values: np.ndarray):
 # grid, all 515 at once for up to 31 posteriors.
 _SCAN_ELEMS = 1 << 14
 
+# Windowed scan: posteriors per anchor, displacements on each side of a window's centre
+_ANCHOR_GAP = 32
+_HALF_WINDOW = 4
+
 
 def _best_displacements(
     p: np.ndarray,
@@ -197,6 +188,8 @@ def _best_displacements(
     bracket: float,
     coarse: int = 512,
     golden_iters: int = 70,
+    *,
+    window: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize expected error over the displacement, per 1-d posterior array.
 
@@ -209,6 +202,15 @@ def _best_displacements(
     one reused buffer and passes it to ``v_next`` in a single call; the
     golden-section pair and the refinement use contiguous prefixes of the
     same buffers.
+
+    ``window`` is for a sorted, evenly spaced ``p`` of more than
+    ``_ANCHOR_GAP`` posteriors: the anchors (every ``_ANCHOR_GAP``-th
+    posterior and the last) scan in full, and the others scan, in grid
+    order, windows around the index interpolated between their anchors'
+    winners and around its mirror (the other hypothesis's basin), then the
+    special displacements.  They scan in full where the anchors' winners are
+    over ``2 * _HALF_WINDOW`` apart or special, or where they win on a
+    window edge.  Errors are elementwise, so the bits match the full scan's.
     """
     u_grid = np.concatenate(
         [np.linspace(-bracket, bracket, coarse), [-slice_amp, 0.0, slice_amp]]
@@ -216,13 +218,12 @@ def _best_displacements(
     step = u_grid[1] - u_grid[0]
     q = 1.0 - p
     size = p.size
-    rows = max(1, min(u_grid.size, _SCAN_ELEMS // size))
-    # prob, post and joint, each with room for the golden-section pair
-    bufs = np.empty((3, 2 * max(rows, 2) * size))
+    # prob, post and joint, with room for any scan block and the golden pair
+    bufs = np.empty((3, 2 * max(min(u_grid.size * size, _SCAN_ELEMS), 2 * size)))
 
-    def expected_error(u: np.ndarray) -> np.ndarray:
-        # u is (rows, 1) in the scan, (2, P) for the golden pair, (1, P) at the end
-        prob, post, joint = (b[: 2 * u.shape[0] * size].reshape(2, -1, size) for b in bufs)
+    def expected_error(u: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        # u is (rows, 1) or (rows, P) in the scan, (2, P) or (1, P) after it
+        prob, post, joint = (b[: 2 * u.shape[0] * p.size].reshape(2, -1, p.size) for b in bufs)
         _round_terms(p, q, u, slice_amp, prob, post, joint)
         v = v_next(post)
         np.multiply(prob, v, out=v)
@@ -230,17 +231,41 @@ def _best_displacements(
         # outlives its call
         return np.add(v[0], v[1], out=joint[0])
 
-    cols = np.arange(size)
     best_val = np.full(size, np.inf)
-    best_u = np.zeros(size)
-    for start in range(0, u_grid.size, rows):
-        u = u_grid[start : start + rows, None]
-        val = expected_error(u)
-        row = np.argmin(val, axis=0)
-        block_val = val[row, cols]
-        better = block_val < best_val
-        np.copyto(best_val, block_val, where=better)
-        np.copyto(best_u, u[row, 0], where=better)
+    best_idx = np.zeros(size, dtype=np.intp)
+
+    def scan(cols: np.ndarray, cand: np.ndarray) -> None:
+        # displacement indices ascending down the rows of cand, one column each or shared
+        rows = max(1, _SCAN_ELEMS // max(cols.size, 1))
+        ps, qs, at = p[cols], q[cols], np.arange(cols.size)
+        for start in range(0, cand.shape[0], rows):
+            block = cand[start : start + rows]
+            val = expected_error(u_grid[block], ps, qs)
+            row = np.argmin(val, axis=0)
+            better = val[row, at] < best_val[cols]
+            best_val[cols[better]] = val[row, at][better]
+            best_idx[cols[better]] = np.broadcast_to(block, val.shape)[row, at][better]
+
+    redo = np.arange(size)
+    if window and size > _ANCHOR_GAP:
+        anchors = np.union1d(redo[::_ANCHOR_GAP], size - 1)
+        scan(anchors, np.arange(u_grid.size)[:, None])
+        i = np.setdiff1d(redo, anchors)
+        left = i - i % _ANCHOR_GAP
+        right = np.minimum(left + _ANCHOR_GAP, size - 1)
+        w_lo, w_hi = best_idx[left], best_idx[right]
+        centre = np.rint(w_lo + (w_hi - w_lo) * (i - left) / (right - left)).astype(np.intp)
+        centres = np.stack([centre, coarse - 1 - centre])
+        windows = np.add.outer(np.arange(-_HALF_WINDOW, _HALF_WINDOW + 1), centres)
+        windows = np.sort(np.clip(windows, 0, coarse - 1).reshape(-1, i.size), axis=0)
+        special = np.broadcast_to(np.arange(coarse, u_grid.size)[:, None], (3, i.size))
+        scan(i, np.concatenate([windows, special]))
+        doubt = (np.abs(w_hi - w_lo) > 2 * _HALF_WINDOW) | (np.maximum(w_lo, w_hi) >= coarse)
+        doubt |= (np.abs(best_idx[i] - centres) == _HALF_WINDOW).any(axis=0)
+        redo = i[doubt]
+        best_val[redo] = np.inf
+    scan(redo, np.arange(u_grid.size)[:, None])
+    best_u = u_grid[best_idx]
     lo = best_u - step
     hi = best_u + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -249,32 +274,15 @@ def _best_displacements(
         width = invphi * (hi - lo)
         np.subtract(hi, width, out=pair[0])
         np.add(lo, width, out=pair[1])
-        f1, f2 = expected_error(pair)
+        f1, f2 = expected_error(pair, p, q)
         take_left = f1 < f2
         np.copyto(hi, pair[1], where=take_left)
         np.copyto(lo, pair[0], where=~take_left)
     u_refined = 0.5 * (lo + hi)
-    val_refined = expected_error(u_refined[None])[0]
+    val_refined = expected_error(u_refined[None], p, q)[0]
     # keep the scan winner when refinement does not actually improve on it
     keep = val_refined < best_val
     return np.where(keep, u_refined, best_u), np.where(keep, val_refined, best_val)
-
-
-# Fewest posteriors in one part of a value-table level: three parts at most on
-# the 2001-point grid, so a fork and a join stay small beside a part's work.
-_MIN_PART = 512
-
-
-def _dp_parts(grid_points: int) -> int:
-    """Parts of each value-table level: one per usable CPU, 1 to stay in-process."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-        multiprocessing.get_context("fork")
-    except (AttributeError, ValueError):
-        return 1
-    if multiprocessing.current_process().daemon:
-        return 1
-    return max(1, min(cpus, grid_points // _MIN_PART))
 
 
 def dolinar_tree(
@@ -287,14 +295,9 @@ def dolinar_tree(
     Backward induction: the value function over the posterior grid starts
     from the terminal Bayes error min(p, 1-p) and absorbs one round at a
     time, optimizing one real displacement per (level, posterior) by golden
-    section.  The optimal policy is then unrolled into tree form node by
-    node at each node's exact posterior.  Displacements stay real by the
-    problem's real-axis symmetry.
-
-    Each table level is cut into contiguous parts of the posterior grid; all
-    but the last run in worker processes forked once for the call, the last
-    in this process, and no worker outlives the call, whether it returns or
-    raises.  The tree does not depend on the number of parts.
+    section after a windowed scan.  The optimal policy is then unrolled into
+    tree form node by node at each node's exact posterior, scanning in full
+    there.  Displacements stay real by the problem's real-axis symmetry.
     """
     _check_nbar(mean_photons)
     if rounds < 1:
@@ -309,21 +312,10 @@ def dolinar_tree(
     p_grid = np.linspace(0.0, 1.0, grid_points)
     interpolants = [None] * (rounds + 1)
     interpolants[rounds] = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
-    parts = np.array_split(p_grid, _dp_parts(grid_points) if rounds > 1 else 1)
-    with ExitStack() as stack:
-        pool = None
-        if len(parts) > 1:
-            context = multiprocessing.get_context("fork")
-            pool = stack.enter_context(ProcessPoolExecutor(len(parts) - 1, mp_context=context))
-        for level in range(rounds - 1, 0, -1):
-            v_next = interpolants[level + 1]
-            futures = [
-                pool.submit(_best_displacements, part, slice_amp, v_next, bracket)
-                for part in parts[:-1]
-            ]
-            _, v = _best_displacements(parts[-1], slice_amp, v_next, bracket)
-            v = np.concatenate([f.result()[1] for f in futures] + [v])
-            interpolants[level] = _value_interpolant(p_grid, v)
+    for level in range(rounds - 1, 0, -1):
+        v_next = interpolants[level + 1]
+        _, v = _best_displacements(p_grid, slice_amp, v_next, bracket, window=True)
+        interpolants[level] = _value_interpolant(p_grid, v)
     posteriors = np.array([0.5])
     for level in range(rounds):
         u, _ = _best_displacements(posteriors, slice_amp, interpolants[level + 1], bracket)

@@ -28,7 +28,7 @@ from .constellation import Constellation, bpsk, custom, mean_energy, qam6
 from .formulator import FormulatorConfig, formulate, optimize_sweep
 from .photonics import NoiseModel
 from .simulator import averaged_distribution, error_rate, mc_sample
-from .tree import Receiver, atomic_write, load_receiver, save_receiver
+from .tree import Receiver, atomic_write, load_receiver, num_nodes, save_receiver
 
 _ENCODINGS = {"bpsk": bpsk, "qam6": qam6}
 
@@ -265,9 +265,16 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown receiver {r!r}; choose from {_BASELINE_CHOICES}")
         if _BASELINES[r][0] and args.encoding != "bpsk":
             raise ValueError(f"{r} curve is defined for the bpsk encoding only")
-    # only a designed receiver averages over noise draws
-    if any(_BASELINES[r][2] is not None for r in receivers):
-        _check_counts(("--batch", args.batch))
+    # only a designed receiver averages over noise draws and builds a tree
+    designed = [r for r in receivers if _BASELINES[r][2] is not None]
+    if designed:
+        _check_counts(("--batch", args.batch), ("--rounds", args.rounds))
+        if "cn" in designed and args.arity < 2:
+            raise ValueError(f"--arity must be at least 2, got {args.arity}")
+        # the largest tree asked for, since cn's arity is at least dolinar's 2
+        num_nodes(args.rounds, args.arity if "cn" in designed else 2)
+    if any(x < 0 for x in args.sweep):
+        raise ValueError("mean photon numbers must be non-negative")
     nm = _noise_from_args(args)
     os.makedirs(args.out_dir, exist_ok=True)
     grid = args.sweep

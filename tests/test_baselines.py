@@ -1,9 +1,5 @@
-import glob
 import math
-import multiprocessing
-import os
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,7 +9,6 @@ from coherentrx.baselines import (
     _SCAN_ELEMS,
     BoundCurve,
     _best_displacements,
-    _dp_parts,
     _value_interpolant,
     cn_receiver,
     cn_tree,
@@ -31,7 +26,6 @@ from coherentrx.simulator import error_rate, exact_distribution, map_table
 from coherentrx.tree import DecisionTree, level_offset, num_nodes
 
 IDEAL = NoiseModel()
-TEST_PID = os.getpid()
 
 
 def simulated_error(tree, table, c):
@@ -131,30 +125,6 @@ def reference_cn_tree(c, rounds, arity):
         q = outcome_probs(means, arity)
         probs = (probs[:, :, None] * q).reshape(c.n_codewords, -1)
     return nodes
-
-
-def live_children() -> set[str]:
-    """Process ids of this process's live children, from /proc."""
-    paths = glob.glob("/proc/self/task/*/children")
-    if not paths:
-        pytest.skip("/proc lists no children here")
-    return {pid for path in paths for pid in open(path).read().split()}
-
-
-def best_displacements_failing_here(p, *args):
-    """``_best_displacements`` that raises in the test process only, so a
-    forked worker's part runs and the calling process's part fails."""
-    if os.getpid() == TEST_PID:
-        raise RuntimeError("the calling process's part failed")
-    return _best_displacements(p, *args)
-
-
-def no_pool(*args, **kwargs):
-    raise AssertionError("dolinar_tree must not fork here")
-
-
-def no_fork_context(method):
-    raise ValueError(f"cannot find context for {method!r}")
 
 
 class TestClosedForms:
@@ -296,8 +266,7 @@ class TestDolinar:
         np.testing.assert_array_equal(tree.nodes, np.zeros(7, dtype=complex))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
-    def test_bad_energy_rejected_before_any_fork(self, bad, monkeypatch):
-        monkeypatch.setattr("coherentrx.baselines.ProcessPoolExecutor", no_pool)
+    def test_bad_energy_rejected_before_any_fork(self, bad):
         with pytest.raises(ValueError, match="finite and non-negative"):
             dolinar_tree(bad, 4)
 
@@ -308,71 +277,33 @@ class TestDolinar:
 
     @pytest.mark.parametrize("rounds", [1, 2, 4, 10])
     def test_tree_bytes_do_not_depend_on_parts(self, rounds, monkeypatch):
-        workers = []
+        # the anchors cut each value-table level into parts; an anchor gap
+        # longer than the grid leaves one part, which scans in full
+        windowed = [dolinar_tree(nbar, rounds).nodes.tobytes() for nbar in (0.2, 1.5)]
+        monkeypatch.setattr("coherentrx.baselines._ANCHOR_GAP", 1 << 30)
+        full = [dolinar_tree(nbar, rounds).nodes.tobytes() for nbar in (0.2, 1.5)]
+        assert windowed == full
 
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                workers.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr("coherentrx.baselines.ProcessPoolExecutor", CountingPool)
-        trees = {}
-        for parts in (1, 2, 3):
-            monkeypatch.setattr("coherentrx.baselines._dp_parts", lambda grid_points, n=parts: n)
-            trees[parts] = [dolinar_tree(nbar, rounds).nodes.tobytes() for nbar in (0.2, 1.5)]
-        assert trees[2] == trees[1]
-        assert trees[3] == trees[1]
-        # one worker pool per call with a table level, none in-process
-        assert workers == ([] if rounds == 1 else [1, 1, 2, 2])
-
-    def test_one_posterior_per_part(self, monkeypatch):
-        want = dolinar_tree(0.8, 4, grid_points=3).nodes.tobytes()
-        monkeypatch.setattr("coherentrx.baselines._dp_parts", lambda grid_points: 3)
-        assert dolinar_tree(0.8, 4, grid_points=3).nodes.tobytes() == want
-
-    def test_parts_follow_usable_cpus(self, monkeypatch):
-        for cpus, grid_points, parts in ((1, 2001, 1), (2, 2001, 2), (8, 2001, 3), (8, 1023, 1), (8, 1024, 2)):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
-            assert _dp_parts(grid_points) == parts
-
-    def test_in_process_without_affinity_or_fork(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert _dp_parts(2001) == 3
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork_context)
-        assert _dp_parts(2001) == 1
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert _dp_parts(2001) == 1
-
-    def test_no_worker_outlives_a_returning_call(self, monkeypatch):
-        before = live_children()
-        monkeypatch.setattr("coherentrx.baselines._dp_parts", lambda grid_points: 2)
-        dolinar_tree(0.5, 4)
-        assert live_children() <= before
-
-    def test_no_worker_outlives_a_raising_call(self, monkeypatch):
-        before = live_children()
-        monkeypatch.setattr("coherentrx.baselines._dp_parts", lambda grid_points: 2)
-        monkeypatch.setattr("coherentrx.baselines._best_displacements", best_displacements_failing_here)
-        with pytest.raises(RuntimeError, match="calling process's part failed"):
-            dolinar_tree(0.5, 4)
-        assert live_children() <= before
-
-    def test_one_usable_cpu_forks_nothing(self, monkeypatch):
-        want = dolinar_tree(0.5, 4).nodes.tobytes()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr("coherentrx.baselines.ProcessPoolExecutor", no_pool)
-        assert dolinar_tree(0.5, 4).nodes.tobytes() == want
-
-    def test_daemonic_process_forks_nothing(self, monkeypatch):
-        want = dolinar_tree(0.5, 4).nodes.tobytes()
-
-        class Daemon:
-            daemon = True
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(multiprocessing, "current_process", Daemon)
-        monkeypatch.setattr("coherentrx.baselines.ProcessPoolExecutor", no_pool)
-        assert dolinar_tree(0.5, 4).nodes.tobytes() == want
+    # each case misses the full scan's winner somewhere on the grid when one
+    # part of the window is dropped: the mirror window, the fallback on
+    # anchors whose winners disagree, and the fallback on an anchor that won
+    # on a special displacement (here values move but the tree does not)
+    @pytest.mark.parametrize(
+        "coarse, nbar, rounds, grid_points, depth",
+        [(50, 0.9, 3, 2001, 0), (512, 0.05, 2, 2001, 0), (512, 9.8, 8, 501, 1)],
+    )
+    def test_window_matches_full_scan(self, coarse, nbar, rounds, grid_points, depth):
+        p_grid = np.linspace(0.0, 1.0, grid_points)
+        slice_amp = math.sqrt(nbar / rounds)
+        bracket = 2.0 + 3.0 * math.sqrt(nbar)
+        v_next = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
+        for _ in range(depth):
+            _, v = _best_displacements(p_grid, slice_amp, v_next, bracket)
+            v_next = _value_interpolant(p_grid, v)
+        want = _best_displacements(p_grid, slice_amp, v_next, bracket, coarse)
+        got = _best_displacements(p_grid, slice_amp, v_next, bracket, coarse, window=True)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
     # budgets: single-row blocks on the 2001-point grid, the default, and
     # the whole scan in one block

@@ -286,6 +286,23 @@ class TestBaseline:
         assert capsys.readouterr().err == "error: --batch must be at least 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "receivers, flags, message",
+        [
+            ("helstrom,kennedy", ["--sweep", "0.5,-1"], "mean photon numbers must be non-negative"),
+            ("helstrom,dolinar", ["--rounds", 0, "--sweep", "0.5"], "--rounds must be at least 1, got 0"),
+            ("helstrom,cn", ["--arity", 1, "--sweep", "0.5"], "--arity must be at least 2, got 1"),
+            ("helstrom,cn", ["--rounds", 40, "--sweep", "0.5"], "a tree of arity 2 and 40 rounds exceeds 65536 leaves"),
+        ],
+        ids=["negative-sweep", "dolinar-rounds-0", "cn-arity-1", "cn-rounds-40"],
+    )
+    def test_bad_request_fails_before_any_output(self, tmp_path, capsys, receivers, flags, message):
+        out = tmp_path / "x"
+        code = run("baseline", "--receivers", receivers, *flags, "--out-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_batch_unused_by_closed_form_curves(self, tmp_path):
         out = tmp_path / "x"
         assert run("baseline", "--receivers", "helstrom", "--sweep", "0.5", "--batch", 0,

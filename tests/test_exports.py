@@ -4,6 +4,8 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +47,16 @@ def unused_imports(source: str) -> list[str]:
 def test_unused_import_detector():
     source = "import os\nimport a.b\nfrom x import y, z as w\n__all__ = ['y']\nos.sep\n"
     assert unused_imports(source) == ["a", "w"]
+
+
+def test_import_starts_no_process_machinery():
+    src = str(pathlib.Path(coherentrx.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import coherentrx, coherentrx.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name", MODULES)
