@@ -23,6 +23,11 @@ homodyne).
 For a general constellation the integral over the imaginary quadrature is
 closed form (erf pieces under the upper envelope of one line per codeword)
 and only the integral over the real quadrature is adaptive.
+
+Only two routines use scipy, and each imports it when it runs: the Dolinar
+DP (:func:`dolinar_tree`, through its PCHIP value interpolant) and
+:func:`heterodyne_sql` (``scipy.integrate.quad``).  Importing this module
+loads numpy alone.
 """
 
 from __future__ import annotations
@@ -31,8 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
 
 from .constellation import Constellation, bpsk
 from .photonics import NoiseModel
@@ -167,6 +170,8 @@ def _value_interpolant(p_grid: np.ndarray, values: np.ndarray):
     argmin noise-driven there; a C1 shape-preserving cubic removes the kinks
     without overshooting.
     """
+    from scipy.interpolate import PchipInterpolator
+
     return PchipInterpolator(p_grid, values, extrapolate=False)
 
 
@@ -361,6 +366,8 @@ def heterodyne_sql(c: Constellation) -> float:
     padded by 7 (the Gaussian tail beyond it is below 1e-21).  Zero-prior
     codewords never win the maximum and are dropped.
     """
+    from scipy import integrate
+
     keep = c.priors > 0
     amps, log_priors = c.amplitudes[keep], np.log(c.priors[keep])
     pad = 7.0

@@ -291,71 +291,90 @@ def mc_sample(
     histogram of observed outcome paths.
 
     The generator is called in a fixed order that the result for a seed
-    depends on: the codewords, then the jitter, then each round's counts for
-    all runs in run order (with ``per_round``, each round's jitter just
-    before its counts).  Within a round the runs are processed in
-    consecutive chunks of ``_CHUNK_ELEMS // 4`` runs; Poisson draws on
-    consecutive chunks consume the generator exactly as one draw over the
-    whole round does, so the result does not depend on the chunk size.  The
-    jitter rotation ``scale * exp(i*phase)`` is formed once per draw.
+    depends on: the codewords, then the jitter (all phases, then all
+    amplitude scales, then the redraws of non-positive scales in run order),
+    then each round's counts for all runs in run order (with ``per_round``,
+    each round's jitter just before its counts).  Every draw over all runs is
+    made in consecutive chunks of ``_CHUNK_ELEMS // 4`` runs; consecutive
+    draws consume the generator exactly as one draw over all runs does, so
+    the result does not depend on the chunk size.  The jitter rotation
+    ``scale * exp(i*phase)`` is formed once per draw; without jitter there is
+    no rotation and the displacements are used as they are.
 
-    Memory: only the codewords, the rotations and the leaf indices are held
-    for every run, 32 bytes a run (40 with ``per_round`` while a round's
-    jitter is drawn).  One chunk's temporaries add about 5 MB, whatever
-    ``num_runs`` is.
+    Memory: only the codewords (one byte each for up to 256 codewords), the
+    leaf indices (4 bytes) and, with jitter, the rotations (16 bytes) are
+    held for every run: 21 bytes a run with jitter and 5 without.  One
+    chunk's temporaries add about 6 MB, whatever ``num_runs`` is (both
+    figures are tracemalloc peaks on a QAM6 tree of 6 ternary rounds).
     """
     if num_runs < 1:
         raise ValueError("num_runs must be at least 1")
     if (table.rounds, table.arity) != (tree.rounds, tree.arity):
         raise ValueError("table shape does not match the tree")
     rng = np.random.default_rng(seed)
-    y = rng.choice(c.n_codewords, size=num_runs, p=c.priors)
+    # each run of a chunk holds about four values: slice, displacement,
+    # mean and count
+    step = max(1, _CHUNK_ELEMS // 4)
+    chunks = [slice(s, min(s + step, num_runs)) for s in range(0, num_runs, step)]
+    y = np.empty(num_runs, dtype=np.min_scalar_type(c.n_codewords - 1))
+    for s in chunks:
+        y[s] = rng.choice(c.n_codewords, size=s.stop - s.start, p=c.priors)
     # per-codeword slice amplitudes and |b|^2, gathered for a chunk of runs;
     # only the visibility < 1 form reads |b|^2
     code_slices = c.amplitudes / np.sqrt(tree.rounds)
     code_power = None if nm.visibility == 1.0 else np.abs(code_slices) ** 2
-    # each run of a chunk holds about four values: slice, displacement,
-    # mean and count
-    step = max(1, _CHUNK_ELEMS // 4)
-    chunks = [slice(s, s + step) for s in range(0, num_runs, step)]
 
     def draw_rotation() -> np.ndarray:
         # exp(i*phase), then times the scale where one is drawn: a scale of
-        # exactly 1 changes no bit of these rotations
+        # exactly 1 changes no bit of these rotations.  A non-positive scale
+        # leaves its rotation as it is until a redraw gives a positive one.
         if nm.phase_jitter > 0:
-            phase = rng.normal(0.0, nm.phase_jitter, num_runs)
             rot = np.empty(num_runs, dtype=np.complex128)
             for s in chunks:
-                np.exp(1j * phase[s], out=rot[s])
-            del phase
+                np.exp(1j * rng.normal(0.0, nm.phase_jitter, s.stop - s.start), out=rot[s])
         else:
             rot = np.ones(num_runs, dtype=np.complex128)
         if nm.amplitude_jitter > 0:
-            scale = rng.normal(1.0, nm.amplitude_jitter, num_runs)
-            bad = scale <= 0
-            while np.any(bad):
-                scale[bad] = rng.normal(1.0, nm.amplitude_jitter, int(bad.sum()))
-                bad = scale <= 0
-            rot *= scale
+            redraw = []
+            for s in chunks:
+                scale = rng.normal(1.0, nm.amplitude_jitter, s.stop - s.start)
+                ok = scale > 0
+                np.multiply(rot[s], scale, out=rot[s], where=ok)
+                redraw.append(s.start + np.flatnonzero(~ok))
+            redraw = np.concatenate(redraw)
+            while redraw.size:
+                scale = rng.normal(1.0, nm.amplitude_jitter, redraw.size)
+                ok = scale > 0
+                rot[redraw[ok]] *= scale[ok]
+                redraw = redraw[~ok]
         return rot
 
-    if not per_round:
-        rot = draw_rotation()
-    leaf = np.zeros(num_runs, dtype=np.int64)
+    jitter = not nm.is_deterministic
+    rot = draw_rotation() if jitter and not per_round else None
+    # leaf indices stay below MAX_LEAVES = 2^16 at every level
+    leaf = np.zeros(num_runs, dtype=np.int32)
     for level in range(tree.rounds):
-        if per_round:
+        if jitter and per_round:
             rot = None  # drop the last round's rotations before drawing more
             rot = draw_rotation()
         nodes = tree.level_nodes(level)
         for s in chunks:
-            codes = y[s]
-            disp = nodes[leaf[s]]
-            np.multiply(rot[s], disp, out=disp)
+            # fancy indexing through narrow indices runs at about half speed:
+            # widen the codewords once for their two gathers; take() widens
+            # the leaves in one pass
+            codes = y[s].astype(np.intp)
+            disp = nodes.take(leaf[s])
+            if rot is not None:
+                np.multiply(rot[s], disp, out=disp)
             power = None if code_power is None else code_power[codes]
             k = rng.poisson(detected_mean(code_slices[codes], disp, nm, slice_power=power))
             np.minimum(k, tree.arity - 1, out=k)
             leaf[s] *= tree.arity
             leaf[s] += k
-    errors = sum(int(np.count_nonzero(table.guesses[leaf[s]] != y[s])) for s in chunks)
-    counts = np.bincount(leaf, minlength=tree.arity**tree.rounds)
+    n_paths = tree.arity**tree.rounds
+    errors = 0
+    counts = np.zeros(n_paths, dtype=np.int64)
+    for s in chunks:
+        errors += int(np.count_nonzero(table.guesses.take(leaf[s]) != y[s]))
+        counts += np.bincount(leaf[s], minlength=n_paths)
     return MCResult(num_runs, errors, counts)

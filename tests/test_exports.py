@@ -63,3 +63,32 @@ def test_import_starts_no_process_machinery():
 def test_no_unused_imports(name):
     path = pathlib.Path(importlib.import_module(name).__file__)
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_loads_no_scipy_and_lazy_scipy_results_match():
+    src = str(pathlib.Path(coherentrx.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import coherentrx, coherentrx.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+    # the routines that import scipy on first use give the bytes they give
+    # in a process that has loaded it already
+    from coherentrx.baselines import dolinar_tree, heterodyne_sql
+    from coherentrx.constellation import bpsk
+
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import coherentrx; "
+        "from coherentrx.baselines import dolinar_tree, heterodyne_sql; "
+        "from coherentrx.constellation import bpsk; "
+        "print(dolinar_tree(0.5, 2, grid_points=101).nodes.tobytes().hex()); "
+        "print(heterodyne_sql(bpsk(0.5)).hex())"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    expected = [
+        dolinar_tree(0.5, 2, grid_points=101).nodes.tobytes().hex(),
+        heterodyne_sql(bpsk(0.5)).hex(),
+    ]
+    assert proc.stdout.split() == expected

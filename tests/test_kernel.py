@@ -5,7 +5,8 @@ way the forward recursion and the gradient sweep are written for a single
 receiver run.  The batched code performs the same elementwise arithmetic
 and sums over draws in the same order, so the comparisons are exact.  The
 Monte Carlo sampler is compared the same way with a sampler that applies
-the jitter kernel to each draw's phase and scale in every round.
+the jitter kernel to each draw's phase and scale in every round, and with a
+sampler that keeps whole-run arrays and makes each draw in one call.
 """
 
 import math
@@ -385,3 +386,110 @@ def test_mc_sample_memory_per_run_is_bounded(per_round):
     finally:
         tracemalloc.stop()
     assert peak / num_runs < 75
+
+
+def whole_run_mc_sample(tree, table, c, nm, num_runs, seed, per_round=False):
+    """The sampler with whole-run arrays: every draw over all runs is one call.
+
+    It keeps a run-length rotation array even without jitter (``1+0j``
+    times each displacement), int64 codewords and leaves, and multiplies in
+    the amplitude scales once all redraws are done.  Returns the error
+    count, the path counts and the number of redraw calls (one per pass over
+    the still non-positive scales).
+    """
+    rng = np.random.default_rng(seed)
+    y = rng.choice(c.n_codewords, size=num_runs, p=c.priors)
+    code_slices = c.amplitudes / np.sqrt(tree.rounds)
+    code_power = None if nm.visibility == 1.0 else np.abs(code_slices) ** 2
+    redraws = 0
+
+    def draw_rotation():
+        nonlocal redraws
+        if nm.phase_jitter > 0:
+            rot = np.exp(1j * rng.normal(0.0, nm.phase_jitter, num_runs))
+        else:
+            rot = np.ones(num_runs, dtype=np.complex128)
+        if nm.amplitude_jitter > 0:
+            scale = rng.normal(1.0, nm.amplitude_jitter, num_runs)
+            bad = scale <= 0
+            while np.any(bad):
+                redraws += 1
+                scale[bad] = rng.normal(1.0, nm.amplitude_jitter, int(bad.sum()))
+                bad = scale <= 0
+            rot *= scale
+        return rot
+
+    if not per_round:
+        rot = draw_rotation()
+    leaf = np.zeros(num_runs, dtype=np.int64)
+    for level in range(tree.rounds):
+        if per_round:
+            rot = draw_rotation()
+        disp = rot * tree.level_nodes(level)[leaf]
+        power = None if code_power is None else code_power[y]
+        k = rng.poisson(detected_mean(code_slices[y], disp, nm, slice_power=power))
+        leaf = leaf * tree.arity + np.minimum(k, tree.arity - 1)
+    errors = int(np.count_nonzero(table.guesses[leaf] != y))
+    return errors, np.bincount(leaf, minlength=tree.arity**tree.rounds), redraws
+
+
+NO_JITTER = [
+    NoiseModel(),
+    NoiseModel(visibility=0.97, efficiency=0.9, dark_counts=0.01),
+]
+
+
+@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("nm", NO_JITTER, ids=["ideal", "lossy"])
+def test_mc_sample_without_jitter_matches_whole_run_sampler(nm, per_round):
+    # no rotation is formed without jitter; only the sign of a zero in a
+    # displacement can differ, and the detected mean ignores it
+    c = qam6(7.8)
+    tree, table = cn_receiver(c, 6, 3)
+    for seed in (0, 1):
+        got = mc_sample(tree, table, c, nm, 100_000, seed, per_round=per_round)
+        errors, counts, _ = whole_run_mc_sample(tree, table, c, nm, 100_000, seed, per_round)
+        assert got.num_errors == errors
+        assert np.array_equal(got.path_counts, counts)
+
+
+@pytest.mark.parametrize("chunk_elems", [256, simulator._CHUNK_ELEMS])
+@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("phase_jitter", [0.0, 0.1])
+def test_mc_sample_scale_redraws_match_whole_run_sampler(
+    monkeypatch, phase_jitter, per_round, chunk_elems
+):
+    # a scale sigma of 0.6 draws a non-positive scale for ~5% of the runs,
+    # and some of their redraws are non-positive again
+    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", chunk_elems)
+    c = qam6(2.0)
+    tree, table = cn_receiver(c, 3, 3)
+    nm = NoiseModel(visibility=0.98, phase_jitter=phase_jitter, amplitude_jitter=0.6)
+    got = mc_sample(tree, table, c, nm, 5_001, 9, per_round=per_round)
+    errors, counts, redraws = whole_run_mc_sample(tree, table, c, nm, 5_001, 9, per_round)
+    assert redraws >= 2 * tree.rounds**per_round
+    assert got.num_errors == errors
+    assert np.array_equal(got.path_counts, counts)
+
+
+@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("jitter", [True, False])
+def test_mc_sample_memory_slope_per_run(jitter, per_round):
+    # what grows with num_runs is the codewords (1 byte a run here), the
+    # leaves (4) and, with jitter, the rotations (16); one chunk's
+    # temporaries are the same at both sizes
+    c = qam6(7.8)
+    tree, table = cn_receiver(c, 6, 3)
+    nm = NoiseModel(visibility=0.997, dark_counts=1e-3)
+    if jitter:
+        nm = replace(nm, phase_jitter=0.02, amplitude_jitter=0.005)
+    peaks = []
+    for num_runs in (1 << 16, 1 << 18):
+        tracemalloc.start()
+        try:
+            mc_sample(tree, table, c, nm, num_runs, 0, per_round=per_round)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    slope = (peaks[1] - peaks[0]) / ((1 << 18) - (1 << 16))
+    assert slope <= (22 if jitter else 6)
