@@ -185,6 +185,9 @@ _SCAN_ELEMS = 1 << 14
 _ANCHOR_GAP = 32
 _HALF_WINDOW = 4
 
+# Golden-section steps that refine each scan winner
+_GOLDEN_ITERS = 70
+
 
 def _best_displacements(
     p: np.ndarray,
@@ -192,7 +195,6 @@ def _best_displacements(
     v_next,
     bracket: float,
     coarse: int = 512,
-    golden_iters: int = 70,
     *,
     window: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -202,11 +204,11 @@ def _best_displacements(
     nulling displacements and zero) locates the basin, in blocks of about
     ``_SCAN_ELEMS`` displacement-posterior pairs; the first minimum wins
     ties, as in a one-at-a-time scan with strict ``<``.  A vectorized
-    golden-section pass then refines every posterior's optimum
-    simultaneously.  Each evaluation writes both outcomes' posteriors into
-    one reused buffer and passes it to ``v_next`` in a single call; the
-    golden-section pair and the refinement use contiguous prefixes of the
-    same buffers.
+    golden-section pass of ``_GOLDEN_ITERS`` steps then refines every
+    posterior's optimum simultaneously.  Each evaluation writes both
+    outcomes' posteriors into one reused buffer and passes it to ``v_next``
+    in a single call; the golden-section pair and the refinement use
+    contiguous prefixes of the same buffers.
 
     ``window`` is for a sorted, evenly spaced ``p`` of more than
     ``_ANCHOR_GAP`` posteriors: the anchors (every ``_ANCHOR_GAP``-th
@@ -275,7 +277,7 @@ def _best_displacements(
     hi = best_u + step
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     pair = np.empty((2, size))
-    for _ in range(golden_iters):
+    for _ in range(_GOLDEN_ITERS):
         width = invphi * (hi - lo)
         np.subtract(hi, width, out=pair[0])
         np.add(lo, width, out=pair[1])

@@ -53,6 +53,11 @@ __all__ = [
     "optimize_sweep",
 ]
 
+# Halvings of the step before a line search gives up, and the size of the
+# held-out batch in training batches
+_MAX_BACKTRACKS = 40
+_HOLDOUT_FACTOR = 10
+
 
 @dataclass(frozen=True)
 class FormulatorConfig:
@@ -65,8 +70,6 @@ class FormulatorConfig:
     convergence_delta: float = 1e-6
     init_perturbation: float = 0.01
     seed: int = 0
-    max_backtracks: int = 40
-    holdout_factor: int = 10
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1 or self.batch_size < 1:
@@ -79,8 +82,6 @@ class FormulatorConfig:
             raise ValueError("convergence_delta must be positive")
         if self.init_perturbation < 0:
             raise ValueError("init_perturbation must be non-negative")
-        if self.max_backtracks < 1 or self.holdout_factor < 1:
-            raise ValueError("max_backtracks and holdout_factor must be positive")
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class FormulateResult:
     """Outcome of a learning run: the receiver logic plus diagnostics.
 
     ``final_loss`` re-evaluates the returned tree/table on a held-out noise
-    batch ``holdout_factor`` times the training batch size.
+    batch ten times the training batch size.
     """
 
     tree: DecisionTree
@@ -309,7 +310,7 @@ def formulate(
         loss_end = loss_post_table
         if gnorm > 0:
             step = cfg.learning_rate
-            for _ in range(cfg.max_backtracks):
+            for _ in range(_MAX_BACKTRACKS):
                 cand = DecisionTree(rounds, arity, tree.nodes - step * grad)
                 cand_loss = error_rate(batch_distribution(cand, c, nm, phase, scale), table)
                 if cand_loss <= loss_post_table:
@@ -338,7 +339,7 @@ def formulate(
         converged=converged,
         best_iteration=best_iteration,
     )
-    holdout_draws = _draw_batch(nm, cfg.holdout_factor * cfg.batch_size, holdout_seq)
+    holdout_draws = _draw_batch(nm, _HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
     final_dist = batch_distribution(best_tree, c, nm, *draw_arrays(holdout_draws))
     final_table = map_table(final_dist)
     final_loss = error_rate(final_dist, final_table)
@@ -371,14 +372,13 @@ def optimize_sweep(
     arity: int,
     nm: NoiseModel,
     cfg: FormulatorConfig,
-    dolinar_start: bool = True,
 ) -> list[tuple[float, FormulateResult]]:
     """Optimize one receiver per sweep point with warm starting.
 
     ``builder`` maps a mean photon number to a constellation.  Receiver
     strategies can switch discontinuously along the sweep, so each point
-    runs the CN-initialized search, optionally a Dolinar-initialized one
-    (binary trees only), and a warm start from the neighboring point's
+    runs the CN-initialized search, a Dolinar-initialized one (binary trees
+    of two codewords only), and a warm start from the neighboring point's
     winner with displacements rescaled by the amplitude ratio; the lowest
     held-out loss wins.
     """
@@ -388,7 +388,7 @@ def optimize_sweep(
         c = builder(nbar)
         point_cfg = replace(cfg, seed=cfg.seed + i)
         extras: list[DecisionTree] = []
-        if dolinar_start and arity == 2 and c.n_codewords == 2:
+        if arity == 2 and c.n_codewords == 2:
             extras.append(dolinar_tree(nbar, rounds))
         if prev is not None:
             prev_nbar, prev_tree = prev

@@ -84,20 +84,17 @@ def path_probs(
 ) -> np.ndarray:
     """Conditional path probabilities for a batch of jitter draws.
 
-    ``phase`` and ``scale`` hold the jitter of ``B`` receiver runs: shape
-    ``(B,)`` for per-run jitter held fixed across the rounds, or ``(B, N)``
-    for jitter redrawn every round.  Returns ``probs`` of shape
-    ``(B, K, M^N)``; ``probs[b]`` is the distribution of run ``b``.  Each
-    round is evaluated for the whole batch at once, with the same
-    elementwise arithmetic as a single draw, so every ``probs[b]`` equals
-    the single-draw result bit for bit.
+    ``phase`` and ``scale`` hold ``B`` jitter draws, one per receiver run,
+    each held fixed across the rounds of its run: both of shape ``(B,)``.
+    Returns ``probs`` of shape ``(B, K, M^N)``; ``probs[b]`` is the
+    distribution of run ``b``.  Each round is evaluated for the whole batch
+    at once, with the same elementwise arithmetic as a single draw, so every
+    ``probs[b]`` equals the single-draw result bit for bit.
     """
     phase = np.asarray(phase, dtype=np.float64)
     scale = np.asarray(scale, dtype=np.float64)
-    if phase.shape != scale.shape or phase.ndim not in (1, 2):
-        raise ValueError("phase and scale must share a shape (B,) or (B, N)")
-    if phase.ndim == 2 and phase.shape[1] != tree.rounds:
-        raise ValueError(f"per-round jitter needs {tree.rounds} columns, got {phase.shape[1]}")
+    if phase.shape != scale.shape or phase.ndim != 1:
+        raise ValueError("phase and scale must share a shape (B,), one draw per receiver run")
     if np.any(scale <= 0):
         raise ValueError("amplitude scales must be positive")
     for probs, _, _ in _levels(tree, c, nm, scale * np.exp(1j * phase)):
@@ -109,7 +106,7 @@ def _levels(tree: DecisionTree, c: Constellation, nm: NoiseModel, rot, derivs: b
     """The forward recursion over a tree, one level per step.
 
     ``rot`` is the jitter rotation ``scale * exp(i*phase)`` of ``B`` runs,
-    shape ``(B,)`` or ``(B, N)`` as in :func:`path_probs`.  Each step yields
+    shape ``(B,)``, applied in every round.  Each step yields
     the ``(B, K, M^(level+1))`` prefix probabilities through the level, the
     level's outcome probabilities ``q`` and their derivatives in the
     detected mean (``None`` unless ``derivs``).  A level's nodes are read
@@ -120,9 +117,7 @@ def _levels(tree: DecisionTree, c: Constellation, nm: NoiseModel, rot, derivs: b
     slices = (c.amplitudes / np.sqrt(tree.rounds))[None, :, None]
     probs = np.ones((batch, k_codes, 1))
     for level in range(tree.rounds):
-        # per-run jitter applies the same rotation in every round
-        rot_level = rot if rot.ndim == 1 else rot[:, level]
-        disp = rot_level[:, None, None] * tree.level_nodes(level)[None, None, :]
+        disp = rot[:, None, None] * tree.level_nodes(level)[None, None, :]
         if derivs:
             q, dq = outcome_prob_derivs(detected_mean(slices, disp, nm), tree.arity)
         else:
@@ -144,11 +139,7 @@ def exact_distribution(
     nm: NoiseModel,
     draw: NoiseDraw = IDEAL_DRAW,
 ) -> PathDistribution:
-    """Exact conditional path distribution for one per-run jitter draw.
-
-    Jitter redrawn every round is evaluated by :func:`path_probs` with
-    ``(B, N)`` arrays.
-    """
+    """Exact conditional path distribution for one per-run jitter draw."""
     probs = path_probs(tree, c, nm, *draw_arrays([draw]))[0]
     return PathDistribution(probs, tree.rounds, tree.arity, c)
 
@@ -199,59 +190,43 @@ def averaged_distribution(
     nm: NoiseModel,
     batch_size: int,
     seed,
-    per_round: bool = False,
 ) -> PathDistribution:
     """Noise-averaged path distribution over a seeded batch of jitter draws.
 
-    With zero jitter every draw is the ideal one, so the batch collapses to a
-    single exact evaluation (bit-identical for any ``batch_size``).  With
-    ``per_round=True`` the jitter is redrawn every round instead of once per
-    run.
+    ``batch_size`` receiver runs each draw their jitter once.  With zero
+    jitter every draw is the ideal one, so the batch collapses to a single
+    exact evaluation (bit-identical for any ``batch_size``).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if nm.is_deterministic:
         return exact_distribution(tree, c, nm, IDEAL_DRAW)
-    n_draws = batch_size * tree.rounds if per_round else batch_size
-    phase, scale = draw_arrays(sample_draws(nm, n_draws, seed))
-    if per_round:
-        phase = phase.reshape(batch_size, tree.rounds)
-        scale = scale.reshape(batch_size, tree.rounds)
+    phase, scale = draw_arrays(sample_draws(nm, batch_size, seed))
     return batch_distribution(tree, c, nm, phase, scale)
 
 
-def map_table(d: PathDistribution, priors: np.ndarray | None = None) -> DecisionTable:
+def map_table(d: PathDistribution) -> DecisionTable:
     """Maximum-a-posteriori decision table: argmax_y prior_y * P(path | y).
 
-    Ties break toward the lowest label (np.argmax returns the first maximum),
-    fixed for determinism across platforms.
+    The priors are the constellation's.  Ties break toward the lowest label
+    (np.argmax returns the first maximum), fixed for determinism across
+    platforms.
     """
-    if priors is None:
-        priors = d.constellation.priors
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.shape != (d.constellation.n_codewords,):
-        raise ValueError("priors must match the constellation")
-    weighted = priors[:, None] * d.probs
+    weighted = d.constellation.priors[:, None] * d.probs
     return DecisionTable(d.rounds, d.arity, np.argmax(weighted, axis=0))
 
 
-def error_rate(
-    d: PathDistribution,
-    table: DecisionTable,
-    priors: np.ndarray | None = None,
-) -> float:
+def error_rate(d: PathDistribution, table: DecisionTable) -> float:
     """Average error probability of a fixed decision table on a distribution.
 
-    Equals ``1 - sum_path prior_guess(path) * P(path | guess(path))``; with
-    the MAP table this is the Bayes-optimal error for the distribution.
+    Equals ``1 - sum_path prior_guess(path) * P(path | guess(path))`` with
+    the constellation's priors; with the MAP table this is the Bayes-optimal
+    error for the distribution.
     """
-    if priors is None:
-        priors = d.constellation.priors
-    priors = np.asarray(priors, dtype=np.float64)
     if (table.rounds, table.arity) != (d.rounds, d.arity):
         raise ValueError("table shape does not match the distribution")
     guesses = table.guesses
-    p_correct = priors[guesses] * d.probs[guesses, np.arange(guesses.size)]
+    p_correct = d.constellation.priors[guesses] * d.probs[guesses, np.arange(guesses.size)]
     return float(1.0 - p_correct.sum())
 
 
@@ -281,25 +256,23 @@ def mc_sample(
     nm: NoiseModel,
     num_runs: int,
     seed,
-    per_round: bool = False,
 ) -> MCResult:
     """Simulate individual receiver runs; deterministic for a fixed seed.
 
-    Each run samples a codeword from the priors, one jitter draw (or one per
-    round when ``per_round``), and a Poisson photon count per round, then
-    scores the table's guess.  Returns the empirical error count and the
-    histogram of observed outcome paths.
+    Each run samples a codeword from the priors, one jitter draw held fixed
+    across its rounds, and a Poisson photon count per round, then scores the
+    table's guess.  Returns the empirical error count and the histogram of
+    observed outcome paths.
 
     The generator is called in a fixed order that the result for a seed
     depends on: the codewords, then the jitter (all phases, then all
     amplitude scales, then the redraws of non-positive scales in run order),
-    then each round's counts for all runs in run order (with ``per_round``,
-    each round's jitter just before its counts).  Every draw over all runs is
-    made in consecutive chunks of ``_CHUNK_ELEMS // 4`` runs; consecutive
-    draws consume the generator exactly as one draw over all runs does, so
-    the result does not depend on the chunk size.  The jitter rotation
-    ``scale * exp(i*phase)`` is formed once per draw; without jitter there is
-    no rotation and the displacements are used as they are.
+    then each round's counts for all runs in run order.  Every draw over all
+    runs is made in consecutive chunks of ``_CHUNK_ELEMS // 4`` runs;
+    consecutive draws consume the generator exactly as one draw over all
+    runs does, so the result does not depend on the chunk size.  The jitter
+    rotation ``scale * exp(i*phase)`` is formed once per run; without jitter
+    there is no rotation and the displacements are used as they are.
 
     Memory: only the codewords (one byte each for up to 256 codewords), the
     leaf indices (4 bytes) and, with jitter, the rotations (16 bytes) are
@@ -323,40 +296,34 @@ def mc_sample(
     # only the visibility < 1 form reads |b|^2
     code_slices = c.amplitudes / np.sqrt(tree.rounds)
     code_power = None if nm.visibility == 1.0 else np.abs(code_slices) ** 2
-
-    def draw_rotation() -> np.ndarray:
-        # exp(i*phase), then times the scale where one is drawn: a scale of
-        # exactly 1 changes no bit of these rotations.  A non-positive scale
-        # leaves its rotation as it is until a redraw gives a positive one.
-        if nm.phase_jitter > 0:
-            rot = np.empty(num_runs, dtype=np.complex128)
-            for s in chunks:
-                np.exp(1j * rng.normal(0.0, nm.phase_jitter, s.stop - s.start), out=rot[s])
-        else:
+    # exp(i*phase), then times the scale where one is drawn: a scale of
+    # exactly 1 changes no bit of these rotations.  A non-positive scale
+    # leaves its rotation as it is until a redraw gives a positive one.
+    rot = None
+    if nm.phase_jitter > 0:
+        rot = np.empty(num_runs, dtype=np.complex128)
+        for s in chunks:
+            np.exp(1j * rng.normal(0.0, nm.phase_jitter, s.stop - s.start), out=rot[s])
+    if nm.amplitude_jitter > 0:
+        if rot is None:
             rot = np.ones(num_runs, dtype=np.complex128)
-        if nm.amplitude_jitter > 0:
-            redraw = []
-            for s in chunks:
-                scale = rng.normal(1.0, nm.amplitude_jitter, s.stop - s.start)
-                ok = scale > 0
-                np.multiply(rot[s], scale, out=rot[s], where=ok)
-                redraw.append(s.start + np.flatnonzero(~ok))
-            redraw = np.concatenate(redraw)
-            while redraw.size:
-                scale = rng.normal(1.0, nm.amplitude_jitter, redraw.size)
-                ok = scale > 0
-                rot[redraw[ok]] *= scale[ok]
-                redraw = redraw[~ok]
-        return rot
-
-    jitter = not nm.is_deterministic
-    rot = draw_rotation() if jitter and not per_round else None
+        redraw = []
+        for s in chunks:
+            scale = rng.normal(1.0, nm.amplitude_jitter, s.stop - s.start)
+            ok = scale > 0
+            np.multiply(rot[s], scale, out=rot[s], where=ok)
+            redraw.append(s.start + np.flatnonzero(~ok))
+        redraw = np.concatenate(redraw)
+        while redraw.size:
+            scale = rng.normal(1.0, nm.amplitude_jitter, redraw.size)
+            ok = scale > 0
+            rot[redraw[ok]] *= scale[ok]
+            redraw = redraw[~ok]
+        # the last chunk's scales would otherwise stay alive through the rounds
+        del scale, ok, redraw
     # leaf indices stay below MAX_LEAVES = 2^16 at every level
     leaf = np.zeros(num_runs, dtype=np.int32)
     for level in range(tree.rounds):
-        if jitter and per_round:
-            rot = None  # drop the last round's rotations before drawing more
-            rot = draw_rotation()
         nodes = tree.level_nodes(level)
         for s in chunks:
             # fancy indexing through narrow indices runs at about half speed:

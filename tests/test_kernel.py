@@ -138,18 +138,6 @@ def test_path_probs_per_run_matches_reference_loop(seed, batch):
 
 
 @pytest.mark.parametrize("batch", [1, 3, 16])
-@pytest.mark.parametrize("seed", range(6, 12))
-def test_path_probs_per_round_matches_reference_loop(seed, batch):
-    rng, rounds, arity, k_codes = random_shapes(seed)
-    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
-    phase = rng.normal(0.0, 0.1, (batch, rounds))
-    scale = rng.normal(1.0, 0.05, (batch, rounds))
-    got = path_probs(tree, c, nm, phase, scale)
-    for b in range(batch):
-        assert np.array_equal(got[b], reference_probs(tree, c, nm, phase[b], scale[b]))
-
-
-@pytest.mark.parametrize("batch", [1, 3, 16])
 @pytest.mark.parametrize("seed", range(12, 18))
 def test_gradient_matches_reference_loop(seed, batch):
     rng, rounds, arity, k_codes = random_shapes(seed)
@@ -200,12 +188,11 @@ instance_seeds = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=instance_seeds, batch=st.integers(1, 8), per_round=st.booleans())
-def test_rows_sum_to_one(seed, batch, per_round):
+@given(seed=instance_seeds, batch=st.integers(1, 8))
+def test_rows_sum_to_one(seed, batch):
     rng, rounds, arity, k_codes = random_shapes(seed)
     tree, c, nm = random_instance(rng, rounds, arity, k_codes)
-    shape = (batch, rounds) if per_round else (batch,)
-    probs = path_probs(tree, c, nm, rng.normal(0.0, 0.3, shape), rng.uniform(0.5, 1.5, shape))
+    probs = path_probs(tree, c, nm, rng.normal(0.0, 0.3, batch), rng.uniform(0.5, 1.5, batch))
     np.testing.assert_allclose(probs.sum(axis=2), 1.0, rtol=0, atol=1e-10)
 
 
@@ -268,33 +255,25 @@ def reference_mean(b, u, nm, phase, scale):
     return nm.efficiency * np.maximum(raw, 0.0) + nm.dark_counts
 
 
-def reference_mc_sample(tree, table, c, nm, num_runs, seed, per_round=False):
+def reference_mc_sample(tree, table, c, nm, num_runs, seed):
     """Runs sampled with the jitter kernel on each draw's phase and scale."""
     rng = np.random.default_rng(seed)
     y = rng.choice(c.n_codewords, size=num_runs, p=c.priors)
     slices = c.amplitudes[y] / np.sqrt(tree.rounds)
-
-    def draw_jitter():
-        phase = (
-            rng.normal(0.0, nm.phase_jitter, num_runs)
-            if nm.phase_jitter > 0
-            else np.zeros(num_runs)
-        )
-        scale = np.ones(num_runs)
-        if nm.amplitude_jitter > 0:
-            scale = rng.normal(1.0, nm.amplitude_jitter, num_runs)
+    phase = (
+        rng.normal(0.0, nm.phase_jitter, num_runs)
+        if nm.phase_jitter > 0
+        else np.zeros(num_runs)
+    )
+    scale = np.ones(num_runs)
+    if nm.amplitude_jitter > 0:
+        scale = rng.normal(1.0, nm.amplitude_jitter, num_runs)
+        bad = scale <= 0
+        while np.any(bad):
+            scale[bad] = rng.normal(1.0, nm.amplitude_jitter, int(bad.sum()))
             bad = scale <= 0
-            while np.any(bad):
-                scale[bad] = rng.normal(1.0, nm.amplitude_jitter, int(bad.sum()))
-                bad = scale <= 0
-        return phase, scale
-
-    if not per_round:
-        phase, scale = draw_jitter()
     leaf = np.zeros(num_runs, dtype=np.int64)
     for level in range(tree.rounds):
-        if per_round:
-            phase, scale = draw_jitter()
         disp = tree.level_nodes(level)[leaf]
         means = reference_mean(slices, disp, nm, phase, scale)
         k = np.minimum(rng.poisson(means), tree.arity - 1)
@@ -333,11 +312,14 @@ def test_jitter_kernel_is_rotation_then_detected_mean(visibility):
         assert np.array_equal(scalar, got[:, :, k : k + 1])
 
 
-@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("small_chunks", [False, True])
 @pytest.mark.parametrize("jitter", [False, True])
 @pytest.mark.parametrize("unit_visibility", [True, False])
 @pytest.mark.parametrize("seed", range(30, 33))
-def test_mc_sample_matches_reference_loop(seed, unit_visibility, jitter, per_round):
+def test_mc_sample_matches_reference_loop(monkeypatch, seed, unit_visibility, jitter, small_chunks):
+    if small_chunks:
+        # 313 chunks of 64 runs, the last one partial
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 256)
     rng, rounds, arity, k_codes = random_shapes(seed)
     tree, c, nm = random_instance(rng, rounds, arity, k_codes)
     if unit_visibility:
@@ -347,48 +329,53 @@ def test_mc_sample_matches_reference_loop(seed, unit_visibility, jitter, per_rou
     if not jitter:
         nm = replace(nm, phase_jitter=0.0, amplitude_jitter=0.0)
     table = map_table(exact_distribution(tree, c, nm))
-    got = mc_sample(tree, table, c, nm, 20_000, seed, per_round=per_round)
-    errors, counts = reference_mc_sample(tree, table, c, nm, 20_000, seed, per_round)
+    got = mc_sample(tree, table, c, nm, 20_000, seed)
+    errors, counts = reference_mc_sample(tree, table, c, nm, 20_000, seed)
     assert got.num_errors == errors
     assert np.array_equal(got.path_counts, counts)
 
 
-@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("one_run_chunks", [False, True])
 @pytest.mark.parametrize("num_runs", [7, 1001])
 @pytest.mark.parametrize("seed", [34, 35])
-def test_chunked_mc_sample_matches_reference_loop(monkeypatch, seed, num_runs, per_round):
-    # chunks of 64 runs: 7 runs fit in one, 1001 end in a partial chunk
-    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 256)
+def test_chunked_mc_sample_matches_reference_loop(monkeypatch, seed, num_runs, one_run_chunks):
+    # chunks of 64 runs: 7 runs fit in one, 1001 end in a partial chunk;
+    # or chunks of a single run, so that every draw is made one run at a time
+    monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 4 if one_run_chunks else 256)
     rng, rounds, arity, k_codes = random_shapes(seed)
     tree, c, nm = random_instance(rng, rounds, arity, k_codes)
     if nm.visibility == 1.0:
         nm = replace(nm, visibility=0.95)
     table = map_table(exact_distribution(tree, c, nm))
-    got = mc_sample(tree, table, c, nm, num_runs, seed, per_round=per_round)
-    errors, counts = reference_mc_sample(tree, table, c, nm, num_runs, seed, per_round)
+    got = mc_sample(tree, table, c, nm, num_runs, seed)
+    errors, counts = reference_mc_sample(tree, table, c, nm, num_runs, seed)
     assert got.num_errors == errors
     assert np.array_equal(got.path_counts, counts)
 
 
-@pytest.mark.parametrize("per_round", [False, True])
-def test_mc_sample_memory_per_run_is_bounded(per_round):
-    # whole-run arrays take 32-40 bytes a run and one chunk's temporaries a
-    # fixed ~5 MB (~26 bytes a run here); a round's temporaries held for
-    # every run would take ~100 bytes a run
+@pytest.mark.parametrize("small_chunks", [False, True])
+def test_mc_sample_memory_per_run_is_bounded(monkeypatch, small_chunks):
+    # whole-run arrays take 21 bytes a run with jitter and one chunk's
+    # temporaries a fixed ~6 MB (~30 bytes a run here); a round's
+    # temporaries held for every run would take ~100 bytes a run.  With
+    # small chunks (49 of 4096 runs) the chunk list and the per-chunk
+    # redraw indices must stay small too
+    if small_chunks:
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 1 << 14)
     c = qam6(7.8)
     tree, table = cn_receiver(c, 6, 3)
     nm = NoiseModel(visibility=0.997, dark_counts=1e-3, phase_jitter=0.02, amplitude_jitter=0.005)
     num_runs = 200_000
     tracemalloc.start()
     try:
-        mc_sample(tree, table, c, nm, num_runs, 0, per_round=per_round)
+        mc_sample(tree, table, c, nm, num_runs, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak / num_runs < 75
 
 
-def whole_run_mc_sample(tree, table, c, nm, num_runs, seed, per_round=False):
+def whole_run_mc_sample(tree, table, c, nm, num_runs, seed):
     """The sampler with whole-run arrays: every draw over all runs is one call.
 
     It keeps a run-length rotation array even without jitter (``1+0j``
@@ -402,29 +389,20 @@ def whole_run_mc_sample(tree, table, c, nm, num_runs, seed, per_round=False):
     code_slices = c.amplitudes / np.sqrt(tree.rounds)
     code_power = None if nm.visibility == 1.0 else np.abs(code_slices) ** 2
     redraws = 0
-
-    def draw_rotation():
-        nonlocal redraws
-        if nm.phase_jitter > 0:
-            rot = np.exp(1j * rng.normal(0.0, nm.phase_jitter, num_runs))
-        else:
-            rot = np.ones(num_runs, dtype=np.complex128)
-        if nm.amplitude_jitter > 0:
-            scale = rng.normal(1.0, nm.amplitude_jitter, num_runs)
+    if nm.phase_jitter > 0:
+        rot = np.exp(1j * rng.normal(0.0, nm.phase_jitter, num_runs))
+    else:
+        rot = np.ones(num_runs, dtype=np.complex128)
+    if nm.amplitude_jitter > 0:
+        scale = rng.normal(1.0, nm.amplitude_jitter, num_runs)
+        bad = scale <= 0
+        while np.any(bad):
+            redraws += 1
+            scale[bad] = rng.normal(1.0, nm.amplitude_jitter, int(bad.sum()))
             bad = scale <= 0
-            while np.any(bad):
-                redraws += 1
-                scale[bad] = rng.normal(1.0, nm.amplitude_jitter, int(bad.sum()))
-                bad = scale <= 0
-            rot *= scale
-        return rot
-
-    if not per_round:
-        rot = draw_rotation()
+        rot *= scale
     leaf = np.zeros(num_runs, dtype=np.int64)
     for level in range(tree.rounds):
-        if per_round:
-            rot = draw_rotation()
         disp = rot * tree.level_nodes(level)[leaf]
         power = None if code_power is None else code_power[y]
         k = rng.poisson(detected_mean(code_slices[y], disp, nm, slice_power=power))
@@ -439,45 +417,56 @@ NO_JITTER = [
 ]
 
 
-@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("small_chunks", [False, True])
 @pytest.mark.parametrize("nm", NO_JITTER, ids=["ideal", "lossy"])
-def test_mc_sample_without_jitter_matches_whole_run_sampler(nm, per_round):
+def test_mc_sample_without_jitter_matches_whole_run_sampler(monkeypatch, nm, small_chunks):
     # no rotation is formed without jitter; only the sign of a zero in a
     # displacement can differ, and the detected mean ignores it
+    if small_chunks:
+        # 1563 chunks of 64 runs, the last one partial
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 256)
     c = qam6(7.8)
     tree, table = cn_receiver(c, 6, 3)
     for seed in (0, 1):
-        got = mc_sample(tree, table, c, nm, 100_000, seed, per_round=per_round)
-        errors, counts, _ = whole_run_mc_sample(tree, table, c, nm, 100_000, seed, per_round)
+        got = mc_sample(tree, table, c, nm, 100_000, seed)
+        errors, counts, _ = whole_run_mc_sample(tree, table, c, nm, 100_000, seed)
         assert got.num_errors == errors
         assert np.array_equal(got.path_counts, counts)
 
 
 @pytest.mark.parametrize("chunk_elems", [256, simulator._CHUNK_ELEMS])
-@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("unit_visibility", [False, True])
 @pytest.mark.parametrize("phase_jitter", [0.0, 0.1])
 def test_mc_sample_scale_redraws_match_whole_run_sampler(
-    monkeypatch, phase_jitter, per_round, chunk_elems
+    monkeypatch, phase_jitter, unit_visibility, chunk_elems
 ):
     # a scale sigma of 0.6 draws a non-positive scale for ~5% of the runs,
-    # and some of their redraws are non-positive again
+    # and some of their redraws are non-positive again; at unit visibility
+    # the detected mean takes its form without |b|^2
     monkeypatch.setattr(simulator, "_CHUNK_ELEMS", chunk_elems)
     c = qam6(2.0)
     tree, table = cn_receiver(c, 3, 3)
-    nm = NoiseModel(visibility=0.98, phase_jitter=phase_jitter, amplitude_jitter=0.6)
-    got = mc_sample(tree, table, c, nm, 5_001, 9, per_round=per_round)
-    errors, counts, redraws = whole_run_mc_sample(tree, table, c, nm, 5_001, 9, per_round)
-    assert redraws >= 2 * tree.rounds**per_round
+    nm = NoiseModel(
+        visibility=1.0 if unit_visibility else 0.98,
+        phase_jitter=phase_jitter,
+        amplitude_jitter=0.6,
+    )
+    got = mc_sample(tree, table, c, nm, 5_001, 9)
+    errors, counts, redraws = whole_run_mc_sample(tree, table, c, nm, 5_001, 9)
+    assert redraws >= 2
     assert got.num_errors == errors
     assert np.array_equal(got.path_counts, counts)
 
 
-@pytest.mark.parametrize("per_round", [False, True])
+@pytest.mark.parametrize("small_chunks", [False, True])
 @pytest.mark.parametrize("jitter", [True, False])
-def test_mc_sample_memory_slope_per_run(jitter, per_round):
+def test_mc_sample_memory_slope_per_run(monkeypatch, jitter, small_chunks):
     # what grows with num_runs is the codewords (1 byte a run here), the
     # leaves (4) and, with jitter, the rotations (16); one chunk's
-    # temporaries are the same at both sizes
+    # temporaries are the same at both sizes.  With small chunks (16 to 64
+    # of 4096 runs) the chunk list grows too, by well under a byte a run
+    if small_chunks:
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 1 << 14)
     c = qam6(7.8)
     tree, table = cn_receiver(c, 6, 3)
     nm = NoiseModel(visibility=0.997, dark_counts=1e-3)
@@ -487,7 +476,7 @@ def test_mc_sample_memory_slope_per_run(jitter, per_round):
     for num_runs in (1 << 16, 1 << 18):
         tracemalloc.start()
         try:
-            mc_sample(tree, table, c, nm, num_runs, 0, per_round=per_round)
+            mc_sample(tree, table, c, nm, num_runs, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -81,14 +81,13 @@ class TestExactDistribution:
         d1 = exact_distribution(tree_rot, c_rot, nm)
         np.testing.assert_allclose(d0.probs, d1.probs, atol=1e-12)
 
-    def test_per_round_draws_accepted(self):
+    def test_two_dimensional_jitter_rejected(self):
+        # jitter is drawn once per receiver run: a (1, N) batch is refused
         rng = np.random.default_rng(3)
         tree, c, nm = random_instance(rng, rounds=3)
         phase, scale = draw_arrays(sample_draws(nm, 3, 11))
-        probs = path_probs(tree, c, nm, phase[None, :], scale[None, :])[0]
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-10)
-        with pytest.raises(ValueError):
-            path_probs(tree, c, nm, phase[None, :2], scale[None, :2])
+        with pytest.raises(ValueError, match=r"\(B,\)"):
+            path_probs(tree, c, nm, phase[None, :], scale[None, :])
 
 
 class TestAveragedDistribution:
