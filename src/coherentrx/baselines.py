@@ -188,22 +188,27 @@ _HALF_WINDOW = 4
 # Golden-section steps that refine each scan winner
 _GOLDEN_ITERS = 70
 
+# Evenly spaced displacements of the coarse scan, and posteriors of the DP's
+# value-table grid on [0, 1]
+_COARSE = 512
+_GRID_POINTS = 2001
+
 
 def _best_displacements(
     p: np.ndarray,
     slice_amp: float,
     v_next,
     bracket: float,
-    coarse: int = 512,
     *,
     window: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize expected error over the displacement, per 1-d posterior array.
 
-    A coarse scan over [-bracket, bracket] (always including the two exact
-    nulling displacements and zero) locates the basin, in blocks of about
-    ``_SCAN_ELEMS`` displacement-posterior pairs; the first minimum wins
-    ties, as in a one-at-a-time scan with strict ``<``.  A vectorized
+    A coarse scan of ``_COARSE`` displacements over [-bracket, bracket]
+    (always including the two exact nulling displacements and zero) locates
+    the basin, in blocks of about ``_SCAN_ELEMS`` displacement-posterior
+    pairs; the first minimum wins ties, as in a one-at-a-time scan with
+    strict ``<``.  A vectorized
     golden-section pass of ``_GOLDEN_ITERS`` steps then refines every
     posterior's optimum simultaneously.  Each evaluation writes both
     outcomes' posteriors into one reused buffer and passes it to ``v_next``
@@ -220,7 +225,7 @@ def _best_displacements(
     window edge.  Errors are elementwise, so the bits match the full scan's.
     """
     u_grid = np.concatenate(
-        [np.linspace(-bracket, bracket, coarse), [-slice_amp, 0.0, slice_amp]]
+        [np.linspace(-bracket, bracket, _COARSE), [-slice_amp, 0.0, slice_amp]]
     )
     step = u_grid[1] - u_grid[0]
     q = 1.0 - p
@@ -262,12 +267,12 @@ def _best_displacements(
         right = np.minimum(left + _ANCHOR_GAP, size - 1)
         w_lo, w_hi = best_idx[left], best_idx[right]
         centre = np.rint(w_lo + (w_hi - w_lo) * (i - left) / (right - left)).astype(np.intp)
-        centres = np.stack([centre, coarse - 1 - centre])
+        centres = np.stack([centre, _COARSE - 1 - centre])
         windows = np.add.outer(np.arange(-_HALF_WINDOW, _HALF_WINDOW + 1), centres)
-        windows = np.sort(np.clip(windows, 0, coarse - 1).reshape(-1, i.size), axis=0)
-        special = np.broadcast_to(np.arange(coarse, u_grid.size)[:, None], (3, i.size))
+        windows = np.sort(np.clip(windows, 0, _COARSE - 1).reshape(-1, i.size), axis=0)
+        special = np.broadcast_to(np.arange(_COARSE, u_grid.size)[:, None], (3, i.size))
         scan(i, np.concatenate([windows, special]))
-        doubt = (np.abs(w_hi - w_lo) > 2 * _HALF_WINDOW) | (np.maximum(w_lo, w_hi) >= coarse)
+        doubt = (np.abs(w_hi - w_lo) > 2 * _HALF_WINDOW) | (np.maximum(w_lo, w_hi) >= _COARSE)
         doubt |= (np.abs(best_idx[i] - centres) == _HALF_WINDOW).any(axis=0)
         redo = i[doubt]
         best_val[redo] = np.inf
@@ -292,31 +297,26 @@ def _best_displacements(
     return np.where(keep, u_refined, best_u), np.where(keep, val_refined, best_val)
 
 
-def dolinar_tree(
-    mean_photons: float,
-    rounds: int,
-    grid_points: int = 2001,
-) -> DecisionTree:
+def dolinar_tree(mean_photons: float, rounds: int) -> DecisionTree:
     """Zero-noise optimal N-round binary feedback tree for equal-prior BPSK.
 
-    Backward induction: the value function over the posterior grid starts
-    from the terminal Bayes error min(p, 1-p) and absorbs one round at a
-    time, optimizing one real displacement per (level, posterior) by golden
-    section after a windowed scan.  The optimal policy is then unrolled into
-    tree form node by node at each node's exact posterior, scanning in full
-    there.  Displacements stay real by the problem's real-axis symmetry.
+    Backward induction: the value function over a grid of ``_GRID_POINTS``
+    posteriors starts from the terminal Bayes error min(p, 1-p) and absorbs
+    one round at a time, optimizing one real displacement per (level,
+    posterior) by golden section after a windowed scan.  The optimal policy
+    is then unrolled into tree form node by node at each node's exact
+    posterior, scanning in full there.  Displacements stay real by the
+    problem's real-axis symmetry.
     """
     _check_nbar(mean_photons)
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    if grid_points < 2:
-        raise ValueError("grid_points must be at least 2")
     tree = DecisionTree.zeros(rounds, 2)
     if mean_photons == 0:
         return tree
     slice_amp = math.sqrt(mean_photons / rounds)
     bracket = 2.0 + 3.0 * math.sqrt(mean_photons)
-    p_grid = np.linspace(0.0, 1.0, grid_points)
+    p_grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     interpolants = [None] * (rounds + 1)
     interpolants[rounds] = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
     for level in range(rounds - 1, 0, -1):
@@ -335,11 +335,9 @@ def dolinar_tree(
     return tree
 
 
-def dolinar_receiver(
-    mean_photons: float, rounds: int, grid_points: int = 2001
-) -> tuple[DecisionTree, DecisionTable]:
+def dolinar_receiver(mean_photons: float, rounds: int) -> tuple[DecisionTree, DecisionTable]:
     """Dolinar tree plus its zero-noise MAP decision table."""
-    tree = dolinar_tree(mean_photons, rounds, grid_points)
+    tree = dolinar_tree(mean_photons, rounds)
     c = bpsk(mean_photons)
     table = map_table(exact_distribution(tree, c, NoiseModel()))
     return tree, table
@@ -413,15 +411,18 @@ def heterodyne_sql(c: Constellation) -> float:
     return float(min(max(1.0 - p_correct, 0.0), 1.0))
 
 
+# Samples a heterodyne Monte Carlo chunk draws and scores at once
+_MC_CHUNK = 500_000
+
+
 def heterodyne_sql_mc(
     c: Constellation,
     num_samples: int = 10_000_000,
     seed=0,
-    chunk: int = 500_000,
 ) -> tuple[float, float]:
     """Monte Carlo heterodyne SQL with its binomial standard error.
 
-    Samples are drawn ``chunk`` at a time, and each chunk calls the
+    Samples are drawn ``_MC_CHUNK`` at a time, and each chunk calls the
     generator in a fixed order that the result for a seed depends on: the
     codewords, then the real noise, then the imaginary noise.  Each sample
     is decided by a running maximum of ``log prior - |z - beta|^2`` over the
@@ -439,7 +440,7 @@ def heterodyne_sql_mc(
     correct = 0
     remaining = num_samples
     while remaining > 0:
-        size = min(chunk, remaining)
+        size = min(_MC_CHUNK, remaining)
         y = rng.choice(c.n_codewords, size=size, p=c.priors)
         # amps[y] + sigma * (n1 + 1j*n2) built in place, with the same bits
         # (a zero part's sign aside, which |z - beta|^2 ignores)

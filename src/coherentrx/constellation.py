@@ -9,13 +9,13 @@ codeword stored at index ``y`` carries label ``y``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Constellation",
-    "mean_photons",
     "bpsk",
     "qam6",
     "custom",
@@ -25,9 +25,11 @@ __all__ = [
 _PRIOR_TOL = 1e-12
 
 
-def mean_photons(amplitude: complex) -> float:
-    """Mean photon number ``|a|**2`` of a coherent state with amplitude ``a``."""
-    return abs(amplitude) ** 2
+def _integer(value, what: str) -> int:
+    """``value`` as an int, rejecting floats (which ``int()`` would truncate) and bools."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class Constellation:
     @classmethod
     def from_records(cls, records: list[dict], name: str = "custom") -> "Constellation":
         """Inverse of :meth:`to_records`; records may arrive in any label order."""
-        ordered = sorted(records, key=lambda r: r["label"])
+        ordered = sorted(records, key=lambda r: _integer(r["label"], "a codeword label"))
         labels = [int(r["label"]) for r in ordered]
         if labels != list(range(len(ordered))):
             raise ValueError("labels must be unique and contiguous from 0")

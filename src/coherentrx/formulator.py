@@ -29,10 +29,9 @@ import numpy as np
 
 from .baselines import cn_tree, dolinar_tree
 from .constellation import Constellation, mean_energy
-from .photonics import IDEAL_DRAW, NoiseDraw, NoiseModel, sample_draws
+from .photonics import NoiseDraw, NoiseModel, sample_draws
 from .simulator import (
     _levels,
-    averaged_distribution,
     batch_distribution,
     draw_arrays,
     draw_chunks,
@@ -46,8 +45,6 @@ __all__ = [
     "LearningTrace",
     "FormulateResult",
     "init_tree",
-    "loss",
-    "gradient",
     "formulate",
     "optimize_receiver",
     "optimize_sweep",
@@ -129,7 +126,6 @@ def init_tree(
     c: Constellation,
     rounds: int,
     arity: int,
-    nm: NoiseModel,
     perturbation: float,
     seed,
 ) -> DecisionTree:
@@ -137,10 +133,9 @@ def init_tree(
 
     The per-component perturbation scale is ``perturbation`` times the node's
     nulling amplitude (falling back to the constellation's RMS slice
-    amplitude for zero-amplitude nodes).  The CN design itself is noise-free;
-    ``nm`` is part of the design context and recorded by callers.
+    amplitude for zero-amplitude nodes).  The CN design itself is noise-free,
+    so no noise model enters it.
     """
-    del nm
     base = cn_tree(c, rounds, arity)
     if perturbation == 0:
         return base
@@ -152,26 +147,6 @@ def init_tree(
         base.nodes.size
     )
     return DecisionTree(rounds, arity, base.nodes + perturbation * scale * jitter)
-
-
-def _draw_batch(nm: NoiseModel, batch_size: int, seed) -> list[NoiseDraw]:
-    # Zero jitter makes every draw ideal; collapse so the loss is exactly
-    # batch-size invariant.
-    if nm.is_deterministic:
-        return [IDEAL_DRAW]
-    return sample_draws(nm, batch_size, seed)
-
-
-def loss(
-    tree: DecisionTree,
-    table: DecisionTable,
-    c: Constellation,
-    nm: NoiseModel,
-    batch_size: int,
-    seed,
-) -> float:
-    """Noise-averaged error of the tree under a fixed decision table."""
-    return error_rate(averaged_distribution(tree, c, nm, batch_size, seed), table)
 
 
 def _sensitivities(
@@ -250,18 +225,6 @@ def _gradient_on_draws(
     return -(gx + 1j * gy) / phase.shape[0]
 
 
-def gradient(
-    tree: DecisionTree,
-    table: DecisionTable,
-    c: Constellation,
-    nm: NoiseModel,
-    batch_size: int,
-    seed,
-) -> np.ndarray:
-    """Exact gradient of :func:`loss` in the node displacement components."""
-    return _gradient_on_draws(tree, table, c, nm, _draw_batch(nm, batch_size, seed))
-
-
 def formulate(
     c: Constellation,
     rounds: int,
@@ -283,7 +246,7 @@ def formulate(
     root = np.random.SeedSequence(cfg.seed)
     init_seq, holdout_seq, iter_root = root.spawn(3)
     if initial_tree is None:
-        tree = init_tree(c, rounds, arity, nm, cfg.init_perturbation, init_seq)
+        tree = init_tree(c, rounds, arity, cfg.init_perturbation, init_seq)
     else:
         if (initial_tree.rounds, initial_tree.arity) != (rounds, arity):
             raise ValueError("initial tree shape mismatch")
@@ -297,7 +260,7 @@ def formulate(
     best_iteration = -1
     converged = False
     for it in range(cfg.max_iterations):
-        draws = _draw_batch(nm, cfg.batch_size, iter_seqs[it])
+        draws = sample_draws(nm, cfg.batch_size, iter_seqs[it])
         phase, scale = draw_arrays(draws)
         dist = batch_distribution(tree, c, nm, phase, scale)
         new_table = map_table(dist)
@@ -339,7 +302,7 @@ def formulate(
         converged=converged,
         best_iteration=best_iteration,
     )
-    holdout_draws = _draw_batch(nm, _HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
+    holdout_draws = sample_draws(nm, _HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
     final_dist = batch_distribution(best_tree, c, nm, *draw_arrays(holdout_draws))
     final_table = map_table(final_dist)
     final_loss = error_rate(final_dist, final_table)

@@ -221,10 +221,14 @@ def sample_draws(nm: NoiseModel, batch_size: int, seed) -> list[NoiseDraw]:
 
     Each draw takes its phase, then its amplitude scale, from one generator.
     The amplitude scale is Normal(1, sigma^2) redrawn until positive, which
-    for realistic sigmas essentially never loops.
+    for realistic sigmas essentially never loops.  Without jitter every draw
+    is the ideal one, so the batch collapses to ``[IDEAL_DRAW]`` for any
+    ``batch_size``, and an average over it is exactly batch-size invariant.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
+    if nm.is_deterministic:
+        return [IDEAL_DRAW]
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(batch_size):

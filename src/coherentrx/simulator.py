@@ -194,15 +194,10 @@ def averaged_distribution(
     """Noise-averaged path distribution over a seeded batch of jitter draws.
 
     ``batch_size`` receiver runs each draw their jitter once.  With zero
-    jitter every draw is the ideal one, so the batch collapses to a single
-    exact evaluation (bit-identical for any ``batch_size``).
+    jitter :func:`~coherentrx.photonics.sample_draws` gives the ideal draw
+    alone, so the average is the exact distribution for any ``batch_size``.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    if nm.is_deterministic:
-        return exact_distribution(tree, c, nm, IDEAL_DRAW)
-    phase, scale = draw_arrays(sample_draws(nm, batch_size, seed))
-    return batch_distribution(tree, c, nm, phase, scale)
+    return batch_distribution(tree, c, nm, *draw_arrays(sample_draws(nm, batch_size, seed)))
 
 
 def map_table(d: PathDistribution) -> DecisionTable:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, _integer
 from .photonics import NoiseModel
 
 __all__ = [
@@ -82,11 +82,7 @@ def node_index(arity: int, path: Sequence[int], rounds: int | None = None) -> in
     d = len(path)
     if rounds is not None and d >= rounds:
         raise ValueError(f"prefix of length {d} too long for {rounds} rounds")
-    _check_path(arity, path)
-    pos = 0
-    for k in path:
-        pos = pos * arity + int(k)
-    return level_offset(arity, d) + pos
+    return level_offset(arity, d) + leaf_index(arity, d, path)
 
 
 def leaf_index(arity: int, rounds: int, path: Sequence[int]) -> int:
@@ -239,9 +235,9 @@ class Receiver:
         if not isinstance(metadata, dict):
             raise ValueError("malformed receiver spec: metadata must be a JSON object")
         try:
-            rounds, arity = int(d["N"]), int(d["M"])
+            rounds, arity = _integer(d["N"], "N"), _integer(d["M"], "M")
             nodes = np.array([complex(n["re"], n["im"]) for n in d["nodes"]])
-            guesses = np.asarray(d["table"])
+            guesses = np.asarray([_integer(g, "a table entry") for g in d["table"]])
             constellation = Constellation.from_records(
                 d["constellation"], name=metadata.get("encoding", "custom")
             )

@@ -216,6 +216,14 @@ class TestSpecValidation:
             lambda doc: doc.update(nodes=5),
             lambda doc: doc.update(constellation=3),
             lambda doc: doc.update(metadata=5),
+            # int() would truncate each of these to a valid spec
+            lambda doc: doc.update(N=doc["N"] + 0.9),
+            lambda doc: doc.update(M=doc["M"] + 0.5),
+            lambda doc: doc.update(table=[g + 0.2 for g in doc["table"]]),
+            lambda doc: [r.update(label=r["label"] + 0.2) for r in doc["constellation"]],
+            lambda doc: doc.update(N=True),
+            lambda doc: doc.update(table=[bool(g) for g in doc["table"]]),
+            lambda doc: [r.update(label=bool(r["label"])) for r in doc["constellation"]],
         ],
         ids=[
             "node_without_re",
@@ -223,6 +231,13 @@ class TestSpecValidation:
             "nodes_not_a_list",
             "constellation_not_a_list",
             "metadata_not_an_object",
+            "fractional_N",
+            "fractional_M",
+            "fractional_table_entries",
+            "fractional_labels",
+            "boolean_N",
+            "boolean_table_entries",
+            "boolean_labels",
         ],
     )
     def test_malformed_spec_part_is_usage_error(self, bpsk_receiver, tmp_path, capsys, mutate):

@@ -23,6 +23,15 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def exported_names(tree: ast.AST) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but neither uses nor lists in ``__all__``."""
     tree = ast.parse(source)
@@ -35,18 +44,105 @@ def unused_imports(source: str) -> list[str]:
                 # ``import a.b`` binds ``a``
                 imported.append(alias.asname or alias.name.split(".")[0])
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
+    exported = set(exported_names(tree))
     return [n for n in imported if n not in used and n not in exported]
 
 
 def test_unused_import_detector():
     source = "import os\nimport a.b\nfrom x import y, z as w\n__all__ = ['y']\nos.sep\n"
     assert unused_imports(source) == ["a", "w"]
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+# the files whose use of a public name counts: the package, demos and benchmark
+CALLER_FILES = sorted(
+    p for d in ("src/coherentrx", "demos", "perfbench") for p in (REPO / d).rglob("*.py")
+)
+
+
+def module_name(path: pathlib.Path) -> str | None:
+    """Dotted name of a package file, ``None`` for a demo or benchmark script."""
+    if path.parent != REPO / "src" / "coherentrx":
+        return None
+    return "coherentrx" if path.stem == "__init__" else f"coherentrx.{path.stem}"
+
+
+def names_used_from(tree: ast.AST, importer: str | None) -> dict[str, set[str]]:
+    """Names a file imports or reads as attributes, by the module they come from.
+
+    ``from a.b import c`` uses ``c`` of ``a.b`` and ``b`` of ``a``; when ``c``
+    is a module bound by that import, ``c.d`` uses ``d`` of ``a.b.c``.
+    """
+    used: dict[str, set[str]] = {}
+    modules: dict[str, str] = {}  # local name -> what ``from ... import`` bound it to
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # the package is flat: a relative import names ``coherentrx`` or a module in it
+            source = node.module or ""
+            if node.level:
+                source = "coherentrx" + (f".{source}" if source else "")
+            parent, _, last = source.rpartition(".")
+            if parent:
+                used.setdefault(parent, set()).add(last)
+            for alias in node.names:
+                used.setdefault(source, set()).add(alias.name)
+                modules[alias.asname or alias.name] = f"{source}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in modules:
+                used.setdefault(modules[node.value.id], set()).add(node.attr)
+    used.pop(importer, None)
+    return used
+
+
+def names_read_in(tree: ast.AST) -> set[str]:
+    """Names a module reads outside their own definition and unshadowed by a parameter."""
+    reads = set()
+
+    def visit(node, hidden):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            hidden = hidden | {node.name}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            hidden = hidden | {p.arg for p in params if p is not None}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in hidden:
+            reads.add(node.id)
+        for child in ast.iter_child_nodes(node):
+            visit(child, hidden)
+
+    visit(tree, frozenset())
+    return reads
+
+
+def test_caller_detector():
+    # f reads itself only inside its own definition, and g only as a parameter
+    module = ast.parse("def f(g):\n    return g + f(1)\ndef h():\n    pass\nh()\n")
+    assert names_read_in(module) & {"f", "g", "h"} == {"h"}
+    script = ast.parse(
+        "from coherentrx import simulator as s\nfrom coherentrx.tree import leaf_index\ns.path_probs\n"
+    )
+    assert names_used_from(script, None) == {
+        "coherentrx": {"simulator", "tree"},
+        "coherentrx.tree": {"leaf_index"},
+        "coherentrx.simulator": {"path_probs"},
+    }
+
+
+def test_public_names_have_a_caller_outside_tests():
+    parsed = {path: ast.parse(path.read_text()) for path in CALLER_FILES}
+    used: dict[str, set[str]] = {}
+    for path, tree in parsed.items():
+        for module, names in names_used_from(tree, module_name(path)).items():
+            used.setdefault(module, set()).update(names)
+    uncalled = []
+    for path, tree in parsed.items():
+        module = module_name(path)
+        if module is None:
+            continue
+        callers = used.get(module, set()) | names_read_in(tree)
+        uncalled += [f"{module}.{n}" for n in exported_names(tree) if n not in callers]
+    assert uncalled == []
 
 
 def test_import_starts_no_process_machinery():
@@ -65,7 +161,7 @@ def test_no_unused_imports(name):
     assert unused_imports(path.read_text()) == []
 
 
-def test_import_loads_no_scipy_and_lazy_scipy_results_match():
+def test_import_loads_no_scipy_and_lazy_scipy_results_match(monkeypatch):
     src = str(pathlib.Path(coherentrx.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import coherentrx, coherentrx.cli; "
@@ -81,14 +177,17 @@ def test_import_loads_no_scipy_and_lazy_scipy_results_match():
 
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import coherentrx; "
+        "from coherentrx import baselines; "
         "from coherentrx.baselines import dolinar_tree, heterodyne_sql; "
         "from coherentrx.constellation import bpsk; "
-        "print(dolinar_tree(0.5, 2, grid_points=101).nodes.tobytes().hex()); "
+        "baselines._GRID_POINTS = 101; "
+        "print(dolinar_tree(0.5, 2).nodes.tobytes().hex()); "
         "print(heterodyne_sql(bpsk(0.5)).hex())"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    monkeypatch.setattr("coherentrx.baselines._GRID_POINTS", 101)
     expected = [
-        dolinar_tree(0.5, 2, grid_points=101).nodes.tobytes().hex(),
+        dolinar_tree(0.5, 2).nodes.tobytes().hex(),
         heterodyne_sql(bpsk(0.5)).hex(),
     ]
     assert proc.stdout.split() == expected

@@ -7,14 +7,13 @@ from coherentrx.baselines import cn_receiver, cn_tree
 from coherentrx.constellation import bpsk, custom, qam6
 from coherentrx.formulator import (
     FormulatorConfig,
+    _gradient_on_draws,
     formulate,
-    gradient,
     init_tree,
-    loss,
     optimize_receiver,
 )
-from coherentrx.photonics import NoiseModel
-from coherentrx.simulator import error_rate, exact_distribution, map_table
+from coherentrx.photonics import NoiseModel, sample_draws
+from coherentrx.simulator import averaged_distribution, error_rate, exact_distribution, map_table
 from coherentrx.tree import DecisionTree, num_nodes
 
 IDEAL = NoiseModel()
@@ -26,13 +25,13 @@ class TestInitTree:
     def test_zero_perturbation_is_cn(self):
         c = qam6(3.0)
         np.testing.assert_array_equal(
-            init_tree(c, 3, 3, IDEAL, 0.0, seed=0).nodes, cn_tree(c, 3, 3).nodes
+            init_tree(c, 3, 3, 0.0, seed=0).nodes, cn_tree(c, 3, 3).nodes
         )
 
     def test_relative_perturbation_scale(self):
         c = qam6(7.8)
         base = cn_tree(c, 6, 3)
-        tree = init_tree(c, 6, 3, IDEAL, 0.01, seed=42)
+        tree = init_tree(c, 6, 3, 0.01, seed=42)
         scale = np.abs(base.nodes)
         rel = (tree.nodes - base.nodes).real / scale
         assert abs(np.std(rel) - 0.01) < 0.002
@@ -41,8 +40,8 @@ class TestInitTree:
 
     def test_deterministic(self):
         c = bpsk(1.0)
-        a = init_tree(c, 4, 2, LAB, 0.05, seed=9)
-        b = init_tree(c, 4, 2, LAB, 0.05, seed=9)
+        a = init_tree(c, 4, 2, 0.05, seed=9)
+        b = init_tree(c, 4, 2, 0.05, seed=9)
         np.testing.assert_array_equal(a.nodes, b.nodes)
 
 
@@ -51,19 +50,22 @@ class TestLoss:
         c = bpsk(0.0)
         tree = DecisionTree.zeros(3, 2)
         table = map_table(exact_distribution(tree, c, IDEAL))
-        assert loss(tree, table, c, IDEAL, 8, seed=0) == 0.5
+        assert error_rate(averaged_distribution(tree, c, IDEAL, 8, seed=0), table) == 0.5
 
     def test_cross_module_cn_consistency(self):
         c = bpsk(1.2)
         tree, table = cn_receiver(c, 4, 2)
         want = error_rate(exact_distribution(tree, c, IDEAL), table)
-        assert abs(loss(tree, table, c, IDEAL, 16, seed=3) - want) < 1e-15
+        got = error_rate(averaged_distribution(tree, c, IDEAL, 16, seed=3), table)
+        assert abs(got - want) < 1e-15
 
     def test_batch_size_invariant_without_jitter(self):
         nm = NoiseModel(visibility=0.99, efficiency=0.8, dark_counts=0.01)
         c = bpsk(0.9)
         tree, table = cn_receiver(c, 3, 2)
-        vals = {loss(tree, table, c, nm, b, seed=1) for b in (1, 7, 64)}
+        vals = {
+            error_rate(averaged_distribution(tree, c, nm, b, seed=1), table) for b in (1, 7, 64)
+        }
         assert len(vals) == 1
 
 
@@ -71,9 +73,9 @@ class TestGradient:
     def test_zero_at_certain_prior(self):
         # a certain hypothesis pins the loss at zero for every tree
         c = custom(np.array([0.8, -0.8]), np.array([1.0, 0.0]))
-        tree = init_tree(c, 3, 2, IDEAL, 0.2, seed=2)
+        tree = init_tree(c, 3, 2, 0.2, seed=2)
         table = map_table(exact_distribution(tree, c, IDEAL))
-        g = gradient(tree, table, c, IDEAL, 4, seed=0)
+        g = _gradient_on_draws(tree, table, c, IDEAL, sample_draws(IDEAL, 4, seed=0))
         assert np.abs(g).max() < 1e-14
 
     def test_unreachable_branch_has_zero_gradient(self):
@@ -82,7 +84,7 @@ class TestGradient:
         c = custom(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
         tree = DecisionTree.zeros(2, 2)
         table = map_table(exact_distribution(tree, c, IDEAL))
-        g = gradient(tree, table, c, IDEAL, 1, seed=0)
+        g = _gradient_on_draws(tree, table, c, IDEAL, sample_draws(IDEAL, 1, seed=0))
         assert g[2] == 0.0  # node reached only after a click at the root
 
     def test_matches_central_finite_differences(self):
@@ -100,15 +102,16 @@ class TestGradient:
             )
             tree = DecisionTree(rounds, arity, nodes)
             table = map_table(exact_distribution(tree, c, nm))
-            g = gradient(tree, table, c, nm, 3, seed=7)
+            g = _gradient_on_draws(tree, table, c, nm, sample_draws(nm, 3, seed=7))
             h = 1e-6
             for idx in rng.choice(nodes.size, size=min(3, nodes.size), replace=False):
                 for comp, part in ((1.0, "real"), (1j, "imag")):
                     up, dn = nodes.copy(), nodes.copy()
                     up[idx] += h * comp
                     dn[idx] -= h * comp
-                    lu = loss(DecisionTree(rounds, arity, up), table, c, nm, 3, seed=7)
-                    ld = loss(DecisionTree(rounds, arity, dn), table, c, nm, 3, seed=7)
+                    d_up = averaged_distribution(DecisionTree(rounds, arity, up), c, nm, 3, seed=7)
+                    d_dn = averaged_distribution(DecisionTree(rounds, arity, dn), c, nm, 3, seed=7)
+                    lu, ld = error_rate(d_up, table), error_rate(d_dn, table)
                     fd = (lu - ld) / (2 * h)
                     got = getattr(g[idx], part)
                     assert abs(got - fd) <= 1e-5 * max(abs(fd), 1e-3)
@@ -173,8 +176,8 @@ class TestFormulate:
         cfg = FormulatorConfig(max_iterations=150, batch_size=8, seed=5)
         res = formulate(c, 4, 2, LAB, cfg)
         tree, table = cn_receiver(c, 4, 2)
-        cn_loss = loss(tree, table, c, LAB, 80, seed=900)
-        q_loss = loss(res.tree, res.table, c, LAB, 80, seed=900)
+        cn_loss = error_rate(averaged_distribution(tree, c, LAB, 80, seed=900), table)
+        q_loss = error_rate(averaged_distribution(res.tree, c, LAB, 80, seed=900), res.table)
         assert q_loss < cn_loss
 
     def test_initial_tree_shape_checked(self):

@@ -59,14 +59,14 @@ def random_instance(rng, rounds, arity, k_codes):
     return tree, c, nm
 
 
-def reference_probs(tree, c, nm, phases, scales):
-    """One draw: per-round scalar jitter ``phases[level]``, ``scales[level]``."""
+def reference_probs(tree, c, nm, phase, scale):
+    """One draw: scalar jitter ``phase``, ``scale``, the same in every round."""
     slices = c.amplitudes / math.sqrt(tree.rounds)
     probs = np.ones((c.n_codewords, 1))
     for level in range(tree.rounds):
         disp = tree.level_nodes(level)
         means = detected_mean_jitter(
-            slices[:, None], disp[None, :], nm, float(phases[level]), float(scales[level])
+            slices[:, None], disp[None, :], nm, float(phase), float(scale)
         )
         q = outcome_probs(means, tree.arity)
         probs = (probs[:, :, None] * q).reshape(c.n_codewords, -1)
@@ -133,7 +133,7 @@ def test_path_probs_per_run_matches_reference_loop(seed, batch):
     got = path_probs(tree, c, nm, phase, scale)
     assert got.shape == (batch, k_codes, arity**rounds)
     for b in range(batch):
-        want = reference_probs(tree, c, nm, [phase[b]] * rounds, [scale[b]] * rounds)
+        want = reference_probs(tree, c, nm, phase[b], scale[b])
         assert np.array_equal(got[b], want)
 
 
@@ -155,7 +155,7 @@ def test_batch_mean_is_sequential_and_chunk_invariant(monkeypatch):
     scale = rng.normal(1.0, 0.05, 40)
     acc = np.zeros((k_codes, arity**rounds))
     for b in range(40):
-        acc += reference_probs(tree, c, nm, [phase[b]] * rounds, [scale[b]] * rounds)
+        acc += reference_probs(tree, c, nm, phase[b], scale[b])
     whole = batch_distribution(tree, c, nm, phase, scale).probs
     monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 1)
     chunked = batch_distribution(tree, c, nm, phase, scale).probs

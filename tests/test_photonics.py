@@ -113,6 +113,12 @@ class TestSampling:
     def test_no_jitter_is_ideal_draw(self):
         assert sample_draws(NoiseModel(), 1, 0) == [IDEAL_DRAW]
 
+    @pytest.mark.parametrize("batch", [7, 64])
+    def test_no_jitter_batch_is_one_ideal_draw(self, batch):
+        # every draw would be ideal: the batch collapses for any size
+        nm = NoiseModel(visibility=0.99, efficiency=0.8, dark_counts=1e-3)
+        assert sample_draws(nm, batch, 5) == [IDEAL_DRAW]
+
     def test_phase_jitter_mean(self):
         nm = NoiseModel(phase_jitter=0.1)
         phases = np.array([d.phase_offset for d in sample_draws(nm, 100_000, 123)])
