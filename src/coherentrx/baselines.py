@@ -24,10 +24,11 @@ For a general constellation the integral over the imaginary quadrature is
 closed form (erf pieces under the upper envelope of one line per codeword)
 and only the integral over the real quadrature is adaptive.
 
-Only two routines use scipy, and each imports it when it runs: the Dolinar
-DP (:func:`dolinar_tree`, through its PCHIP value interpolant) and
-:func:`heterodyne_sql` (``scipy.integrate.quad``).  Importing this module
-loads numpy alone.
+The Dolinar DP interpolates its value tables with an in-repo PCHIP cubic
+whose values are scipy's ``PchipInterpolator``'s to the bit, so it runs on
+numpy alone.  Only :func:`heterodyne_sql` uses scipy
+(``scipy.integrate.quad``), and it imports it when it runs: importing this
+module loads numpy alone.
 """
 
 from __future__ import annotations
@@ -161,18 +162,125 @@ def _round_terms(p, q, u, slice_amp: float, prob, post, joint) -> None:
     np.divide(joint, prob, out=post, where=prob > 0)
 
 
-def _value_interpolant(p_grid: np.ndarray, values: np.ndarray):
+def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point end derivative, clamped to preserve shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+# Queries a value interpolant evaluates at once
+_EVAL_BLOCK = 8192
+
+
+class _Pchip:
+    """PCHIP cubic of a table on an evenly spaced grid of at least three knots
+    over [0, 1], NaN outside it.
+
+    The derivatives are Fritsch & Butland's weighted harmonic means of the
+    neighbouring slopes, zero at a sign change or a flat side, with
+    one-sided clamped ends; each interval holds the cubic Hermite
+    coefficients in powers of ``s = x - p[i]``.  Every operation follows
+    ``scipy.interpolate.PchipInterpolator(p, v, extrapolate=False)`` in the
+    same order, so the values are its values to the bit: the interval holds
+    ``p[i] <= x < p[i + 1]`` (the last one is closed), and the cubic is
+    ``((c3 + c2*s) + c1*(s*s)) + c0*((s*s)*s)``.
+    """
+
+    def __init__(self, p_grid: np.ndarray, values: np.ndarray) -> None:
+        x = np.asarray(p_grid, dtype=np.float64)
+        y = np.asarray(values, dtype=np.float64)
+        if x[0] != 0.0 or x[-1] != 1.0:
+            raise ValueError("the grid must run from 0 to 1")
+        h = x[1:] - x[:-1]
+        m = (y[1:] - y[:-1]) / h
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+        d = np.zeros_like(y)
+        d[1:-1][~flat] = 1.0 / whmean[~flat]
+        d[0] = _edge_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        # one more interval of NaN coefficients takes every query outside the grid
+        nan = [np.nan]
+        self._c0 = np.concatenate([t / h, nan])
+        self._c1 = np.concatenate([(m - d[:-1]) / h - t, nan])
+        self._c2 = np.concatenate([d[:-1], nan])
+        # the evaluation starts from 0.0, which turns a -0.0 into +0.0
+        self._c3 = np.concatenate([0.0 + y[:-1], nan])
+        # left knots, and right knots with the last one closed; index n - 1
+        # (and -1, which wraps to it) is the NaN interval
+        self._left = x.copy()
+        self._right = np.concatenate([x[1:-1], [np.nextafter(x[-1], np.inf), np.inf]])
+        self._last = x.size - 2
+
+    def __call__(self, x) -> np.ndarray:
+        """Values at ``x`` in a new array; ``x`` is left as it is."""
+        out = np.array(x, dtype=np.float64, order="C")
+        return self.evaluate(out, np.empty_like(out))
+
+    def evaluate(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """Overwrite ``x`` with the values at ``x`` and return it.
+
+        ``x`` and ``scratch`` are C-contiguous float64 arrays of one shape;
+        ``scratch`` is left undefined.  The queries go ``_EVAL_BLOCK`` at a
+        time, so the evaluation's own temporaries (an interval index and two
+        float64 arrays) stay near 200 KB however many queries there are.
+        """
+        flat_x, flat_s = x.reshape(-1), scratch.reshape(-1)
+        for k in range(0, flat_x.size, _EVAL_BLOCK):
+            self._evaluate_block(flat_x[k : k + _EVAL_BLOCK], flat_s[k : k + _EVAL_BLOCK])
+        return x
+
+    def _evaluate_block(self, x: np.ndarray, scratch: np.ndarray) -> None:
+        # first guess floor(x * (n - 1)), clamped to a real interval (NaN
+        # goes to 0) and then corrected against the knots themselves
+        np.multiply(x, self._last + 1, out=scratch)
+        np.fmax(scratch, 0.0, out=scratch)
+        np.fmin(scratch, self._last, out=scratch)
+        i = scratch.astype(np.intp)
+        # every gather wraps: index -1 reaches the NaN interval, and the
+        # default mode would copy its output
+        below = x < np.take(self._left, i, out=scratch, mode="wrap")
+        above = x >= np.take(self._right, i, out=scratch, mode="wrap")
+        i -= below
+        i += above
+        s = np.take(self._left, i, out=scratch, mode="wrap")
+        np.subtract(x, s, out=s)
+        # IEEE sums and products commute exactly, so only the grouping has
+        # to be scipy's
+        acc = np.take(self._c2, i, out=x, mode="wrap")
+        acc *= s
+        term = np.take(self._c3, i, mode="wrap")
+        acc += term
+        ss = np.multiply(s, s)
+        sss = np.multiply(ss, s, out=s)
+        np.take(self._c1, i, out=term, mode="wrap")
+        term *= ss
+        acc += term
+        np.take(self._c0, i, out=term, mode="wrap")
+        term *= sss
+        acc += term
+
+
+def _value_interpolant(p_grid: np.ndarray, values: np.ndarray) -> _Pchip:
     """Monotone cubic interpolant of a value-function table.
 
     Piecewise-linear interpolation leaves slope kinks whose magnitude can
     exceed the tiny true value differences at near-certain posteriors (error
     scales reach 1e-9 at high photon numbers), which makes the displacement
     argmin noise-driven there; a C1 shape-preserving cubic removes the kinks
-    without overshooting.
+    without overshooting.  The cubic is scipy's PCHIP to the bit, computed
+    here on numpy alone (:class:`_Pchip`).
     """
-    from scipy.interpolate import PchipInterpolator
-
-    return PchipInterpolator(p_grid, values, extrapolate=False)
+    return _Pchip(p_grid, values)
 
 
 # Displacement-posterior pairs per coarse-scan block.  The block buffers hold
@@ -237,10 +345,8 @@ def _best_displacements(
         # u is (rows, 1) or (rows, P) in the scan, (2, P) or (1, P) after it
         prob, post, joint = (b[: 2 * u.shape[0] * p.size].reshape(2, -1, p.size) for b in bufs)
         _round_terms(p, q, u, slice_amp, prob, post, joint)
-        v = v_next(post)
+        v = v_next.evaluate(post, joint)
         np.multiply(prob, v, out=v)
-        # the values go to the scratch buffer, so no interpolant output
-        # outlives its call
         return np.add(v[0], v[1], out=joint[0])
 
     best_val = np.full(size, np.inf)
@@ -411,8 +517,10 @@ def heterodyne_sql(c: Constellation) -> float:
     return float(min(max(1.0 - p_correct, 0.0), 1.0))
 
 
-# Samples a heterodyne Monte Carlo chunk draws and scores at once
+# Samples a heterodyne Monte Carlo chunk draws at once, and samples of a chunk
+# scored at once
 _MC_CHUNK = 500_000
+_MC_SCORE_BLOCK = 1 << 15
 
 
 def heterodyne_sql_mc(
@@ -428,8 +536,11 @@ def heterodyne_sql_mc(
     is decided by a running maximum of ``log prior - |z - beta|^2`` over the
     codewords, where only a strictly larger score replaces the best, so ties
     go to the lowest label.  No array holds a value per (sample, codeword)
-    pair.  The noisy field ``z`` is built in place, so a chunk's draw holds
-    about 40 bytes per sample, and scoring peaks at about 70.
+    pair.  The noisy field ``z`` is built in place in one buffer that every
+    chunk reuses, so a chunk's draw peaks at about 32 bytes per sample.  The
+    scoring adds the codewords to the field and decides the samples
+    ``_MC_SCORE_BLOCK`` at a time; it draws nothing, and its temporaries
+    stay near 2 MB.
     """
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
@@ -437,26 +548,31 @@ def heterodyne_sql_mc(
     amps = c.amplitudes
     log_priors = np.where(c.priors > 0, np.log(np.where(c.priors > 0, c.priors, 1.0)), -np.inf)
     sigma = math.sqrt(0.5)
+    # one field buffer for every chunk, and each chunk's labels freed before
+    # the next draw, so no two chunks' arrays are ever held at once
+    field = np.empty(min(_MC_CHUNK, num_samples), dtype=np.complex128)
     correct = 0
-    remaining = num_samples
-    while remaining > 0:
-        size = min(_MC_CHUNK, remaining)
+    for first in range(0, num_samples, _MC_CHUNK):
+        size = min(_MC_CHUNK, num_samples - first)
         y = rng.choice(c.n_codewords, size=size, p=c.priors)
         # amps[y] + sigma * (n1 + 1j*n2) built in place, with the same bits
         # (a zero part's sign aside, which |z - beta|^2 ignores)
-        z = np.empty(size, dtype=np.complex128)
+        z = field[:size]
         z.real = rng.standard_normal(size)
         z.imag = rng.standard_normal(size)
         z *= sigma
-        z += amps[y]
-        best = log_priors[0] - np.abs(z - amps[0]) ** 2
-        guess = np.zeros(size, dtype=np.int64)
-        for k in range(1, c.n_codewords):
-            score = log_priors[k] - np.abs(z - amps[k]) ** 2
-            np.copyto(guess, k, where=score > best)
-            np.maximum(best, score, out=best)
-        correct += int(np.count_nonzero(guess == y))
-        remaining -= size
+        for start in range(0, size, _MC_SCORE_BLOCK):
+            zb = z[start : start + _MC_SCORE_BLOCK]
+            yb = y[start : start + _MC_SCORE_BLOCK]
+            zb += amps[yb]
+            best = log_priors[0] - np.abs(zb - amps[0]) ** 2
+            guess = np.zeros(zb.size, dtype=np.int64)
+            for k in range(1, c.n_codewords):
+                score = log_priors[k] - np.abs(zb - amps[k]) ** 2
+                np.copyto(guess, k, where=score > best)
+                np.maximum(best, score, out=best)
+            correct += int(np.count_nonzero(guess == yb))
+        del y, yb
     err = 1.0 - correct / num_samples
     stderr = math.sqrt(max(err * (1.0 - err), 0.0) / num_samples)
     return err, stderr

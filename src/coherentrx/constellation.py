@@ -32,6 +32,13 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float, rejecting strings (which ``float()`` would parse) and bools."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Constellation:
     """An alphabet of coherent-state codewords with prior probabilities.
@@ -90,8 +97,10 @@ class Constellation:
         labels = [int(r["label"]) for r in ordered]
         if labels != list(range(len(ordered))):
             raise ValueError("labels must be unique and contiguous from 0")
-        amps = np.array([complex(r["re"], r["im"]) for r in ordered])
-        priors = np.array([float(r["prior"]) for r in ordered])
+        amps = np.array(
+            [complex(_real(r["re"], "re"), _real(r["im"], "im")) for r in ordered]
+        )
+        priors = np.array([_real(r["prior"], "a prior") for r in ordered])
         return cls(amps, priors, name=name)
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .constellation import _real
+
 __all__ = [
     "NoiseModel",
     "NoiseDraw",
@@ -96,7 +98,7 @@ class NoiseModel:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown noise model keys: {unknown}")
-        return cls(**{k: float(v) for k, v in d.items()})
+        return cls(**{k: _real(v, k) for k, v in d.items()})
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constellation import Constellation, _integer
+from .constellation import Constellation, _integer, _real
 from .photonics import NoiseModel
 
 __all__ = [
@@ -236,18 +236,20 @@ class Receiver:
             raise ValueError("malformed receiver spec: metadata must be a JSON object")
         try:
             rounds, arity = _integer(d["N"], "N"), _integer(d["M"], "M")
-            nodes = np.array([complex(n["re"], n["im"]) for n in d["nodes"]])
+            nodes = np.array(
+                [complex(_real(n["re"], "re"), _real(n["im"], "im")) for n in d["nodes"]]
+            )
             guesses = np.asarray([_integer(g, "a table entry") for g in d["table"]])
             constellation = Constellation.from_records(
                 d["constellation"], name=metadata.get("encoding", "custom")
             )
+            nm = NoiseModel.from_dict(d["noise_model"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed receiver spec: {type(exc).__name__}: {exc}") from exc
         tree = DecisionTree(rounds, arity, nodes)
         table = DecisionTable(rounds, arity, guesses)
         if np.any(table.guesses >= constellation.n_codewords):
             raise ValueError("table guesses exceed the constellation labels")
-        nm = NoiseModel.from_dict(d["noise_model"])
         return cls(tree, table, constellation, nm, dict(metadata))
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.interpolate import PchipInterpolator
 
 from coherentrx.baselines import (
     _SCAN_ELEMS,
@@ -68,6 +69,35 @@ def reference_best_displacements(p, slice_amp, v_next, bracket, coarse=512, gold
     val_refined = expected_error(u_refined)
     keep = val_refined < best_val
     return np.where(keep, u_refined, best_u), np.where(keep, val_refined, best_val)
+
+
+class ScipyValues:
+    """scipy's PCHIP behind the interpolant's in-place ``evaluate``."""
+
+    def __init__(self, p_grid, values):
+        self.pchip = PchipInterpolator(p_grid, values, extrapolate=False)
+
+    def evaluate(self, x, scratch):
+        x[...] = self.pchip(x)
+        return x
+
+
+def value_tables(grid_points):
+    """The terminal table, two DP levels below it and tables with flat runs,
+    sign changes, end slopes clamped at both ends and a -0.0 knot that the
+    cubic leaves falling, each on ``grid_points`` posteriors."""
+    p_grid = np.linspace(0.0, 1.0, grid_points)
+    tables = [np.minimum(p_grid, 1.0 - p_grid)]
+    for nbar, rounds in ((0.2, 4), (9.8, 8)):
+        v_next = ScipyValues(p_grid, tables[0])
+        _, v = _best_displacements(p_grid, math.sqrt(nbar / rounds), v_next, 2.0 + 3.0 * math.sqrt(nbar))
+        tables.append(v)
+    rng = np.random.default_rng(11)
+    steps = np.round(rng.normal(size=grid_points))  # runs of equal values, steps either way
+    tables += [steps, np.cumsum(steps == 0), np.sin(9.0 * p_grid), np.zeros(grid_points)]
+    zigzag = np.resize([0.0, 1.0, -10.0], grid_points)
+    tables += [zigzag, zigzag[::-1], np.resize([0.5, -0.0, -1.0, -3.5], grid_points)]
+    return p_grid, tables
 
 
 def reference_heterodyne_sql(c):
@@ -209,6 +239,51 @@ class TestConditionalNulling:
             c = bpsk(nbar)
             tree, table = cn_receiver(c, 4, 2)
             assert simulated_error(tree, table, c) >= helstrom_bpsk(nbar) - 1e-12
+
+
+class TestValueInterpolant:
+    @pytest.mark.parametrize("grid_points", [3, 101, 501, 2001])
+    def test_matches_scipy_pchip_bit_for_bit(self, grid_points):
+        p_grid, tables = value_tables(grid_points)
+        rng = np.random.default_rng(grid_points)
+        queries = np.concatenate([
+            p_grid,
+            np.nextafter(p_grid, -1.0),
+            np.nextafter(p_grid, 2.0),
+            0.5 * (p_grid[1:] + p_grid[:-1]),
+            [0.0, -0.0, 1.0],
+            rng.uniform(0.0, 1.0, 5000),
+            # outside the grid, and NaN
+            [-1e-300, -0.5, 1.5, 7.0, -math.inf, math.inf, math.nan],
+        ])
+        for values in tables:
+            want = PchipInterpolator(p_grid, values, extrapolate=False)(queries)
+            got = _value_interpolant(p_grid, values)(queries)
+            assert got.tobytes() == want.tobytes()
+        inside = (queries >= 0.0) & (queries <= 1.0)
+        np.testing.assert_array_equal(np.isnan(got), ~inside)
+
+    def test_call_leaves_query_alone_and_evaluate_overwrites_it(self):
+        p_grid, tables = value_tables(101)
+        v = _value_interpolant(p_grid, tables[1])
+        # more queries than one evaluation block, in the scan's (2, rows, P) layout
+        x = np.random.default_rng(3).uniform(0.0, 1.0, (2, 9, 1001))
+        before = x.copy()
+        got = v(x)
+        assert got is not x and x.tobytes() == before.tobytes()
+        want = PchipInterpolator(p_grid, tables[1], extrapolate=False)(x)
+        assert got.tobytes() == want.tobytes()
+        assert v(x.T).tobytes() == want.T.tobytes()
+        assert v.evaluate(x, np.empty_like(x)) is x
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "nbar, rounds", [(0.2, 4), (1.5, 4), (5.0, 4), (9.8, 4), (0.5, 10), (5.0, 10), (9.8, 10)]
+    )
+    def test_dp_trees_match_dp_on_scipy_pchip(self, nbar, rounds, monkeypatch):
+        got = dolinar_tree(nbar, rounds).nodes.tobytes()
+        monkeypatch.setattr("coherentrx.baselines._value_interpolant", ScipyValues)
+        assert got == dolinar_tree(nbar, rounds).nodes.tobytes()
 
 
 class TestDolinar:
@@ -398,6 +473,17 @@ class TestHeterodyne:
         monkeypatch.setattr("coherentrx.baselines._MC_CHUNK", 70_000)
         got = heterodyne_sql_mc(qam6(7.8), 300_001, seed=3)
         assert got == reference_heterodyne_sql_mc(qam6(7.8), 300_001, 3, 70_000)
+
+    def test_mc_memory_is_one_chunk_draw(self):
+        # the draw of a 500k-sample chunk holds about 16 MB, and scoring in
+        # sub-blocks adds a few MB whatever the chunk size
+        tracemalloc.start()
+        try:
+            heterodyne_sql_mc(qam6(7.8), 2_000_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 22e6
 
     def test_mc_matches_quadrature_bpsk(self):
         c = bpsk(0.8)

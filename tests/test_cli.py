@@ -250,6 +250,41 @@ class TestSpecValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed receiver spec") and err.count("\n") == 1
 
+    # float() would take each of these for a number
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["noise_model"].update(visibility=True),
+            lambda doc: doc["noise_model"].update(efficiency="0.9"),
+            lambda doc: doc["constellation"][0].update(re=True),
+            lambda doc: doc["constellation"][1].update(im="0"),
+            lambda doc: doc["constellation"][0].update(prior="0.5"),
+            lambda doc: [r.update(prior=True) for r in doc["constellation"]],
+            lambda doc: doc["nodes"][0].update(re=False),
+            lambda doc: doc["nodes"][0].update(im="0.0"),
+        ],
+        ids=[
+            "boolean_noise_field",
+            "string_noise_field",
+            "boolean_codeword_re",
+            "string_codeword_im",
+            "string_prior",
+            "boolean_priors",
+            "boolean_node_re",
+            "string_node_im",
+        ],
+    )
+    def test_non_number_spec_float_is_usage_error(self, bpsk_receiver, tmp_path, capsys, mutate):
+        doc = json.loads(bpsk_receiver.read_text())
+        mutate(doc)
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        code = run("evaluate", "--spec", spec, *_SPEC_COMMAND_ARGS["evaluate"], tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed receiver spec: TypeError: ")
+        assert "must be a number" in err and err.count("\n") == 1
+
 
 class TestBaseline:
     def test_analytic_curves(self, tmp_path):

@@ -191,3 +191,51 @@ def test_import_loads_no_scipy_and_lazy_scipy_results_match(monkeypatch):
         heterodyne_sql(bpsk(0.5)).hex(),
     ]
     assert proc.stdout.split() == expected
+
+
+def scipy_imports(tree: ast.AST) -> list[str]:
+    """Names of the functions that import scipy, ``<module>`` at top level."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Import):
+            found.extend(owner for a in node.names if a.name.split(".")[0] == "scipy")
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_scipy_import_detector():
+    source = "import scipy.special\ndef f():\n    from scipy import integrate\n    def g():\n        import os, scipy\n"
+    assert scipy_imports(ast.parse(source)) == ["<module>", "f", "g"]
+
+
+def test_only_heterodyne_sql_imports_scipy():
+    found = {
+        path.name: scipy_imports(ast.parse(path.read_text()))
+        for path in sorted((REPO / "src" / "coherentrx").glob("*.py"))
+    }
+    assert {name: owners for name, owners in found.items() if owners} == {
+        "baselines.py": ["heterodyne_sql"]
+    }
+
+
+def test_dolinar_receiver_and_baseline_cli_load_no_scipy(tmp_path):
+    src = str(pathlib.Path(coherentrx.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "from coherentrx import cli; from coherentrx.baselines import dolinar_receiver; "
+        "dolinar_receiver(0.5, 4); "
+        "code = cli.main(['baseline', '--receivers', 'dolinar', '--rounds', '2', "
+        f"'--sweep', '0.5', '--out-dir', {str(tmp_path / 'curves')!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "curves" / "dolinar.csv").exists()
