@@ -21,20 +21,23 @@ outcome with variance 1/2 per quadrature around the codeword amplitude,
 which for BPSK reduces to ``erfc(sqrt(nbar)) / 2`` (3 dB worse argument than
 homodyne).
 For a general constellation the integral over the imaginary quadrature is
-closed form (erf pieces under the upper envelope of one line per codeword)
-and only the integral over the real quadrature is adaptive.
+closed form (erf pieces under the upper envelope of one line per codeword).
+The integral over the real quadrature is split at the points where that
+integrand is not smooth, which are known in closed form (row kinks and
+decision-region vertices), and each piece is integrated by adaptive 24-point
+Gauss-Legendre quadrature.
 
 The Dolinar DP interpolates its value tables with an in-repo PCHIP cubic
-whose values are scipy's ``PchipInterpolator``'s to the bit, so it runs on
-numpy alone.  Only :func:`heterodyne_sql` uses scipy
-(``scipy.integrate.quad``), and it imports it when it runs: importing this
-module loads numpy alone.
+whose values are scipy's ``PchipInterpolator``'s to the bit.  The module runs
+on numpy alone and never imports scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -454,6 +457,44 @@ def dolinar_receiver(mean_photons: float, rounds: int) -> tuple[DecisionTree, De
 # ---------------------------------------------------------------------------
 
 
+# Gauss-Legendre points of the outer rule, the agreement a halved piece must
+# reach, and the halvings a piece may take before heterodyne_sql gives up;
+# breakpoints, and plane heights at a vertex, within _TIE_TOL count as tied
+_GL_POINTS = 24
+_TIE_TOL = 1e-9
+_HALVING_TOL = 1e-13
+_MAX_HALVINGS = 30
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    # nodes and weights on [-1, 1]; computed once, on the first call
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_POINTS)
+    return tuple(nodes.tolist()), tuple(weights.tolist())
+
+
+def _vertex_xs(amps: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
+    """x of every point where three codewords tie for the heterodyne maximum.
+
+    ``log prior_k - |z - beta_k|^2`` is ``-|z|^2`` plus the plane
+    ``v_k = log prior_k - |beta_k|^2 + 2 a_k x + 2 b_k y``, so the decision
+    regions are convex polygons.  A vertex is where three planes meet at the
+    top; near-ties within ``_TIE_TOL`` are kept too, which only adds a split.
+    """
+    a, b = amps.real, amps.imag
+    v0 = log_priors - a * a - b * b
+    i, j, k = np.array(list(combinations(range(a.size), 3)), dtype=np.intp).reshape(-1, 3).T
+    det = 2.0 * ((a[i] - a[j]) * (b[j] - b[k]) - (b[i] - b[j]) * (a[j] - a[k]))
+    i, j, k, det = i[det != 0], j[det != 0], k[det != 0], det[det != 0]
+    # Cramer's rule on v_i = v_j and v_j = v_k
+    r1, r2 = v0[j] - v0[i], v0[k] - v0[j]
+    x = (r1 * (b[j] - b[k]) - (b[i] - b[j]) * r2) / det
+    y = ((a[i] - a[j]) * r2 - r1 * (a[j] - a[k])) / det
+    v = v0 + 2.0 * (a * x[:, None] + b * y[:, None])
+    top = v.max(axis=1)
+    return x[v[np.arange(x.size), i] >= top - _TIE_TOL * (1.0 + np.abs(top))]
+
+
 def heterodyne_sql(c: Constellation) -> float:
     """Minimum-error heterodyne detection of an arbitrary constellation.
 
@@ -467,17 +508,28 @@ def heterodyne_sql(c: Constellation) -> float:
     ``w_k(x) = prior_k * exp(-(x - a_k)^2)``, so the maximum is a Gaussian
     times the upper envelope of at most K lines.  On the envelope piece
     ``[lo, hi]`` owned by codeword k the y-integral is closed form,
-    ``w_k(x) * sqrt(pi)/2 * (erf(hi - b_k) - erf(lo - b_k))``; only the
-    x-integral is adaptive.  Both run over the amplitudes' bounding box
-    padded by 7 (the Gaussian tail beyond it is below 1e-21).  Zero-prior
-    codewords never win the maximum and are dropped.
-    """
-    from scipy import integrate
+    ``w_k(x) * sqrt(pi)/2 * (erf(hi - b_k) - erf(lo - b_k))``.  Both run
+    over the amplitudes' bounding box padded by 7 (the Gaussian tail beyond
+    it is below 1e-21).  Zero-prior codewords never win the maximum and are
+    dropped.
 
+    The x-integrand has a kink where two codewords of one row (equal ``b``)
+    swap the row's largest ``w_k``, at
+    ``x = (l2 - l1 + a1^2 - a2^2) / (2 (a1 - a2))`` with ``l = log prior``,
+    and its second derivative jumps at the x of every vertex of the decision
+    regions (:func:`_vertex_xs`); between these points it is smooth.  The
+    x-range is split at all of them, and each piece is integrated by adaptive
+    ``_GL_POINTS``-point Gauss-Legendre quadrature: a piece is halved until
+    its two halves agree with it to ``_HALVING_TOL`` absolute, and the
+    halves' sum is kept.  (A vertex left inside a piece can make the halves
+    agree while both are off by more.)  A piece that would need more than
+    ``_MAX_HALVINGS`` halvings raises ``RuntimeError`` rather than return an
+    unconverged value.
+    """
     keep = c.priors > 0
     amps, log_priors = c.amplitudes[keep], np.log(c.priors[keep])
     pad = 7.0
-    x_lo, x_hi = amps.real.min() - pad, amps.real.max() + pad
+    x_lo, x_hi = float(amps.real.min()) - pad, float(amps.real.max()) + pad
     y_lo, y_hi = amps.imag.min() - pad, amps.imag.max() + pad
     # lines of equal slope (one row of codewords) never cross: at each x only
     # the row's largest w_k can own an envelope piece
@@ -513,7 +565,41 @@ def heterodyne_sql(c: Constellation) -> float:
                 total += math.exp(log_w[k]) * (math.erf(hi - b) - math.erf(lo - b))
         return total / norm
 
-    p_correct, _ = integrate.quad(inner, x_lo, x_hi, epsabs=1e-10, epsrel=1e-10)
+    row_kinks = [
+        (l2 - l1 + a1 * a1 - a2 * a2) / (2.0 * (a1 - a2))
+        for row in rows.values()
+        for i, (a1, l1) in enumerate(row)
+        for a2, l2 in row[i + 1 :]
+        if a1 != a2
+    ]
+    # in-range breakpoints, one per cluster of ties that rounding pulled apart
+    xs = np.sort(np.concatenate([_vertex_xs(amps, log_priors), row_kinks]))
+    xs = xs[(xs > x_lo + _TIE_TOL) & (xs < x_hi - _TIE_TOL)]
+    cuts = [x_lo, *xs[np.diff(xs, prepend=x_lo) > _TIE_TOL].tolist(), x_hi]
+
+    nodes, weights = _gauss_legendre()
+
+    def rule(lo: float, hi: float) -> float:
+        half = 0.5 * (hi - lo)
+        mid = lo + half
+        return half * math.fsum(w * inner(mid + half * t) for t, w in zip(nodes, weights))
+
+    todo = [(lo, hi, rule(lo, hi), 0) for lo, hi in zip(cuts, cuts[1:])]
+    kept = []
+    while todo:
+        lo, hi, whole, halvings = todo.pop()
+        mid = 0.5 * (lo + hi)
+        left, right = rule(lo, mid), rule(mid, hi)
+        if abs(left + right - whole) <= _HALVING_TOL:
+            kept.append(left + right)
+        elif halvings == _MAX_HALVINGS:
+            raise RuntimeError(
+                f"heterodyne quadrature did not converge on [{lo!r}, {hi!r}] "
+                f"after {_MAX_HALVINGS} halvings"
+            )
+        else:
+            todo += [(mid, hi, right, halvings + 1), (lo, mid, left, halvings + 1)]
+    p_correct = math.fsum(kept)
     return float(min(max(1.0 - p_correct, 0.0), 1.0))
 
 

@@ -71,14 +71,15 @@ class FormulatorConfig:
     def __post_init__(self) -> None:
         if self.max_iterations < 1 or self.batch_size < 1:
             raise ValueError("max_iterations and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # the float checks are written so that NaN fails them
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.convergence_window < 2:
             raise ValueError("convergence_window must be at least 2")
-        if self.convergence_delta <= 0:
-            raise ValueError("convergence_delta must be positive")
-        if self.init_perturbation < 0:
-            raise ValueError("init_perturbation must be non-negative")
+        if not 0 < self.convergence_delta < math.inf:
+            raise ValueError("convergence_delta must be positive and finite")
+        if not 0 <= self.init_perturbation < math.inf:
+            raise ValueError("init_perturbation must be non-negative and finite")
 
 
 @dataclass(frozen=True)

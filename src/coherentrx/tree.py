@@ -163,7 +163,10 @@ class DecisionTable:
     guesses: np.ndarray
 
     def __post_init__(self) -> None:
-        guesses = np.asarray(self.guesses, dtype=np.int64)
+        try:
+            guesses = np.asarray(self.guesses, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError("guesses must be valid labels") from exc
         if guesses.shape != (self.arity**self.rounds,):
             raise ValueError("table must have one guess per complete path")
         if np.any(guesses < 0):
@@ -234,15 +237,18 @@ class Receiver:
         metadata = d.get("metadata", {})
         if not isinstance(metadata, dict):
             raise ValueError("malformed receiver spec: metadata must be a JSON object")
+        encoding = metadata.get("encoding", "custom")
+        if not isinstance(encoding, str):
+            raise ValueError(
+                f"malformed receiver spec: encoding must be a string, got {encoding!r}"
+            )
         try:
             rounds, arity = _integer(d["N"], "N"), _integer(d["M"], "M")
             nodes = np.array(
                 [complex(_real(n["re"], "re"), _real(n["im"], "im")) for n in d["nodes"]]
             )
             guesses = np.asarray([_integer(g, "a table entry") for g in d["table"]])
-            constellation = Constellation.from_records(
-                d["constellation"], name=metadata.get("encoding", "custom")
-            )
+            constellation = Constellation.from_records(d["constellation"], name=encoding)
             nm = NoiseModel.from_dict(d["noise_model"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed receiver spec: {type(exc).__name__}: {exc}") from exc

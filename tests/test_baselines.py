@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -118,6 +119,45 @@ def reference_heterodyne_sql(c):
         epsrel=1e-10,
     )
     return 1.0 - p_correct
+
+
+def mpmath_heterodyne_sql(c, dps=20):
+    """Heterodyne SQL at ``dps`` digits on the same box as ``heterodyne_sql``.
+
+    At fixed x the y-axis is cut at every crossing of two codewords' lines,
+    each interval goes in closed form to the codeword that is largest at its
+    midpoint, and ``mpmath.quad`` integrates over x split at every crossing
+    of two codewords of one row.
+    """
+    with mpmath.workdps(dps):
+        keep = c.priors > 0
+        amps = c.amplitudes[keep].tolist()
+        a = [mpmath.mpf(z.real) for z in amps]
+        b = [mpmath.mpf(z.imag) for z in amps]
+        lp = [mpmath.log(mpmath.mpf(p)) for p in c.priors[keep].tolist()]
+        pairs = [(j, k) for j in range(len(a)) for k in range(j + 1, len(a))]
+        x_lo, x_hi = min(a) - 7, max(a) + 7
+        y_lo, y_hi = min(b) - 7, max(b) + 7
+
+        def inner(x):
+            icpt = [lp[k] - (x - a[k]) ** 2 - b[k] ** 2 for k in range(len(a))]
+            cross = {(icpt[j] - icpt[k]) / (2 * (b[k] - b[j])) for j, k in pairs if b[j] != b[k]}
+            edges = [y_lo] + sorted(y for y in cross if y_lo < y < y_hi) + [y_hi]
+            total = 0
+            for lo, hi in zip(edges, edges[1:]):
+                mid = (lo + hi) / 2
+                k = max(range(len(a)), key=lambda k: icpt[k] + 2 * b[k] * mid)
+                w = mpmath.exp(lp[k] - (x - a[k]) ** 2)
+                total += w * (mpmath.erf(hi - b[k]) - mpmath.erf(lo - b[k]))
+            return total / (2 * mpmath.sqrt(mpmath.pi))
+
+        kinks = {
+            (lp[k] - lp[j] + a[j] ** 2 - a[k] ** 2) / (2 * (a[j] - a[k]))
+            for j, k in pairs
+            if b[j] == b[k] and a[j] != a[k]
+        }
+        cuts = [x_lo] + sorted(x for x in kinks if x_lo < x < x_hi) + [x_hi]
+        return 1 - mpmath.quad(inner, cuts)
 
 
 def reference_heterodyne_sql_mc(c, num_samples, seed, chunk):
@@ -441,9 +481,8 @@ class TestHeterodyne:
     def test_bpsk_closed_form_tight(self):
         # x ~ N(+-a, 1/2) along the codeword axis with MAP threshold t, at any
         # rotation of the pair.  Rotated off the real axis, the threshold is an
-        # envelope crossing of the closed-form inner integral; on it, unequal
-        # priors put a kink in the adaptive outer integrand, which quad
-        # resolves to its 1e-10 tolerance.
+        # envelope crossing of the closed-form inner integral; on it, the
+        # threshold is a kink of the outer integrand, where the x-range is split.
         for nbar in (0.05, 0.2, 0.8, 2.0, 5.0):
             a = math.sqrt(nbar)
             for prior in (0.5, 0.8):
@@ -452,14 +491,34 @@ class TestHeterodyne:
                 for angle in (0.0, math.pi / 2, 0.7, 2.0):
                     amps = np.array([a, -a]) * np.exp(1j * angle)
                     c = custom(amps, np.array([prior, 1.0 - prior]))
-                    tol = 1e-10 if angle == 0.0 and prior != 0.5 else 1e-13
-                    assert abs(heterodyne_sql(c) - want) < tol
+                    assert abs(heterodyne_sql(c) - want) < 1e-13
 
     def test_matches_dblquad_oracle(self):
         # unequal priors, two codewords in one row, one codeword never used
         amps = np.array([0.6 + 0.5j, -0.9 + 0.5j, 0.2 - 0.8j, 1.4 + 1.2j])
         c = custom(amps, np.array([0.45, 0.25, 0.3, 0.0]))
         assert abs(heterodyne_sql(c) - reference_heterodyne_sql(c)) < 1e-9
+
+    @pytest.mark.parametrize("nbar", [7.8, 2.0])
+    def test_matches_mpmath_oracle(self, nbar):
+        c = qam6(nbar)
+        assert abs(heterodyne_sql(c) - mpmath_heterodyne_sql(c)) <= 1e-14
+
+    def test_common_rotation_invariant(self):
+        c = qam6(7.8)
+        base = heterodyne_sql(c)
+        for angle in (0.3, 1.0, math.pi / 2, 2.5, -2.0):
+            rotated = custom(c.amplitudes * np.exp(1j * angle), c.priors)
+            assert abs(heterodyne_sql(rotated) - base) <= 1e-13
+
+    def test_halving_cap_raises(self, monkeypatch):
+        # one halving settles every piece of the QAM6 range, none settles unhalved
+        want = heterodyne_sql(qam6(7.8))
+        monkeypatch.setattr("coherentrx.baselines._MAX_HALVINGS", 1)
+        assert heterodyne_sql(qam6(7.8)) == want
+        monkeypatch.setattr("coherentrx.baselines._MAX_HALVINGS", 0)
+        with pytest.raises(RuntimeError, match=r"did not converge on \[.*\] after 0 halvings"):
+            heterodyne_sql(qam6(7.8))
 
     def test_mc_matches_argmax_oracle(self, monkeypatch):
         # a zero-prior codeword first, and codewords 1 and 3 identical with

@@ -81,6 +81,26 @@ class TestOptimize:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    # NaN would pass a "<= 0" check, and inf makes no run either
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            ("--delta", "convergence_delta must be positive and finite"),
+            ("--learning-rate", "learning_rate must be positive and finite"),
+            ("--perturbation", "init_perturbation must be non-negative and finite"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_formulator_float_is_usage_error(self, tmp_path, capsys, flag, message, value):
+        out = tmp_path / "r.json"
+        code = run(
+            "optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2,
+            "--mean-photon", 1.0, flag, value, "--iters", 3, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_invalid_rounds_is_usage_error(self, tmp_path, capsys):
         code = run(
             "optimize", "--encoding", "bpsk", "--rounds", 0, "--arity", 2,
@@ -249,6 +269,29 @@ class TestSpecValidation:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed receiver spec") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics"])
+    @pytest.mark.parametrize("encoding", [["qam6"], {"name": "bpsk"}, 6], ids=["list", "object", "number"])
+    def test_non_string_encoding_is_usage_error(self, bpsk_receiver, tmp_path, capsys, command, encoding):
+        doc = json.loads(bpsk_receiver.read_text())
+        doc["metadata"]["encoding"] = encoding
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        code = run(command, "--spec", spec, *_SPEC_COMMAND_ARGS[command], tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: malformed receiver spec: encoding must be a string, got {encoding!r}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics"])
+    @pytest.mark.parametrize("entry", [2**70, -(2**63) - 1])
+    def test_table_entry_beyond_int64_is_usage_error(self, bpsk_receiver, tmp_path, capsys, command, entry):
+        doc = json.loads(bpsk_receiver.read_text())
+        doc["table"][0] = entry
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps(doc))
+        code = run(command, "--spec", spec, *_SPEC_COMMAND_ARGS[command], tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: guesses must be valid labels\n"
 
     # float() would take each of these for a number
     @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -161,7 +162,7 @@ def test_no_unused_imports(name):
     assert unused_imports(path.read_text()) == []
 
 
-def test_import_loads_no_scipy_and_lazy_scipy_results_match(monkeypatch):
+def test_import_loads_no_scipy_and_results_match_a_scipy_process(monkeypatch):
     src = str(pathlib.Path(coherentrx.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import coherentrx, coherentrx.cli; "
@@ -170,25 +171,30 @@ def test_import_loads_no_scipy_and_lazy_scipy_results_match(monkeypatch):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
 
-    # the routines that import scipy on first use give the bytes they give
-    # in a process that has loaded it already
+    # a process that never loads scipy gives the bytes of this one, which has
+    # loaded it for the tests' oracles
     from coherentrx.baselines import dolinar_tree, heterodyne_sql
-    from coherentrx.constellation import bpsk
+    from coherentrx.constellation import bpsk, qam6
 
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import coherentrx; "
         "from coherentrx import baselines; "
         "from coherentrx.baselines import dolinar_tree, heterodyne_sql; "
-        "from coherentrx.constellation import bpsk; "
+        "from coherentrx.constellation import bpsk, qam6; "
         "baselines._GRID_POINTS = 101; "
         "print(dolinar_tree(0.5, 2).nodes.tobytes().hex()); "
-        "print(heterodyne_sql(bpsk(0.5)).hex())"
+        "print(heterodyne_sql(bpsk(0.5)).hex()); "
+        "print(heterodyne_sql(qam6(7.8)).hex()); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    importlib.import_module("scipy.integrate")
     monkeypatch.setattr("coherentrx.baselines._GRID_POINTS", 101)
     expected = [
         dolinar_tree(0.5, 2).nodes.tobytes().hex(),
         heterodyne_sql(bpsk(0.5)).hex(),
+        heterodyne_sql(qam6(7.8)).hex(),
+        "[]",
     ]
     assert proc.stdout.split() == expected
 
@@ -216,26 +222,83 @@ def test_scipy_import_detector():
     assert scipy_imports(ast.parse(source)) == ["<module>", "f", "g"]
 
 
-def test_only_heterodyne_sql_imports_scipy():
+def test_no_module_imports_scipy():
     found = {
         path.name: scipy_imports(ast.parse(path.read_text()))
         for path in sorted((REPO / "src" / "coherentrx").glob("*.py"))
     }
-    assert {name: owners for name, owners in found.items() if owners} == {
-        "baselines.py": ["heterodyne_sql"]
+    assert {name: owners for name, owners in found.items() if owners} == {}
+
+
+def runtime_imports(tree: ast.AST) -> list[str]:
+    """Top-level names of what a module imports, ``coherentrx`` for a relative import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found.append("coherentrx" if node.level else (node.module or "").split(".")[0])
+    return found
+
+
+def test_runtime_dependency_is_numpy_alone():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "coherentrx"}
+    foreign = {
+        path.name: sorted(set(runtime_imports(ast.parse(path.read_text()))) - allowed)
+        for path in sorted((REPO / "src" / "coherentrx").glob("*.py"))
     }
+    assert {name: mods for name, mods in foreign.items() if mods} == {}
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(REPO / "pyproject.toml", "rb") as f:
+        deps = tomllib.load(f)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in deps] == ["numpy"]
+
+
+def test_runtime_import_detector():
+    source = (
+        "from __future__ import annotations\nimport os.path, numpy as np\n"
+        "from . import tree\nfrom .tree import x\ndef f():\n    from scipy import integrate\n"
+    )
+    assert runtime_imports(ast.parse(source)) == [
+        "__future__", "os", "numpy", "coherentrx", "coherentrx", "scipy"
+    ]
 
 
 def test_dolinar_receiver_and_baseline_cli_load_no_scipy(tmp_path):
     src = str(pathlib.Path(coherentrx.__file__).parents[1])
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
-        "from coherentrx import cli; from coherentrx.baselines import dolinar_receiver; "
-        "dolinar_receiver(0.5, 4); "
+        "from coherentrx import cli; from coherentrx.baselines import dolinar_receiver, heterodyne_sql; "
+        "from coherentrx.constellation import qam6; "
+        "dolinar_receiver(0.5, 4); heterodyne_sql(qam6(2.0)); "
         "code = cli.main(['baseline', '--receivers', 'dolinar', '--rounds', '2', "
         f"'--sweep', '0.5', '--out-dir', {str(tmp_path / 'curves')!r}]); "
+        "code += cli.main(['baseline', '--receivers', 'heterodyne', '--encoding', 'qam6', "
+        f"'--sweep', '0.5,2.0', '--out-dir', {str(tmp_path / 'sql')!r}]); "
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "curves" / "dolinar.csv").exists()
+    assert (tmp_path / "sql" / "heterodyne.csv").exists()
+
+
+def test_every_cli_subcommand_loads_no_scipy(tmp_path):
+    src = str(pathlib.Path(coherentrx.__file__).parents[1])
+    spec = str(tmp_path / "rx.json")
+    runs = [
+        ["optimize", "--encoding", "qam6", "--rounds", "2", "--arity", "2", "--mean-photon", "2.0",
+         "--iters", "2", "--batch", "2", "--phase-jitter", "0.02", "--out", spec],
+        ["evaluate", "--spec", spec, "--sweep", "1.0,2.0", "--mc-samples", "1000", "--batch", "2",
+         "--reoptimize", "--iters", "2", "--out", str(tmp_path / "sweep.csv")],
+        ["metrics", "--spec", spec, "--batch", "2", "--out-dir", str(tmp_path / "metrics")],
+        ["baseline", "--receivers", "helstrom,homodyne,heterodyne,kennedy,cn,dolinar",
+         "--rounds", "2", "--sweep", "0.5", "--out-dir", str(tmp_path / "curves")],
+    ]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from coherentrx import cli; "
+        f"codes = [cli.main(argv) for argv in {runs!r}]; "
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
