@@ -28,8 +28,12 @@ decision-region vertices), and each piece is integrated by adaptive 24-point
 Gauss-Legendre quadrature.
 
 The Dolinar DP interpolates its value tables with an in-repo PCHIP cubic
-whose values are scipy's ``PchipInterpolator``'s to the bit.  The module runs
-on numpy alone and never imports scipy.
+whose values are scipy's ``PchipInterpolator``'s to the bit.  The golden
+section asks the interpolant for the same number of queries at every step,
+and their intervals barely move, so the interpolant keeps each query's
+interval row as a hint and searches again only for the queries that left it;
+no value depends on the hint.  The module runs on numpy alone and never
+imports scipy.
 """
 
 from __future__ import annotations
@@ -149,20 +153,29 @@ def _round_terms(p, q, u, slice_amp: float, prob, post, joint) -> None:
     ``post`` receive each outcome's probability and posterior along their
     leading axis (no click, click); ``joint`` is scratch of the same shape.
     Unreachable branches get posterior 1/2; they carry zero probability
-    weight.
+    weight.  Both signs' ``exp(-(slice_amp -/+ u)**2)`` go through one call,
+    and the posteriors are a plain division unless some outcome has
+    probability zero.
     """
-    e_plus = np.exp(-((slice_amp - u) ** 2))
-    e_minus = np.exp(-((slice_amp + u) ** 2))
-    np.multiply(p, e_plus, out=joint[0])
-    np.multiply(q, e_minus, out=prob[0])
-    np.add(joint[0], prob[0], out=prob[0])
-    np.subtract(1.0, e_plus, out=e_plus)
-    np.subtract(1.0, e_minus, out=e_minus)
-    np.multiply(p, e_plus, out=joint[1])
-    np.multiply(q, e_minus, out=prob[1])
-    np.add(joint[1], prob[1], out=prob[1])
-    post.fill(0.5)
-    np.divide(joint, prob, out=post, where=prob > 0)
+    # both signs' no-click probabilities, then their click ones
+    e = np.empty((2,) + u.shape)
+    np.subtract(slice_amp, u, out=e[0])
+    np.add(slice_amp, u, out=e[1])
+    np.square(e, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    # joint takes p's share of each outcome, post q's until the division
+    np.multiply(p, e[0], out=joint[0])
+    np.multiply(q, e[1], out=post[0])
+    np.subtract(1.0, e, out=e)
+    np.multiply(p, e[0], out=joint[1])
+    np.multiply(q, e[1], out=post[1])
+    np.add(joint, post, out=prob)
+    if prob.min() > 0:
+        np.divide(joint, prob, out=post)
+    else:
+        post.fill(0.5)
+        np.divide(joint, prob, out=post, where=prob > 0)
 
 
 def _edge_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -191,6 +204,14 @@ class _Pchip:
     same order, so the values are its values to the bit: the interval holds
     ``p[i] <= x < p[i + 1]`` (the last one is closed), and the cubic is
     ``((c3 + c2*s) + c1*(s*s)) + c0*((s*s)*s)``.
+
+    A caller that evaluates the same number of queries again and again (the
+    golden section) gets an interval hint: from the second such call on, the
+    interpolant keeps each query's interval row (both knots and the four
+    coefficients) and, on the next call, searches again only for the queries
+    that left their row's interval.  The hint saves gathers and nothing else;
+    no value depends on it.  It is state of the interpolant, so one
+    interpolant must not evaluate in two threads at once.
     """
 
     def __init__(self, p_grid: np.ndarray, values: np.ndarray) -> None:
@@ -211,18 +232,25 @@ class _Pchip:
         d[0] = _edge_slope(h[0], h[1], m[0], m[1])
         d[-1] = _edge_slope(h[-1], h[-2], m[-1], m[-2])
         t = (d[:-1] + d[1:] - 2 * m) / h
-        # one more interval of NaN coefficients takes every query outside the grid
+        # one row per interval: left knot, right knot (the last one closed),
+        # c0 to c3; one more row of NaN coefficients, index n - 1 (and -1,
+        # which wraps to it), takes every query outside the grid.  Its left
+        # knot lies above 1.0, so no query of the grid passes a hint to it.
         nan = [np.nan]
-        self._c0 = np.concatenate([t / h, nan])
-        self._c1 = np.concatenate([(m - d[:-1]) / h - t, nan])
-        self._c2 = np.concatenate([d[:-1], nan])
-        # the evaluation starts from 0.0, which turns a -0.0 into +0.0
-        self._c3 = np.concatenate([0.0 + y[:-1], nan])
-        # left knots, and right knots with the last one closed; index n - 1
-        # (and -1, which wraps to it) is the NaN interval
-        self._left = x.copy()
-        self._right = np.concatenate([x[1:-1], [np.nextafter(x[-1], np.inf), np.inf]])
+        self._rows = np.stack([
+            np.concatenate([x[:-1], [np.nextafter(x[-1], np.inf)]]),
+            np.concatenate([x[1:-1], [np.nextafter(x[-1], np.inf), np.inf]]),
+            np.concatenate([t / h, nan]),
+            np.concatenate([(m - d[:-1]) / h - t, nan]),
+            np.concatenate([d[:-1], nan]),
+            # the evaluation starts from 0.0, which turns a -0.0 into +0.0
+            np.concatenate([0.0 + y[:-1], nan]),
+        ])
+        self._left, self._right, self._c0, self._c1, self._c2, self._c3 = self._rows
         self._last = x.size - 2
+        # query count of the last call, and the hint rows of a repeated count
+        self._count = -1
+        self._hint = None
 
     def __call__(self, x) -> np.ndarray:
         """Values at ``x`` in a new array; ``x`` is left as it is."""
@@ -235,42 +263,84 @@ class _Pchip:
         ``x`` and ``scratch`` are C-contiguous float64 arrays of one shape;
         ``scratch`` is left undefined.  The queries go ``_EVAL_BLOCK`` at a
         time, so the evaluation's own temporaries (an interval index and two
-        float64 arrays) stay near 200 KB however many queries there are.
+        float64 arrays) stay near 200 KB however many queries there are.  A
+        call of at most ``_EVAL_BLOCK`` queries whose count repeats the last
+        call's uses the hint, which holds 48 bytes a query until a call of
+        another count drops it.
         """
         flat_x, flat_s = x.reshape(-1), scratch.reshape(-1)
-        for k in range(0, flat_x.size, _EVAL_BLOCK):
-            self._evaluate_block(flat_x[k : k + _EVAL_BLOCK], flat_s[k : k + _EVAL_BLOCK])
+        count = flat_x.size
+        if count == self._count and count <= _EVAL_BLOCK:
+            self._evaluate_hinted(flat_x, flat_s)
+        else:
+            self._hint = None
+            for k in range(0, count, _EVAL_BLOCK):
+                self._evaluate_block(flat_x[k : k + _EVAL_BLOCK], flat_s[k : k + _EVAL_BLOCK])
+        self._count = count
         return x
 
-    def _evaluate_block(self, x: np.ndarray, scratch: np.ndarray) -> None:
+    def _locate(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         # first guess floor(x * (n - 1)), clamped to a real interval (NaN
-        # goes to 0) and then corrected against the knots themselves
+        # goes to 0) and then corrected against the knots themselves; every
+        # gather wraps: index -1 reaches the NaN interval, and the default
+        # mode would copy its output
         np.multiply(x, self._last + 1, out=scratch)
         np.fmax(scratch, 0.0, out=scratch)
         np.fmin(scratch, self._last, out=scratch)
         i = scratch.astype(np.intp)
-        # every gather wraps: index -1 reaches the NaN interval, and the
-        # default mode would copy its output
-        below = x < np.take(self._left, i, out=scratch, mode="wrap")
-        above = x >= np.take(self._right, i, out=scratch, mode="wrap")
+        below = x < self._left.take(i, out=scratch, mode="wrap")
+        above = x >= self._right.take(i, out=scratch, mode="wrap")
         i -= below
         i += above
-        s = np.take(self._left, i, out=scratch, mode="wrap")
+        return i
+
+    def _evaluate_block(self, x: np.ndarray, scratch: np.ndarray) -> None:
+        i = self._locate(x, scratch)
+        s = self._left.take(i, out=scratch, mode="wrap")
         np.subtract(x, s, out=s)
         # IEEE sums and products commute exactly, so only the grouping has
         # to be scipy's
-        acc = np.take(self._c2, i, out=x, mode="wrap")
+        acc = self._c2.take(i, out=x, mode="wrap")
         acc *= s
-        term = np.take(self._c3, i, mode="wrap")
+        term = self._c3.take(i, mode="wrap")
         acc += term
         ss = np.multiply(s, s)
         sss = np.multiply(ss, s, out=s)
-        np.take(self._c1, i, out=term, mode="wrap")
+        self._c1.take(i, out=term, mode="wrap")
         term *= ss
         acc += term
-        np.take(self._c0, i, out=term, mode="wrap")
+        self._c0.take(i, out=term, mode="wrap")
         term *= sss
         acc += term
+
+    def _evaluate_hinted(self, x: np.ndarray, scratch: np.ndarray) -> None:
+        rows = self._hint
+        if rows is None:
+            rows = self._hint = np.empty((6, x.size))
+            stay = 0
+        else:
+            # written so that NaN fails the check
+            inside = np.less_equal(rows[0], x)
+            inside &= x < rows[1]
+            stay = np.count_nonzero(inside)
+        if 4 * stay < 3 * x.size:
+            # a new hint, or most of the queries moved: searching them all is cheaper
+            self._rows.take(self._locate(x, scratch), axis=1, mode="wrap", out=rows)
+        elif stay < x.size:
+            moved = np.flatnonzero(~inside)
+            xm = x[moved]
+            rows[:, moved] = self._rows.take(self._locate(xm, scratch[: xm.size]), axis=1, mode="wrap")
+        left, _, c0, c1, c2, c3 = rows
+        # the operations and their order are _evaluate_block's
+        s = np.subtract(x, left, out=scratch)
+        acc = np.multiply(c2, s, out=x)
+        acc += c3
+        ss = np.multiply(s, s)
+        sss = np.multiply(ss, s, out=s)
+        ss *= c1
+        acc += ss
+        sss *= c0
+        acc += sss
 
 
 def _value_interpolant(p_grid: np.ndarray, values: np.ndarray) -> _Pchip:
@@ -324,7 +394,11 @@ def _best_displacements(
     posterior's optimum simultaneously.  Each evaluation writes both
     outcomes' posteriors into one reused buffer and passes it to ``v_next``
     in a single call; the golden-section pair and the refinement use
-    contiguous prefixes of the same buffers.
+    contiguous prefixes of the same buffers.  Every golden step asks
+    ``v_next`` for the same number of queries, which lets a :class:`_Pchip`
+    use its interval hint; the final refinement asks for another number,
+    which drops the hint.  A step makes a fixed handful of numpy calls, whose
+    fixed cost dominates at the unroll's few posteriors.
 
     ``window`` is for a sorted, evenly spaced ``p`` of more than
     ``_ANCHOR_GAP`` posteriors: the anchors (every ``_ANCHOR_GAP``-th
@@ -344,9 +418,12 @@ def _best_displacements(
     # prob, post and joint, with room for any scan block and the golden pair
     bufs = np.empty((3, 2 * max(min(u_grid.size * size, _SCAN_ELEMS), 2 * size)))
 
-    def expected_error(u: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    def terms(rows: int, cols: int) -> list[np.ndarray]:
+        # prob, post and joint of `rows` displacements at `cols` posteriors
+        return [b[: 2 * rows * cols].reshape(2, rows, cols) for b in bufs]
+
+    def expected_error(u: np.ndarray, p: np.ndarray, q: np.ndarray, prob, post, joint) -> np.ndarray:
         # u is (rows, 1) or (rows, P) in the scan, (2, P) or (1, P) after it
-        prob, post, joint = (b[: 2 * u.shape[0] * p.size].reshape(2, -1, p.size) for b in bufs)
         _round_terms(p, q, u, slice_amp, prob, post, joint)
         v = v_next.evaluate(post, joint)
         np.multiply(prob, v, out=v)
@@ -361,7 +438,7 @@ def _best_displacements(
         ps, qs, at = p[cols], q[cols], np.arange(cols.size)
         for start in range(0, cand.shape[0], rows):
             block = cand[start : start + rows]
-            val = expected_error(u_grid[block], ps, qs)
+            val = expected_error(u_grid[block], ps, qs, *terms(block.shape[0], cols.size))
             row = np.argmin(val, axis=0)
             better = val[row, at] < best_val[cols]
             best_val[cols[better]] = val[row, at][better]
@@ -371,7 +448,7 @@ def _best_displacements(
     if window and size > _ANCHOR_GAP:
         anchors = np.union1d(redo[::_ANCHOR_GAP], size - 1)
         scan(anchors, np.arange(u_grid.size)[:, None])
-        i = np.setdiff1d(redo, anchors)
+        i = np.delete(redo, anchors)
         left = i - i % _ANCHOR_GAP
         right = np.minimum(left + _ANCHOR_GAP, size - 1)
         w_lo, w_hi = best_idx[left], best_idx[right]
@@ -387,20 +464,27 @@ def _best_displacements(
         best_val[redo] = np.inf
     scan(redo, np.arange(u_grid.size)[:, None])
     best_u = u_grid[best_idx]
-    lo = best_u - step
-    hi = best_u + step
+    # bounds holds (lo, hi); the pair hi - w, lo + w comes from one signed
+    # product w = invphi * (hi - lo) and one sum
+    bounds = np.stack([best_u - step, best_u + step])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    signed = np.array([[-invphi], [invphi]])
+    width = np.empty(size)
     pair = np.empty((2, size))
+    # which bound moves to its pair point: hi where the left point is lower, else lo
+    moves = np.empty((2, size), dtype=bool)
+    golden = terms(2, size)
     for _ in range(_GOLDEN_ITERS):
-        width = invphi * (hi - lo)
-        np.subtract(hi, width, out=pair[0])
-        np.add(lo, width, out=pair[1])
-        f1, f2 = expected_error(pair, p, q)
-        take_left = f1 < f2
-        np.copyto(hi, pair[1], where=take_left)
-        np.copyto(lo, pair[0], where=~take_left)
+        np.subtract(bounds[1], bounds[0], out=width)
+        np.multiply(signed, width, out=pair)
+        np.add(pair, bounds[::-1], out=pair)
+        f = expected_error(pair, p, q, *golden)
+        np.less(f[0], f[1], out=moves[1])
+        np.logical_not(moves[1], out=moves[0])
+        np.putmask(bounds, moves, pair)
+    lo, hi = bounds
     u_refined = 0.5 * (lo + hi)
-    val_refined = expected_error(u_refined[None], p, q)[0]
+    val_refined = expected_error(u_refined[None], p, q, *terms(1, size))[0]
     # keep the scan winner when refinement does not actually improve on it
     keep = val_refined < best_val
     return np.where(keep, u_refined, best_u), np.where(keep, val_refined, best_val)
@@ -426,15 +510,15 @@ def dolinar_tree(mean_photons: float, rounds: int) -> DecisionTree:
     slice_amp = math.sqrt(mean_photons / rounds)
     bracket = 2.0 + 3.0 * math.sqrt(mean_photons)
     p_grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    interpolants = [None] * (rounds + 1)
-    interpolants[rounds] = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
-    for level in range(rounds - 1, 0, -1):
-        v_next = interpolants[level + 1]
-        _, v = _best_displacements(p_grid, slice_amp, v_next, bracket, window=True)
-        interpolants[level] = _value_interpolant(p_grid, v)
+    # the value interpolants of levels rounds, rounds - 1, ..., 1; the unroll
+    # takes them back from the end and drops each one once it has used it
+    interpolants = [_value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))]
+    for _ in range(rounds - 1):
+        _, v = _best_displacements(p_grid, slice_amp, interpolants[-1], bracket, window=True)
+        interpolants.append(_value_interpolant(p_grid, v))
     posteriors = np.array([0.5])
     for level in range(rounds):
-        u, _ = _best_displacements(posteriors, slice_amp, interpolants[level + 1], bracket)
+        u, _ = _best_displacements(posteriors, slice_amp, interpolants.pop(), bracket)
         start = level_offset(2, level)
         tree.nodes[start : start + 2**level] = u
         prob, post, joint = np.empty((3, 2, posteriors.size))

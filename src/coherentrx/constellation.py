@@ -55,7 +55,8 @@ class Constellation:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
+        # contiguous, so that the finiteness check can view it as float pairs
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("constellation needs at least 2 codewords")
         if not np.all(np.isfinite(amps.view(np.float64))):

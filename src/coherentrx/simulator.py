@@ -329,7 +329,13 @@ def mc_sample(
             if rot is not None:
                 np.multiply(rot[s], disp, out=disp)
             power = None if code_power is None else code_power[codes]
-            k = rng.poisson(detected_mean(code_slices[codes], disp, nm, slice_power=power))
+            try:
+                k = rng.poisson(detected_mean(code_slices[codes], disp, nm, slice_power=power))
+            except ValueError:
+                raise ValueError(
+                    "a detected mean photon number is beyond what the Monte Carlo sampler "
+                    "can draw (about 9.2e18); the receiver's displacements are out of its range"
+                ) from None
             np.minimum(k, tree.arity - 1, out=k)
             leaf[s] *= tree.arity
             leaf[s] += k

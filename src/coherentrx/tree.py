@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .constellation import Constellation, _integer, _real
-from .photonics import NoiseModel
+from .photonics import NoiseModel, detected_mean
 
 __all__ = [
     "DecisionTree",
@@ -125,7 +125,8 @@ class DecisionTree:
             raise ValueError("rounds must be at least 1")
         if self.arity < 2:
             raise ValueError("arity must be at least 2")
-        nodes = np.asarray(self.nodes, dtype=np.complex128)
+        # contiguous, so that the finiteness check can view it as float pairs
+        nodes = np.ascontiguousarray(self.nodes, dtype=np.complex128)
         expected = num_nodes(self.rounds, self.arity)
         if nodes.shape != (expected,):
             raise ValueError(f"expected {expected} nodes, got shape {nodes.shape}")
@@ -203,6 +204,11 @@ def displacement_report(
 
 _SPEC_KEYS = ("N", "M", "constellation", "noise_model", "nodes", "table")
 
+# Largest detected mean a loaded spec may give (without jitter).  It leaves a
+# jitter draw's amplitude scale room for a factor of 1e4 before the squared
+# displacement overflows float64 near 1.8e308.
+_MAX_MEAN_PHOTONS = 1e300
+
 
 @dataclass
 class Receiver:
@@ -256,6 +262,17 @@ class Receiver:
         table = DecisionTable(rounds, arity, guesses)
         if np.any(table.guesses >= constellation.n_codewords):
             raise ValueError("table guesses exceed the constellation labels")
+        # every later computation squares |slice - node|, jitter included; an
+        # overflow would surface as numpy warnings and NaN (NaN fails the check)
+        with np.errstate(over="ignore", invalid="ignore"):
+            slices = constellation.amplitudes[:, None] / np.sqrt(rounds)
+            means = detected_mean(slices, tree.nodes, nm)
+        if not (means <= _MAX_MEAN_PHOTONS).all():
+            raise ValueError(
+                f"receiver spec out of range: a detected mean photon number exceeds "
+                f"{_MAX_MEAN_PHOTONS:g}; node displacements and codeword amplitudes "
+                "must stay below about 1e150"
+            )
         return cls(tree, table, constellation, nm, dict(metadata))
 
 

@@ -146,18 +146,19 @@ def qam_campaign():
 
 
 def test_criterion_1_closed_form_oracles():
-    mpmath.mp.dps = 40
     t0 = time.perf_counter()
     worst = 0.0
-    for nbar in np.linspace(0.0, 5.0, 50):
-        x = mpmath.mpf(float(nbar))
-        refs = (
-            (helstrom_bpsk, 0.5 * (1 - mpmath.sqrt(1 - mpmath.e ** (-4 * x)))),
-            (homodyne_sql_bpsk, 0.5 * mpmath.erfc(mpmath.sqrt(2 * x))),
-            (kennedy_bpsk, 0.5 * mpmath.e ** (-4 * x)),
-        )
-        for fn, ref in refs:
-            worst = max(worst, abs(fn(float(nbar)) - float(ref)))
+    # 40 digits for this oracle only; the session's mpmath precision is left alone
+    with mpmath.workdps(40):
+        for nbar in np.linspace(0.0, 5.0, 50):
+            x = mpmath.mpf(float(nbar))
+            refs = (
+                (helstrom_bpsk, 0.5 * (1 - mpmath.sqrt(1 - mpmath.e ** (-4 * x)))),
+                (homodyne_sql_bpsk, 0.5 * mpmath.erfc(mpmath.sqrt(2 * x))),
+                (kennedy_bpsk, 0.5 * mpmath.e ** (-4 * x)),
+            )
+            for fn, ref in refs:
+                worst = max(worst, abs(fn(float(nbar)) - float(ref)))
     runtime = time.perf_counter() - t0
     ok = worst < 1e-12 and runtime < 1.0
     report(1, ok, f"closed forms vs 40-digit oracle: max |diff| {worst:.2e}, {runtime:.2f}s")

@@ -317,6 +317,36 @@ class TestValueInterpolant:
         assert v.evaluate(x, np.empty_like(x)) is x
         assert x.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("grid_points", [3, 101, 2001])
+    def test_interval_hint_matches_scipy_bit_for_bit(self, grid_points):
+        # a repeated query count builds the hint on its second call; every
+        # later set of that count is checked against it, whether all, most or
+        # a few of its queries left their intervals
+        p_grid, tables = value_tables(grid_points)
+        rng = np.random.default_rng(grid_points + 1)
+        b = np.concatenate([
+            p_grid,
+            np.nextafter(p_grid, -1.0),
+            np.nextafter(p_grid, 2.0),
+            [0.0, -0.0, 1.0, 1.0, -1e-300, -0.5, 1.5, 7.0, -math.inf, math.inf, math.nan],
+            rng.uniform(0.0, 1.0, 300),
+        ])
+        # against b, a moves every query, few moves a tenth of them, and edge
+        # moves only those on 1.0, 0.0 and -0.0 out of the grid, so that going
+        # back from edge to b checks 1.0 against a hint to the NaN interval
+        a = np.roll(b, 7)
+        few = b.copy()
+        moved = rng.choice(b.size, b.size // 10, replace=False)
+        few[moved] = rng.permutation(b)[: moved.size]
+        edge = b.copy()
+        edge[b == 1.0] = 1.5
+        edge[b == 0.0] = -0.5
+        for values in tables:
+            want = PchipInterpolator(p_grid, values, extrapolate=False)
+            v = _value_interpolant(p_grid, values)
+            for x in (a, a, b, few, b, edge, b, a, b):
+                assert v(x).tobytes() == want(x).tobytes()
+
     @pytest.mark.parametrize(
         "nbar, rounds", [(0.2, 4), (1.5, 4), (5.0, 4), (9.8, 4), (0.5, 10), (5.0, 10), (9.8, 10)]
     )
@@ -439,6 +469,36 @@ class TestDolinar:
                     got = _best_displacements(p, slice_amp, v_next, bracket)
                     np.testing.assert_array_equal(got[0], want[0])
                     np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("grid_points", [3, 101])
+    def test_golden_section_matches_per_u_oracle_on_value_tables(self, grid_points):
+        # the golden section runs on the interval hint; the oracle evaluates
+        # one displacement at a time, each call a different query count
+        p_grid, tables = value_tables(grid_points)
+        rng = np.random.default_rng(grid_points)
+        for values in tables:
+            v_next = _value_interpolant(p_grid, values)
+            for nbar, rounds in ((0.2, 4), (9.8, 8)):
+                slice_amp = math.sqrt(nbar / rounds)
+                bracket = 2.0 + 3.0 * math.sqrt(nbar)
+                for p in (np.array([0.0, 0.5, 1.0]), rng.uniform(0.0, 1.0, 40)):
+                    want = reference_best_displacements(p, slice_amp, v_next, bracket)
+                    got = _best_displacements(p, slice_amp, v_next, bracket)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("nbar, rounds, limit", [(0.2, 10, 3.2e6), (0.8, 4, 2.6e6)])
+    def test_tree_memory_is_bounded(self, nbar, rounds, limit):
+        # whole trees, so that interval hints kept past their level would
+        # show; a first small tree takes numpy's one-time allocations
+        dolinar_tree(nbar, 2)
+        tracemalloc.start()
+        try:
+            dolinar_tree(nbar, rounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
 
     @pytest.mark.parametrize("size", [1, 512, 2001])
     def test_scan_memory_follows_block_budget(self, size):

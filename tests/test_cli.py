@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,56 @@ class TestSpecValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed receiver spec: TypeError: ")
         assert "must be a number" in err and err.count("\n") == 1
+
+    @staticmethod
+    def _run_without_warnings(*argv):
+        # any numpy warning becomes an exception, so it cannot pass unseen
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(*argv)
+
+    @pytest.mark.parametrize("value", [1e10, -3e12, 1e140])
+    def test_node_beyond_the_sampler_is_usage_error(self, bpsk_receiver, tmp_path, capsys, value):
+        doc = json.loads(bpsk_receiver.read_text())
+        doc["nodes"][0]["re"] = value
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps(doc))
+        code = self._run_without_warnings(
+            "evaluate", "--spec", spec, "--mean-photon", 1.0, "--mc-samples", 1000, "--out", tmp_path / "o.csv"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: a detected mean photon number is beyond what the Monte Carlo sampler "
+            "can draw (about 9.2e18); the receiver's displacements are out of its range\n"
+        )
+        assert not (tmp_path / "o.csv").exists()
+        # the exact diagnostics need no sampling, so they still run
+        assert self._run_without_warnings("metrics", "--spec", spec, "--out-dir", tmp_path / "m") == 0
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics"])
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc["nodes"][0].update(re=1e155),
+            lambda doc: doc["nodes"][-1].update(im=-1e300),
+            lambda doc: doc["constellation"][0].update(re=1e200),
+            # finite without jitter, but a jitter draw's scale would overflow it
+            lambda doc: [doc["nodes"][0].update(re=1.3e154), doc["noise_model"].update(amplitude_jitter=0.05)],
+        ],
+        ids=["node_re", "node_im", "codeword", "node_with_jitter"],
+    )
+    def test_out_of_range_detected_mean_is_usage_error(self, bpsk_receiver, tmp_path, capsys, command, mutate):
+        doc = json.loads(bpsk_receiver.read_text())
+        mutate(doc)
+        spec = tmp_path / "big.json"
+        spec.write_text(json.dumps(doc))
+        code = self._run_without_warnings(command, "--spec", spec, *_SPEC_COMMAND_ARGS[command], tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: receiver spec out of range: a detected mean photon number exceeds 1e+300; "
+            "node displacements and codeword amplitudes must stay below about 1e150\n"
+        )
 
 
 class TestBaseline:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from coherentrx import simulator
 from coherentrx.baselines import cn_receiver
-from coherentrx.constellation import custom, qam6
+from coherentrx.constellation import bpsk, custom, qam6
 from coherentrx.formulator import _gradient_on_draws
 from coherentrx.photonics import (
     NoiseModel,
@@ -212,6 +212,49 @@ def test_common_phase_rotation_invariance(seed, theta):
         rtol=0,
         atol=1e-12,
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=instance_seeds, batch=st.integers(1, 4))
+def test_label_permutation_permutes_rows_exactly(seed, batch):
+    # each codeword's row is computed from its own amplitude alone
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    perm = rng.permutation(k_codes)
+    c_perm = custom(c.amplitudes[perm], c.priors[perm])
+    phase, scale = rng.normal(0.0, 0.1, batch), rng.normal(1.0, 0.05, batch)
+    want = path_probs(tree, c, nm, phase, scale)[:, perm]
+    assert path_probs(tree, c_perm, nm, phase, scale).tobytes() == want.tobytes()
+    want = averaged_distribution(tree, c, nm, batch, seed).probs[perm]
+    assert averaged_distribution(tree, c_perm, nm, batch, seed).probs.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=instance_seeds,
+    nbar=st.floats(0.01, 4.0),
+    noisy=st.booleans(),
+    shape=st.sampled_from([(1, 2), (3, 2), (4, 2), (2, 3), (3, 4)]),
+)
+def test_bpsk_mirror_keeps_the_error(seed, nbar, noisy, shape):
+    # negating every node and swapping the codewords +a and -a negates each
+    # slice - node difference, so every detected mean keeps its bits
+    rounds, arity = shape
+    rng = np.random.default_rng(seed)
+    c = bpsk(nbar)
+    n = num_nodes(rounds, arity)
+    tree = DecisionTree(rounds, arity, rng.normal(0, 0.8, n) + 1j * rng.normal(0, 0.8, n))
+    mirror = DecisionTree(rounds, arity, -tree.nodes)
+    swapped = custom(c.amplitudes[::-1], c.priors[::-1])
+    nm = random_instance(rng, 1, 2, 2)[2] if noisy else NoiseModel()
+    table = map_table(averaged_distribution(tree, c, nm, 8, seed))
+    for batch in (1, 8):
+        want = error_rate(averaged_distribution(tree, c, nm, batch, seed), table)
+        assert error_rate(averaged_distribution(mirror, swapped, nm, batch, seed), table) == want
+    want = mc_sample(tree, table, c, nm, 2000, seed)
+    got = mc_sample(mirror, table, swapped, nm, 2000, seed)
+    assert got.num_errors == want.num_errors
+    np.testing.assert_array_equal(got.path_counts, want.path_counts)
 
 
 @settings(max_examples=40, deadline=None)
