@@ -47,7 +47,7 @@ import numpy as np
 
 from .constellation import Constellation, bpsk
 from .photonics import NoiseModel
-from .simulator import _levels, exact_distribution, map_table
+from .simulator import _outcome_terms, exact_distribution, map_table
 from .tree import DecisionTable, DecisionTree, level_offset
 
 __all__ = [
@@ -122,12 +122,16 @@ def cn_tree(c: Constellation, rounds: int, arity: int) -> DecisionTree:
     tree = DecisionTree.zeros(rounds, arity)
     slices = c.amplitudes / math.sqrt(rounds)
     probs = np.ones((1, c.n_codewords, 1))
-    # _levels reads a level's nodes only when advanced to that level
-    levels = _levels(tree, c, NoiseModel(), np.ones(1, dtype=np.complex128))
+    ideal, rot = NoiseModel(), np.ones(1, dtype=np.complex128)
+    # each level's nodes come from the prefix probabilities of the level
+    # before, so the outcome terms are evaluated one level at a time
     for level in range(rounds):
         y_star = np.argmax(c.priors[:, None] * probs[0], axis=0)
-        tree.level_nodes(level)[:] = slices[y_star]
-        probs, _, _ = next(levels)
+        nodes = tree.level_nodes(level)
+        nodes[:] = slices[y_star]
+        if level + 1 < rounds:
+            q, _ = _outcome_terms(nodes, c, rounds, ideal, rot, arity)
+            probs = (probs[:, :, :, None] * q).reshape(1, c.n_codewords, -1)
     return tree
 
 

@@ -64,8 +64,9 @@ class Constellation:
         priors = np.asarray(self.priors, dtype=np.float64)
         if priors.shape != amps.shape:
             raise ValueError("priors must match codewords one-to-one")
-        if np.any(priors < 0):
-            raise ValueError("priors must be non-negative")
+        # written so that NaN fails it; priors above 1 could also overflow the sum
+        if not ((priors >= 0) & (priors <= 1)).all():
+            raise ValueError("priors must lie in [0, 1]")
         if abs(priors.sum() - 1.0) > _PRIOR_TOL:
             raise ValueError(f"priors must sum to 1, got {priors.sum()!r}")
         object.__setattr__(self, "amplitudes", amps)

@@ -22,6 +22,7 @@ receiver.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -29,8 +30,9 @@ import numpy as np
 
 from .baselines import cn_tree, dolinar_tree
 from .constellation import Constellation, mean_energy
-from .photonics import NoiseDraw, NoiseModel, sample_draws
+from .photonics import NoiseDraw, NoiseModel, _jitter_arrays
 from .simulator import (
+    PathDistribution,
     _levels,
     batch_distribution,
     draw_arrays,
@@ -150,6 +152,16 @@ def init_tree(
     return DecisionTree(rounds, arity, base.nodes + perturbation * scale * jitter)
 
 
+def _forward(tree: DecisionTree, c: Constellation, nm: NoiseModel, phase, scale) -> tuple:
+    """The derivs forward of one chunk of draws: ``(prefix, q, dq)`` per level.
+
+    ``prefix[level]`` is the prefix probabilities through ``level``, and
+    ``prefix[-1]`` the path probabilities, with the bits of
+    :func:`~coherentrx.simulator.path_probs`.
+    """
+    return tuple(zip(*_levels(tree, c, nm, scale * np.exp(1j * phase), derivs=True)))
+
+
 def _sensitivities(
     tree: DecisionTree,
     c: Constellation,
@@ -157,6 +169,7 @@ def _sensitivities(
     weights: np.ndarray,
     phase: np.ndarray,
     scale: np.ndarray,
+    forward: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-draw success-probability derivatives, each of shape (B, nodes).
 
@@ -164,7 +177,11 @@ def _sensitivities(
     probabilities F and backward suffix sums B of the per-path success
     ``weights``; a node's sensitivity combines them with the binned-Poisson
     derivative of its round and the chain rule through the detected mean,
-    which is quadratic in the displacement components.
+    which is quadratic in the displacement components.  ``forward`` is
+    :func:`_forward`'s for these draws.  The chain-rule factors ``dn/dx`` and
+    ``dn/dy`` of every node come from one expression each, as the outcome
+    terms come from one kernel call; only the backward sums and each level's
+    reduction over codewords go level by level.
     """
     n, m = tree.rounds, tree.arity
     k_codes = c.n_codewords
@@ -172,30 +189,83 @@ def _sensitivities(
     slices = c.amplitudes / math.sqrt(n)
     a = scale[:, None, None]
     w = slices[None, :] * np.exp(-1j * phase[:, None])
-    levels = _levels(tree, c, nm, scale * np.exp(1j * phase), derivs=True)
-    prefix, q_levels, dq_levels = zip(*levels)
-    forward = (np.ones((batch, k_codes, 1)),) + prefix
+    prefix, q_levels, dq_levels = forward
+    forward_probs = (np.ones((batch, k_codes, 1)),) + prefix
+    u = tree.nodes[None, None, :]
+    dn_dx = nm.efficiency * (
+        2.0 * a * a * u.real - 2.0 * nm.visibility * a * w.real[:, :, None]
+    )
+    dn_dy = nm.efficiency * (
+        2.0 * a * a * u.imag - 2.0 * nm.visibility * a * w.imag[:, :, None]
+    )
     sx = np.empty((batch, num_nodes(n, m)))
     sy = np.empty((batch, num_nodes(n, m)))
     backward = weights[None]
     for level in range(n - 1, -1, -1):
         b_next = backward.reshape(backward.shape[0], k_codes, m**level, m)
-        coeff = forward[level] * (dq_levels[level] * b_next).sum(axis=3)
-        u = tree.level_nodes(level)
-        dn_dx = nm.efficiency * (
-            2.0 * a * a * u.real[None, None, :]
-            - 2.0 * nm.visibility * a * w.real[:, :, None]
-        )
-        dn_dy = nm.efficiency * (
-            2.0 * a * a * u.imag[None, None, :]
-            - 2.0 * nm.visibility * a * w.imag[:, :, None]
-        )
-        start = level_offset(m, level)
-        stop = start + m**level
-        sx[:, start:stop] = (coeff * dn_dx).sum(axis=1)
-        sy[:, start:stop] = (coeff * dn_dy).sum(axis=1)
+        coeff = forward_probs[level] * (dq_levels[level] * b_next).sum(axis=3)
+        nodes = slice(level_offset(m, level), level_offset(m, level + 1))
+        sx[:, nodes] = (coeff * dn_dx[:, :, nodes]).sum(axis=1)
+        sy[:, nodes] = (coeff * dn_dy[:, :, nodes]).sum(axis=1)
         backward = (q_levels[level] * b_next).sum(axis=3)
     return sx, sy
+
+
+def _batch_forward(tree: DecisionTree, c: Constellation, nm: NoiseModel, phase, scale):
+    """Batch-averaged path distribution from the derivs forward, plus one chunk's forward.
+
+    The distribution equals :func:`~coherentrx.simulator.batch_distribution`
+    bit for bit: the same chunks, the draws summed one at a time in batch
+    order.  The last chunk's forward is returned in a list, for
+    :func:`_gradient` to take out; each chunk's forward is dropped before the
+    next one is computed, so one chunk's forward is alive at a time.
+    """
+    acc = np.zeros((c.n_codewords, tree.arity**tree.rounds))
+    held = []
+    for ph, sc in draw_chunks(phase, scale, acc.size):
+        held.clear()
+        held.append(_forward(tree, c, nm, ph, sc))
+        for probs in held[0][0][-1]:
+            acc += probs
+    return PathDistribution(acc / phase.shape[0], tree.rounds, tree.arity, c), held
+
+
+def _gradient(
+    tree: DecisionTree,
+    table: DecisionTable,
+    c: Constellation,
+    nm: NoiseModel,
+    phase: np.ndarray,
+    scale: np.ndarray,
+    held: list | None = None,
+) -> np.ndarray:
+    """Exact loss gradient, packed as d/d(re) + 1j * d/d(im) per node.
+
+    The draws are swept in chunks of bounded memory, and their
+    sensitivities are summed one draw at a time in batch order, as in
+    :func:`~coherentrx.simulator.batch_distribution`, so that numpy's
+    pairwise summation never reorders the additions.  ``held`` is the list
+    in which :func:`_batch_forward` hands over the last chunk's forward.
+    That chunk's sensitivities are taken first, which empties the list and
+    frees the forward; the other chunks' forwards are computed again, one at
+    a time, so one chunk's forward is alive at a time.
+    """
+    labels = np.arange(c.n_codewords)
+    # success weight of each (codeword, leaf): prior if the table guesses it
+    weights = c.priors[:, None] * (table.guesses[None, :] == labels[:, None])
+    chunks = list(draw_chunks(phase, scale, weights.size))
+    last = [_sensitivities(tree, c, nm, weights, *chunks.pop(), held.pop())] if held else []
+    rest = (
+        _sensitivities(tree, c, nm, weights, ph, sc, _forward(tree, c, nm, ph, sc))
+        for ph, sc in chunks
+    )
+    gx = np.zeros(tree.nodes.size)
+    gy = np.zeros(tree.nodes.size)
+    for sx, sy in itertools.chain(rest, last):
+        for rx, ry in zip(sx, sy):
+            gx += rx
+            gy += ry
+    return -(gx + 1j * gy) / phase.shape[0]
 
 
 def _gradient_on_draws(
@@ -205,25 +275,8 @@ def _gradient_on_draws(
     nm: NoiseModel,
     draws: list[NoiseDraw],
 ) -> np.ndarray:
-    """Exact loss gradient, packed as d/d(re) + 1j * d/d(im) per node.
-
-    The draws are swept in chunks of bounded memory, and their
-    sensitivities are summed one draw at a time in batch order, as in
-    :func:`~coherentrx.simulator.batch_distribution`, so that numpy's
-    pairwise summation never reorders the additions.
-    """
-    labels = np.arange(c.n_codewords)
-    # success weight of each (codeword, leaf): prior if the table guesses it
-    weights = c.priors[:, None] * (table.guesses[None, :] == labels[:, None])
-    phase, scale = draw_arrays(draws)
-    gx = np.zeros(tree.nodes.size)
-    gy = np.zeros(tree.nodes.size)
-    for ph, sc in draw_chunks(phase, scale, weights.size):
-        sx, sy = _sensitivities(tree, c, nm, weights, ph, sc)
-        for rx, ry in zip(sx, sy):
-            gx += rx
-            gy += ry
-    return -(gx + 1j * gy) / phase.shape[0]
+    """:func:`_gradient` on a list of draws."""
+    return _gradient(tree, table, c, nm, *draw_arrays(draws))
 
 
 def formulate(
@@ -236,8 +289,10 @@ def formulate(
 ) -> FormulateResult:
     """Run the learning loop and return the best iterate.
 
-    Per iteration: sample a noise batch, refit the table by MAP on the
-    batch-averaged distribution, take one backtracked descent step.  Stops
+    Per iteration: draw a noise batch as arrays, run one forward over the
+    tree with derivatives, refit the table by MAP on the batch-averaged
+    distribution it gives, then reuse it for the gradient and take one
+    backtracked descent step (one plain forward per line-search step).  Stops
     when the loss improvement over ``convergence_window`` iterations falls
     below ``convergence_delta`` or at ``max_iterations`` (then the trace is
     flagged unconverged rather than raising).  The returned table is refit
@@ -252,7 +307,6 @@ def formulate(
         if (initial_tree.rounds, initial_tree.arity) != (rounds, arity):
             raise ValueError("initial tree shape mismatch")
         tree = initial_tree.copy()
-    iter_seqs = iter_root.spawn(cfg.max_iterations)
 
     table: DecisionTable | None = None
     rows: list[tuple[int, float, float, float, float]] = []
@@ -261,15 +315,17 @@ def formulate(
     best_iteration = -1
     converged = False
     for it in range(cfg.max_iterations):
-        draws = sample_draws(nm, cfg.batch_size, iter_seqs[it])
-        phase, scale = draw_arrays(draws)
-        dist = batch_distribution(tree, c, nm, phase, scale)
+        # one child a spawn: the seeds of spawning max_iterations children
+        # up front, made only for the iterations that run
+        (iter_seq,) = iter_root.spawn(1)
+        phase, scale = _jitter_arrays(nm, cfg.batch_size, iter_seq)
+        dist, held = _batch_forward(tree, c, nm, phase, scale)
         new_table = map_table(dist)
         loss_start = error_rate(dist, table if table is not None else new_table)
         table = new_table
         loss_post_table = error_rate(dist, table)
 
-        grad = _gradient_on_draws(tree, table, c, nm, draws)
+        grad = _gradient(tree, table, c, nm, phase, scale, held)
         gnorm = float(np.linalg.norm(grad.view(np.float64)))
         loss_end = loss_post_table
         if gnorm > 0:
@@ -303,8 +359,8 @@ def formulate(
         converged=converged,
         best_iteration=best_iteration,
     )
-    holdout_draws = sample_draws(nm, _HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
-    final_dist = batch_distribution(best_tree, c, nm, *draw_arrays(holdout_draws))
+    holdout = _jitter_arrays(nm, _HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
+    final_dist = batch_distribution(best_tree, c, nm, *holdout)
     final_table = map_table(final_dist)
     final_loss = error_rate(final_dist, final_table)
     return FormulateResult(best_tree, final_table, trace, final_loss)

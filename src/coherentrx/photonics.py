@@ -48,6 +48,13 @@ DEFAULT_DARK_COUNTS = 1e-3      # mean dark counts per round
 DEFAULT_PHASE_JITTER = 0.02     # rad, std of per-run global phase error
 DEFAULT_AMPLITUDE_JITTER = 0.005  # relative std of per-run displacement scale
 
+# Largest jitter sigma a noise model takes.  A phase sigma of a few radians
+# is a uniform phase already.  An amplitude sigma of 100 keeps every drawn
+# scale below 1e4 (no normal draw lies 99 sigmas out), the factor that a
+# receiver spec's bound on its detected means leaves before float64
+# overflows; far larger sigmas overflow draws and means into inf and NaN.
+_MAX_JITTER = 100.0
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -76,6 +83,8 @@ class NoiseModel:
             raise ValueError("dark_counts must be non-negative")
         if self.phase_jitter < 0 or self.amplitude_jitter < 0:
             raise ValueError("jitter sigmas must be non-negative")
+        if max(self.phase_jitter, self.amplitude_jitter) > _MAX_JITTER:
+            raise ValueError(f"jitter sigmas must be at most {_MAX_JITTER:g}")
 
     @property
     def is_deterministic(self) -> bool:
@@ -218,6 +227,40 @@ def outcome_prob_derivs(n, arity: int) -> tuple[np.ndarray, np.ndarray]:
     return probs, derivs
 
 
+def _jitter_arrays(nm: NoiseModel, batch_size: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The phases and amplitude scales of :func:`sample_draws`, as arrays.
+
+    Each draw takes its phase, then its amplitude scale, from one generator,
+    and ``rng.normal(loc, sigma)`` forms each as ``loc + sigma * z`` from one
+    standard normal ``z``.  So one ``standard_normal`` call of every draw's
+    values, de-interleaved, gives the per-draw loop's values bit for bit,
+    unless a scale comes out non-positive: the loop redraws such a scale at
+    once, which shifts every later value, so such a batch is drawn again by
+    that loop from the generator's starting state.  Without jitter the batch
+    is the ideal draw alone, arrays of length one.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    if nm.is_deterministic:
+        return np.zeros(1), np.ones(1)
+    rng = np.random.default_rng(seed)
+    start = rng.bit_generator.state
+    per_draw = int(nm.phase_jitter > 0) + int(nm.amplitude_jitter > 0)
+    z = rng.standard_normal((batch_size, per_draw))
+    # 0.0 + keeps the loop's bits even for z = -0.0
+    phase = 0.0 + nm.phase_jitter * z[:, 0] if nm.phase_jitter > 0 else np.zeros(batch_size)
+    scale = 1.0 + nm.amplitude_jitter * z[:, -1] if nm.amplitude_jitter > 0 else np.ones(batch_size)
+    if not (scale > 0).all():
+        rng.bit_generator.state = start
+        for b in range(batch_size):
+            if nm.phase_jitter > 0:
+                phase[b] = rng.normal(0.0, nm.phase_jitter)
+            scale[b] = 0.0
+            while scale[b] <= 0.0:
+                scale[b] = rng.normal(1.0, nm.amplitude_jitter)
+    return phase, scale
+
+
 def sample_draws(nm: NoiseModel, batch_size: int, seed) -> list[NoiseDraw]:
     """Deterministic batch of per-run jitter draws for a given seed.
 
@@ -226,17 +269,10 @@ def sample_draws(nm: NoiseModel, batch_size: int, seed) -> list[NoiseDraw]:
     for realistic sigmas essentially never loops.  Without jitter every draw
     is the ideal one, so the batch collapses to ``[IDEAL_DRAW]`` for any
     ``batch_size``, and an average over it is exactly batch-size invariant.
+    The draws are built from the arrays that the learning loop takes
+    directly (``_jitter_arrays``), so both see the same values.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    phase, scale = _jitter_arrays(nm, batch_size, seed)
     if nm.is_deterministic:
         return [IDEAL_DRAW]
-    rng = np.random.default_rng(seed)
-    draws = []
-    for _ in range(batch_size):
-        phase = float(rng.normal(0.0, nm.phase_jitter)) if nm.phase_jitter > 0 else 0.0
-        scale = 0.0 if nm.amplitude_jitter > 0 else 1.0
-        while scale <= 0.0:
-            scale = float(rng.normal(1.0, nm.amplitude_jitter))
-        draws.append(NoiseDraw(phase_offset=phase, amplitude_scale=scale))
-    return draws
+    return [NoiseDraw(p, s) for p, s in zip(phase.tolist(), scale.tolist())]

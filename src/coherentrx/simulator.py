@@ -7,9 +7,11 @@ rounds receives the equal time slice ``beta / sqrt(N)`` of the codeword
 amplitude, so the slice energies sum to the symbol energy.
 
 Exact enumeration is the workhorse.  Its one forward recursion, the private
-generator ``_levels``, serves :func:`path_probs`, the gradient sweep and the
-conditional-nulling design.  :func:`mc_sample` simulates individual receiver
-runs as an independent statistical cross-check.
+generator ``_levels``, serves :func:`path_probs` and the gradient sweep; it
+takes the outcome terms of every node from one kernel call,
+``_outcome_terms``, which the conditional-nulling design calls one level at
+a time.  :func:`mc_sample` simulates individual receiver runs as an
+independent statistical cross-check.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .photonics import (
     outcome_probs,
     sample_draws,
 )
-from .tree import DecisionTable, DecisionTree
+from .tree import DecisionTable, DecisionTree, level_offset
 
 __all__ = [
     "PathDistribution",
@@ -87,9 +89,11 @@ def path_probs(
     ``phase`` and ``scale`` hold ``B`` jitter draws, one per receiver run,
     each held fixed across the rounds of its run: both of shape ``(B,)``.
     Returns ``probs`` of shape ``(B, K, M^N)``; ``probs[b]`` is the
-    distribution of run ``b``.  Each round is evaluated for the whole batch
-    at once, with the same elementwise arithmetic as a single draw, so every
-    ``probs[b]`` equals the single-draw result bit for bit.
+    distribution of run ``b``.  The detected means and outcome probabilities
+    of every node, draw and codeword come from one kernel call, and only the
+    prefix products go level by level; a single draw is ``B = 1`` of the
+    same call.  The arithmetic is elementwise, so every ``probs[b]`` equals
+    the single-draw result bit for bit.
     """
     phase = np.asarray(phase, dtype=np.float64)
     scale = np.asarray(scale, dtype=np.float64)
@@ -102,28 +106,48 @@ def path_probs(
     return probs
 
 
+def _outcome_terms(
+    nodes, c: Constellation, rounds: int, nm: NoiseModel, rot, arity: int, derivs: bool = False
+):
+    """Outcome probabilities of some nodes for every run and codeword, in one kernel call.
+
+    ``nodes`` are displacements of a tree with ``rounds`` rounds and ``rot``
+    the jitter rotations ``scale * exp(i*phase)`` of ``B`` runs, shape
+    ``(B,)``.  Returns ``(q, dq)`` of shape ``(B, K, nodes, M)``: the binned
+    Poisson probabilities of each node's round and their derivatives in the
+    detected mean (``None`` unless ``derivs``).  The terms are elementwise,
+    so any set of nodes gives each node's terms with the same bits.
+    """
+    slices = (c.amplitudes / np.sqrt(rounds))[None, :, None]
+    means = detected_mean(slices, rot[:, None, None] * nodes[None, None, :], nm)
+    if derivs:
+        return outcome_prob_derivs(means, arity)
+    return outcome_probs(means, arity), None
+
+
 def _levels(tree: DecisionTree, c: Constellation, nm: NoiseModel, rot, derivs: bool = False):
     """The forward recursion over a tree, one level per step.
 
     ``rot`` is the jitter rotation ``scale * exp(i*phase)`` of ``B`` runs,
-    shape ``(B,)``, applied in every round.  Each step yields
-    the ``(B, K, M^(level+1))`` prefix probabilities through the level, the
-    level's outcome probabilities ``q`` and their derivatives in the
-    detected mean (``None`` unless ``derivs``).  A level's nodes are read
-    only when the generator is advanced to it, so a caller may fill them
-    from the prefix probabilities of the level before.
+    shape ``(B,)``, applied in every round.  A level's outcome terms do not
+    depend on the levels before it, so those of every node come from one
+    :func:`_outcome_terms` call before the first step; only the prefix
+    products go level by level.  Each step yields the ``(B, K, M^(level+1))``
+    prefix probabilities through the level, the level's outcome
+    probabilities ``q`` and their derivatives in the detected mean (``None``
+    unless ``derivs``).  The whole tree is read up front, so a design that
+    fills its nodes from the prefix probabilities of the level before
+    (:func:`~coherentrx.baselines.cn_tree`) calls :func:`_outcome_terms` one
+    level at a time instead.
     """
-    batch, k_codes = rot.shape[0], c.n_codewords
-    slices = (c.amplitudes / np.sqrt(tree.rounds))[None, :, None]
+    batch, k_codes, m = rot.shape[0], c.n_codewords, tree.arity
+    q, dq = _outcome_terms(tree.nodes, c, tree.rounds, nm, rot, m, derivs)
     probs = np.ones((batch, k_codes, 1))
     for level in range(tree.rounds):
-        disp = rot[:, None, None] * tree.level_nodes(level)[None, None, :]
-        if derivs:
-            q, dq = outcome_prob_derivs(detected_mean(slices, disp, nm), tree.arity)
-        else:
-            q, dq = outcome_probs(detected_mean(slices, disp, nm), tree.arity), None
-        probs = (probs[:, :, :, None] * q).reshape(batch, k_codes, -1)
-        yield probs, q, dq
+        nodes = slice(level_offset(m, level), level_offset(m, level + 1))
+        q_level = q[:, :, nodes]
+        probs = (probs[:, :, :, None] * q_level).reshape(batch, k_codes, -1)
+        yield probs, q_level, None if dq is None else dq[:, :, nodes]
 
 
 def draw_arrays(draws: Sequence[NoiseDraw]) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +196,9 @@ def batch_distribution(
     ``phase`` and ``scale`` are as in :func:`path_probs`.  The draws are
     summed one at a time in batch order: ``np.sum`` over the draw axis would
     switch to pairwise summation whenever that axis is contiguous, which
-    reorders the additions and changes the last bits.
+    reorders the additions and changes the last bits.  The learning loop
+    takes its MAP table from its gradient's forward instead, with the same
+    chunks and the same order of additions, so that table has these bits.
     """
     phase = np.asarray(phase, dtype=np.float64)
     scale = np.asarray(scale, dtype=np.float64)

@@ -1,11 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coherentrx import cli
 from coherentrx.cli import main
@@ -520,3 +525,120 @@ def test_evaluate_requires_sweep_or_point(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("evaluate", "--spec", tmp_path / "r.json", "--out", tmp_path / "o.csv")
     assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def qam6_spec(tmp_path_factory):
+    out = tmp_path_factory.mktemp("qam6") / "receiver.json"
+    code = run(
+        "optimize", "--encoding", "qam6", "--rounds", 2, "--arity", 2, "--mean-photon", 2.0,
+        "--visibility", 0.995, "--phase-jitter", 0.02, "--amp-jitter", 0.01,
+        "--iters", 2, "--batch", 2, "--out", out,
+    )
+    assert code == 0
+    return json.loads(out.read_text()), out.parent
+
+
+def _json_paths(node, prefix=()):
+    """Every path to a part of a JSON document, the document itself excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_DELETE = "<delete>"
+# wrong types, extreme and non-finite numbers, empty and nested parts
+_REPLACEMENTS = [
+    None, True, False, 0, -1, 3, 7, 2**70, -(2**70), 0.5, -0.5, -0.0, 1e-300, 100.0, 1e10,
+    -3e12, 1e150, 1e154, -1e200, 1e308, -1e308, math.nan, math.inf, -math.inf, "", "qam6",
+    [], [1.0], {}, {"re": 1.0, "im": 0.0}, _DELETE,
+]
+
+
+class TestSpecMutations:
+    """Any mutation of a saved spec is either run or refused in the program's own words."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_mutated_spec_exits_0_or_2_with_at_most_one_error_line(self, qam6_spec, data):
+        doc, workdir = qam6_spec
+        paths = sorted(_json_paths(doc), key=repr)
+        mutations = data.draw(
+            st.lists(st.tuples(st.sampled_from(paths), st.sampled_from(_REPLACEMENTS)), min_size=1, max_size=3)
+        )
+        doc = json.loads(json.dumps(doc))
+        for path, value in mutations:
+            parent = doc
+            try:
+                for key in path[:-1]:
+                    parent = parent[key]
+                if value == _DELETE:
+                    del parent[path[-1]]
+                else:
+                    parent[path[-1]] = json.loads(json.dumps(value))
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier mutation removed or replaced the path
+        spec = workdir / "mutated.json"
+        spec.write_text(json.dumps(doc))
+        for argv in (
+            ["evaluate", "--spec", spec, "--mean-photon", 1.0, "--mc-samples", 200, "--batch", 2,
+             "--out", workdir / "sweep.csv"],
+            ["metrics", "--spec", spec, "--batch", 2, "--out-dir", workdir / "metrics"],
+        ):
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = run(*argv)
+            text = err.getvalue()
+            assert code in (0, 2), text
+            assert text.count("error:") <= 1 and "Traceback" not in text, text
+            assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics"])
+    @pytest.mark.parametrize(
+        "field, value", [("phase_jitter", 1e308), ("amplitude_jitter", 1e200), ("amplitude_jitter", 1e10)]
+    )
+    def test_huge_jitter_sigma_is_usage_error(self, qam6_spec, tmp_path, capsys, command, field, value):
+        # such sigmas drew infinite phases and scales: NaN rotations, overflowing
+        # means and numpy warnings
+        doc = json.loads(json.dumps(qam6_spec[0]))
+        doc["noise_model"][field] = value
+        spec = tmp_path / "jitter.json"
+        spec.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(command, "--spec", spec, *_SPEC_COMMAND_ARGS[command], tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: jitter sigmas must be at most 100\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "metrics"])
+    @pytest.mark.parametrize("prior", [1e308, math.nan], ids=["overflowing_sum", "nan"])
+    def test_prior_outside_the_unit_interval_is_usage_error(self, qam6_spec, tmp_path, capsys, command, prior):
+        # two priors of 1e308 overflowed the sum check with a numpy warning; a
+        # NaN prior passed every check
+        doc = json.loads(json.dumps(qam6_spec[0]))
+        doc["constellation"][0]["prior"] = prior
+        doc["constellation"][4]["prior"] = prior
+        spec = tmp_path / "prior.json"
+        spec.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(command, "--spec", spec, *_SPEC_COMMAND_ARGS[command], tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: priors must lie in [0, 1]\n"
+
+    def test_huge_jitter_flag_is_usage_error(self, tmp_path, capsys):
+        code = run(
+            "optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2, "--mean-photon", 1.0,
+            "--amp-jitter", 1e3, "--iters", 2, "--out", tmp_path / "rx.json",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: jitter sigmas must be at most 100\n"
+        assert not (tmp_path / "rx.json").exists()

@@ -89,6 +89,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Constellation(np.array([1.0, -1.0]), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("prior", [np.nan, 1.0 + 1e-9, 1e308])
+    def test_priors_must_lie_in_the_unit_interval(self, prior):
+        with pytest.raises(ValueError, match=r"priors must lie in \[0, 1\]"):
+            Constellation(np.array([1.0, -1.0, 0.5]), np.array([prior, prior, 0.5]))
+
     def test_needs_two_codewords(self):
         with pytest.raises(ValueError):
             Constellation(np.array([1.0]), np.array([1.0]))

@@ -1,8 +1,11 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from coherentrx import formulator, simulator
 from coherentrx.baselines import cn_receiver, cn_tree
 from coherentrx.constellation import bpsk, custom, qam6
 from coherentrx.formulator import (
@@ -13,7 +16,14 @@ from coherentrx.formulator import (
     optimize_receiver,
 )
 from coherentrx.photonics import NoiseModel, sample_draws
-from coherentrx.simulator import averaged_distribution, error_rate, exact_distribution, map_table
+from coherentrx.simulator import (
+    averaged_distribution,
+    batch_distribution,
+    draw_arrays,
+    error_rate,
+    exact_distribution,
+    map_table,
+)
 from coherentrx.tree import DecisionTree, num_nodes
 
 IDEAL = NoiseModel()
@@ -209,3 +219,141 @@ def test_optimize_receiver_multi_start_keeps_best():
     base = formulate(c, 3, 2, LAB, cfg)
     multi = optimize_receiver(c, 3, 2, LAB, cfg, extra_initial_trees=(DecisionTree.zeros(3, 2),))
     assert multi.final_loss <= base.final_loss
+
+
+def reference_formulate(c, rounds, arity, nm, cfg):
+    """The learning loop with a separate MAP-table forward per iteration and
+    every iteration's seed spawned up front, from public pieces."""
+    init_seq, holdout_seq, iter_root = np.random.SeedSequence(cfg.seed).spawn(3)
+    tree = init_tree(c, rounds, arity, cfg.init_perturbation, init_seq)
+    iter_seqs = iter_root.spawn(cfg.max_iterations)
+    table, rows = None, []
+    best_loss, best_tree = math.inf, tree
+    for it in range(cfg.max_iterations):
+        draws = sample_draws(nm, cfg.batch_size, iter_seqs[it])
+        phase, scale = draw_arrays(draws)
+        dist = batch_distribution(tree, c, nm, phase, scale)
+        new_table = map_table(dist)
+        loss_start = error_rate(dist, table if table is not None else new_table)
+        table = new_table
+        loss_post_table = error_rate(dist, table)
+        grad = _gradient_on_draws(tree, table, c, nm, draws)
+        gnorm = float(np.linalg.norm(grad.view(np.float64)))
+        loss_end = loss_post_table
+        if gnorm > 0:
+            step = cfg.learning_rate
+            for _ in range(formulator._MAX_BACKTRACKS):
+                cand = DecisionTree(rounds, arity, tree.nodes - step * grad)
+                cand_loss = error_rate(batch_distribution(cand, c, nm, phase, scale), table)
+                if cand_loss <= loss_post_table:
+                    tree, loss_end = cand, cand_loss
+                    break
+                step *= 0.5
+        rows.append((loss_end, gnorm, loss_start, loss_post_table))
+        if loss_end < best_loss:
+            best_loss, best_tree = loss_end, tree
+        window = cfg.convergence_window
+        if it >= window and rows[it - window][0] - loss_end < cfg.convergence_delta:
+            break
+    holdout = sample_draws(nm, formulator._HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
+    final = batch_distribution(best_tree, c, nm, *draw_arrays(holdout))
+    return best_tree, np.array(rows), error_rate(final, map_table(final))
+
+
+# (constellation, rounds, arity, noise model, batch size): one chunk of draws
+# a batch, a QAM6 tree, and no jitter (the batch collapses to one draw)
+LEARNING_CASES = {
+    "bpsk_lab": (bpsk(0.8), 4, 2, LAB, 16),
+    "qam6_jitter": (qam6(4.0), 2, 3, NoiseModel(visibility=0.995, phase_jitter=0.03,
+                                                amplitude_jitter=0.02), 5),
+    "bpsk_ideal": (bpsk(1.2), 3, 2, IDEAL, 8),
+}
+# a batch of the BPSK case spans four chunks of at most five draws
+FIVE_BPSK_DRAWS = 5 * 2 * 2**4
+
+
+class TestLevelBatchedLoop:
+    @pytest.mark.parametrize("chunk_elems", [None, FIVE_BPSK_DRAWS])
+    @pytest.mark.parametrize("case", sorted(LEARNING_CASES))
+    def test_loop_equals_the_separate_forward_loop_bit_for_bit(self, monkeypatch, case, chunk_elems):
+        c, rounds, arity, nm, batch = LEARNING_CASES[case]
+        if chunk_elems is not None:
+            monkeypatch.setattr(simulator, "_CHUNK_ELEMS", chunk_elems)
+        cfg = FormulatorConfig(max_iterations=25, batch_size=batch, seed=3)
+        res = formulate(c, rounds, arity, nm, cfg)
+        tree, rows, final_loss = reference_formulate(c, rounds, arity, nm, cfg)
+        assert res.tree.nodes.tobytes() == tree.nodes.tobytes()
+        trace = np.stack([res.trace.loss, res.trace.gradient_norm,
+                          res.trace.loss_start, res.trace.loss_post_table], axis=1)
+        assert trace.tobytes() == rows.tobytes()
+        assert res.final_loss == final_loss
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Counts the photonics kernel calls made through every other module,
+        and the learning loop's error_rate calls."""
+        calls = {"kernel": 0, "error_rate": 0}
+
+        def counting(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        kernels = ("detected_mean", "detected_mean_jitter", "outcome_probs", "outcome_prob_derivs")
+        for name, module in list(sys.modules.items()):
+            if name.startswith("coherentrx.") and name != "coherentrx.photonics":
+                for kernel in kernels:
+                    if kernel in vars(module):
+                        monkeypatch.setattr(module, kernel, counting(vars(module)[kernel], "kernel"))
+        monkeypatch.setattr(formulator, "error_rate", counting(formulator.error_rate, "error_rate"))
+        return calls
+
+    @pytest.mark.parametrize("chunk_elems", [None, FIVE_BPSK_DRAWS])
+    @pytest.mark.parametrize("case", sorted(LEARNING_CASES))
+    def test_one_forward_per_iteration_and_line_search_step(self, monkeypatch, case, chunk_elems):
+        c, rounds, arity, nm, batch = LEARNING_CASES[case]
+        if chunk_elems is not None:
+            monkeypatch.setattr(simulator, "_CHUNK_ELEMS", chunk_elems)
+        calls = self.count_calls(monkeypatch)
+        cfg = FormulatorConfig(max_iterations=25, batch_size=batch, seed=3)
+        res = formulate(c, rounds, arity, nm, cfg)
+        iterations = len(res.trace)
+        # two losses an iteration, one a line-search step, one held out
+        evals = calls["error_rate"] - 2 * iterations - 1
+        assert evals >= iterations
+        per_draw = c.n_codewords * arity**rounds
+        step = max(1, simulator._CHUNK_ELEMS // per_draw)
+        draws = 1 if nm.is_deterministic else batch
+        chunks = -(-draws // step)
+        holdout = 1 if nm.is_deterministic else formulator._HOLDOUT_FACTOR * batch
+        holdout_chunks = -(-holdout // step)
+        # a forward is one detected-mean call and one binned-Poisson call for
+        # all nodes; an iteration's gradient reuses its table's forward of the
+        # last chunk and computes the other chunks' again; the CN start
+        # evaluates every level but the last one at a time
+        forwards = (iterations * (2 * chunks - 1) + evals * chunks + holdout_chunks
+                    + (rounds - 1))
+        assert calls["kernel"] == 2 * forwards
+        if chunk_elems is not None and case != "bpsk_ideal":
+            assert chunks > 1
+
+    def test_one_chunk_forward_alive_at_a_time(self, monkeypatch):
+        # a batch of three chunks: the table's forward of the last chunk is
+        # handed to the gradient and freed before any other chunk's forward
+        # is computed again, so the peak stays near a one-chunk batch's
+        c = qam6(4.0)
+        tree = init_tree(c, 4, 3, 0.01, seed=0)
+        monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 20 * 6 * 3**4)
+        peaks = {}
+        for batch in (20, 60, 20, 60):
+            cfg = FormulatorConfig(max_iterations=2, batch_size=batch, seed=1)
+            tracemalloc.start()
+            try:
+                formulate(c, 4, 3, LAB, cfg, initial_tree=tree)
+                peaks[batch] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 0.72 against 0.69 MB; a second forward alive reads 1.07 MB
+        assert peaks[60] <= 1.1 * peaks[20]

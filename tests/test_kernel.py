@@ -525,3 +525,23 @@ def test_mc_sample_memory_slope_per_run(monkeypatch, jitter, small_chunks):
             tracemalloc.stop()
     slope = (peaks[1] - peaks[0]) / ((1 << 18) - (1 << 16))
     assert slope <= (22 if jitter else 6)
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+def test_gradient_turns_with_a_common_rotation(jitter):
+    # turning the codewords and the nodes by one phase leaves every detected
+    # mean as it is, so the gradient in the node displacements turns along
+    for seed in range(50):
+        rng, rounds, arity, k_codes = random_shapes(seed)
+        tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+        if not jitter:
+            nm = replace(nm, phase_jitter=0.0, amplitude_jitter=0.0)
+        turn = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        draws = sample_draws(nm, 4, seed)
+        table = map_table(batch_distribution(tree, c, nm, *draw_arrays(draws)))
+        grad = _gradient_on_draws(tree, table, c, nm, draws)
+        tree_rot = DecisionTree(rounds, arity, tree.nodes * turn)
+        c_rot = custom(c.amplitudes * turn, c.priors)
+        got = _gradient_on_draws(tree_rot, table, c_rot, nm, draws)
+        # an absolute floor for gradients at a stationary point (|g| ~ 1e-17)
+        np.testing.assert_allclose(got, turn * grad, rtol=1e-9, atol=1e-13)

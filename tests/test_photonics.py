@@ -9,6 +9,7 @@ from coherentrx.photonics import (
     IDEAL_DRAW,
     NoiseDraw,
     NoiseModel,
+    _jitter_arrays,
     detected_mean_jitter,
     outcome_probs,
     sample_draws,
@@ -161,3 +162,74 @@ class TestSampling:
     def test_unknown_dict_key_rejected(self):
         with pytest.raises(ValueError, match="unknown noise model keys"):
             NoiseModel.from_dict({"visibility": 1.0, "gain": 2.0})
+
+
+def reference_draws(nm, batch_size, seed):
+    """One draw at a time from one generator: its phase, then its scale,
+    redrawn until positive."""
+    rng = np.random.default_rng(seed)
+    phase, scale = [], []
+    for _ in range(batch_size):
+        phase.append(float(rng.normal(0.0, nm.phase_jitter)) if nm.phase_jitter > 0 else 0.0)
+        s = 0.0 if nm.amplitude_jitter > 0 else 1.0
+        while s <= 0.0:
+            s = float(rng.normal(1.0, nm.amplitude_jitter))
+        scale.append(s)
+    return np.array(phase), np.array(scale)
+
+
+class TestJitterArrays:
+    MODELS = {
+        "phase_only": NoiseModel(phase_jitter=0.02),
+        "amplitude_only": NoiseModel(amplitude_jitter=0.005),
+        "both": NoiseModel(visibility=0.99, phase_jitter=0.05, amplitude_jitter=0.3),
+        # about 18% of these scales come out non-positive: such batches take
+        # the per-draw loop
+        "amplitude_above_one": NoiseModel(phase_jitter=0.1, amplitude_jitter=1.1),
+    }
+
+    @pytest.mark.parametrize("batch", [1, 16, 200])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_arrays_equal_the_per_draw_loop_bit_for_bit(self, model, batch):
+        nm = self.MODELS[model]
+        fallbacks = 0
+        for seed in range(50):
+            want_phase, want_scale = reference_draws(nm, batch, seed)
+            phase, scale = _jitter_arrays(nm, batch, seed)
+            assert phase.tobytes() == want_phase.tobytes()
+            assert scale.tobytes() == want_scale.tobytes()
+            draws = sample_draws(nm, batch, seed)
+            assert np.array([d.phase_offset for d in draws]).tobytes() == want_phase.tobytes()
+            assert np.array([d.amplitude_scale for d in draws]).tobytes() == want_scale.tobytes()
+            # the single standard-normal call would have drawn a non-positive scale
+            z = np.random.default_rng(seed).standard_normal(2 * batch)
+            fallbacks += bool((1.0 + nm.amplitude_jitter * z[1::2] <= 0).any())
+        if model == "amplitude_above_one" and batch > 1:
+            assert fallbacks > 0
+        if model in ("phase_only", "amplitude_only"):
+            assert fallbacks == 0
+
+    def test_seed_sequences_and_generators_restart_for_the_loop(self):
+        nm = self.MODELS["amplitude_above_one"]
+        for seed in range(5):
+            seq = np.random.SeedSequence(seed).spawn(3)[2]
+            want = np.array(reference_draws(nm, 40, seq))
+            assert np.array(_jitter_arrays(nm, 40, seq)).tobytes() == want.tobytes()
+            # a generator as the seed is drawn from where it stands
+            gen = np.random.default_rng(seed)
+            gen.standard_normal(3)
+            ref = np.random.default_rng(seed)
+            ref.standard_normal(3)
+            want = np.array(reference_draws(nm, 40, ref))
+            assert np.array(_jitter_arrays(nm, 40, gen)).tobytes() == want.tobytes()
+
+    def test_no_jitter_is_one_ideal_draw(self):
+        phase, scale = _jitter_arrays(NoiseModel(dark_counts=1e-3), 16, 3)
+        assert phase.tolist() == [0.0] and scale.tolist() == [1.0]
+
+    @pytest.mark.parametrize("field", ["phase_jitter", "amplitude_jitter"])
+    def test_jitter_sigma_is_bounded(self, field):
+        assert getattr(NoiseModel(**{field: 100.0}), field) == 100.0
+        for value in (100.5, 1e10, 1e308):
+            with pytest.raises(ValueError, match="jitter sigmas must be at most 100"):
+                NoiseModel(**{field: value})
