@@ -466,7 +466,8 @@ def _best_displacements(
         doubt |= (np.abs(best_idx[i] - centres) == _HALF_WINDOW).any(axis=0)
         redo = i[doubt]
         best_val[redo] = np.inf
-    scan(redo, np.arange(u_grid.size)[:, None])
+    if redo.size:
+        scan(redo, np.arange(u_grid.size)[:, None])
     best_u = u_grid[best_idx]
     # bounds holds (lo, hi); the pair hi - w, lo + w comes from one signed
     # product w = invphi * (hi - lo) and one sum
@@ -596,17 +597,19 @@ def heterodyne_sql(c: Constellation) -> float:
     ``w_k(x) = prior_k * exp(-(x - a_k)^2)``, so the maximum is a Gaussian
     times the upper envelope of at most K lines.  On the envelope piece
     ``[lo, hi]`` owned by codeword k the y-integral is closed form,
-    ``w_k(x) * sqrt(pi)/2 * (erf(hi - b_k) - erf(lo - b_k))``.  Both run
-    over the amplitudes' bounding box padded by 7 (the Gaussian tail beyond
-    it is below 1e-21).  Zero-prior codewords never win the maximum and are
-    dropped.
+    ``w_k(x) * sqrt(pi)/2 * (erf(hi - b_k) - erf(lo - b_k))``.  It runs
+    over the amplitudes' bounding box padded by 7, and x over the merged
+    windows ``[a_k - 7, a_k + 7]`` (the Gaussian tail beyond them is below
+    1e-21); a single box-wide piece would be thousands of units wide at
+    large photon numbers, and its nodes would miss the unit-width peaks.
+    Zero-prior codewords never win the maximum and are dropped.
 
     The x-integrand has a kink where two codewords of one row (equal ``b``)
     swap the row's largest ``w_k``, at
     ``x = (l2 - l1 + a1^2 - a2^2) / (2 (a1 - a2))`` with ``l = log prior``,
     and its second derivative jumps at the x of every vertex of the decision
-    regions (:func:`_vertex_xs`); between these points it is smooth.  The
-    x-range is split at all of them, and each piece is integrated by adaptive
+    regions (:func:`_vertex_xs`); between these points it is smooth.  Each
+    window is split at all of them, and each piece is integrated by adaptive
     ``_GL_POINTS``-point Gauss-Legendre quadrature: a piece is halved until
     its two halves agree with it to ``_HALVING_TOL`` absolute, and the
     halves' sum is kept.  (A vertex left inside a piece can make the halves
@@ -617,7 +620,6 @@ def heterodyne_sql(c: Constellation) -> float:
     keep = c.priors > 0
     amps, log_priors = c.amplitudes[keep], np.log(c.priors[keep])
     pad = 7.0
-    x_lo, x_hi = float(amps.real.min()) - pad, float(amps.real.max()) + pad
     y_lo, y_hi = amps.imag.min() - pad, amps.imag.max() + pad
     # lines of equal slope (one row of codewords) never cross: at each x only
     # the row's largest w_k can own an envelope piece
@@ -660,10 +662,18 @@ def heterodyne_sql(c: Constellation) -> float:
         for a2, l2 in row[i + 1 :]
         if a1 != a2
     ]
-    # in-range breakpoints, one per cluster of ties that rounding pulled apart
     xs = np.sort(np.concatenate([_vertex_xs(amps, log_priors), row_kinks]))
-    xs = xs[(xs > x_lo + _TIE_TOL) & (xs < x_hi - _TIE_TOL)]
-    cuts = [x_lo, *xs[np.diff(xs, prepend=x_lo) > _TIE_TOL].tolist(), x_hi]
+    # windows [a_k - pad, a_k + pad] that overlap merge into one
+    reals = np.unique(amps.real)
+    gaps = np.flatnonzero(np.diff(reals) > 2.0 * pad)
+    starts = (reals[np.r_[0, gaps + 1]] - pad).tolist()
+    ends = (reals[np.r_[gaps, -1]] + pad).tolist()
+    pieces = []
+    for x_lo, x_hi in zip(starts, ends):
+        # in-window breakpoints, one per cluster of ties that rounding pulled apart
+        inside = xs[(xs > x_lo + _TIE_TOL) & (xs < x_hi - _TIE_TOL)]
+        cuts = [x_lo, *inside[np.diff(inside, prepend=x_lo) > _TIE_TOL].tolist(), x_hi]
+        pieces += zip(cuts, cuts[1:])
 
     nodes, weights = _gauss_legendre()
 
@@ -672,7 +682,7 @@ def heterodyne_sql(c: Constellation) -> float:
         mid = lo + half
         return half * math.fsum(w * inner(mid + half * t) for t, w in zip(nodes, weights))
 
-    todo = [(lo, hi, rule(lo, hi), 0) for lo, hi in zip(cuts, cuts[1:])]
+    todo = [(lo, hi, rule(lo, hi), 0) for lo, hi in pieces]
     kept = []
     while todo:
         lo, hi, whole, halvings = todo.pop()

@@ -395,8 +395,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("evaluate needs --sweep or --mean-photon")
     try:
         return args.func(args)
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         print(f"error: cannot read input file: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # the spec is the one file read; atomic_write names its destination
+        action = "read input" if exc.filename == getattr(args, "spec", None) else "write output"
+        print(f"error: cannot {action} file {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

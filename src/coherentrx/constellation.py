@@ -76,10 +76,6 @@ class Constellation:
     def n_codewords(self) -> int:
         return self.amplitudes.size
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.arange(self.n_codewords)
-
     def to_records(self) -> list[dict]:
         """Serialize as a list of {label, re, im, prior} records."""
         return [

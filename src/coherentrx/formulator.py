@@ -32,8 +32,8 @@ from .baselines import cn_tree, dolinar_tree
 from .constellation import Constellation, mean_energy
 from .photonics import NoiseDraw, NoiseModel, _jitter_arrays
 from .simulator import (
-    PathDistribution,
-    _levels,
+    _batch_forward,
+    _forward,
     batch_distribution,
     draw_arrays,
     draw_chunks,
@@ -152,16 +152,6 @@ def init_tree(
     return DecisionTree(rounds, arity, base.nodes + perturbation * scale * jitter)
 
 
-def _forward(tree: DecisionTree, c: Constellation, nm: NoiseModel, phase, scale) -> tuple:
-    """The derivs forward of one chunk of draws: ``(prefix, q, dq)`` per level.
-
-    ``prefix[level]`` is the prefix probabilities through ``level``, and
-    ``prefix[-1]`` the path probabilities, with the bits of
-    :func:`~coherentrx.simulator.path_probs`.
-    """
-    return tuple(zip(*_levels(tree, c, nm, scale * np.exp(1j * phase), derivs=True)))
-
-
 def _sensitivities(
     tree: DecisionTree,
     c: Constellation,
@@ -177,8 +167,9 @@ def _sensitivities(
     probabilities F and backward suffix sums B of the per-path success
     ``weights``; a node's sensitivity combines them with the binned-Poisson
     derivative of its round and the chain rule through the detected mean,
-    which is quadratic in the displacement components.  ``forward`` is
-    :func:`_forward`'s for these draws.  The chain-rule factors ``dn/dx`` and
+    which is quadratic in the displacement components.  ``forward`` is the
+    ``(prefix, q, dq)`` of :func:`~coherentrx.simulator._forward`, with
+    derivatives, for these draws.  The chain-rule factors ``dn/dx`` and
     ``dn/dy`` of every node come from one expression each, as the outcome
     terms come from one kernel call; only the backward sums and each level's
     reduction over codewords go level by level.
@@ -189,8 +180,7 @@ def _sensitivities(
     slices = c.amplitudes / math.sqrt(n)
     a = scale[:, None, None]
     w = slices[None, :] * np.exp(-1j * phase[:, None])
-    prefix, q_levels, dq_levels = forward
-    forward_probs = (np.ones((batch, k_codes, 1)),) + prefix
+    forward_probs, q_levels, dq_levels = forward
     u = tree.nodes[None, None, :]
     dn_dx = nm.efficiency * (
         2.0 * a * a * u.real - 2.0 * nm.visibility * a * w.real[:, :, None]
@@ -211,25 +201,6 @@ def _sensitivities(
     return sx, sy
 
 
-def _batch_forward(tree: DecisionTree, c: Constellation, nm: NoiseModel, phase, scale):
-    """Batch-averaged path distribution from the derivs forward, plus one chunk's forward.
-
-    The distribution equals :func:`~coherentrx.simulator.batch_distribution`
-    bit for bit: the same chunks, the draws summed one at a time in batch
-    order.  The last chunk's forward is returned in a list, for
-    :func:`_gradient` to take out; each chunk's forward is dropped before the
-    next one is computed, so one chunk's forward is alive at a time.
-    """
-    acc = np.zeros((c.n_codewords, tree.arity**tree.rounds))
-    held = []
-    for ph, sc in draw_chunks(phase, scale, acc.size):
-        held.clear()
-        held.append(_forward(tree, c, nm, ph, sc))
-        for probs in held[0][0][-1]:
-            acc += probs
-    return PathDistribution(acc / phase.shape[0], tree.rounds, tree.arity, c), held
-
-
 def _gradient(
     tree: DecisionTree,
     table: DecisionTable,
@@ -245,10 +216,11 @@ def _gradient(
     sensitivities are summed one draw at a time in batch order, as in
     :func:`~coherentrx.simulator.batch_distribution`, so that numpy's
     pairwise summation never reorders the additions.  ``held`` is the list
-    in which :func:`_batch_forward` hands over the last chunk's forward.
-    That chunk's sensitivities are taken first, which empties the list and
-    frees the forward; the other chunks' forwards are computed again, one at
-    a time, so one chunk's forward is alive at a time.
+    in which the batch accumulator, :func:`~coherentrx.simulator._batch_forward`
+    with derivatives, hands over the last chunk's forward.  That chunk's
+    sensitivities are taken first, which empties the list and frees the
+    forward; the other chunks' forwards are computed again, one at a time,
+    so one chunk's forward is alive at a time.
     """
     labels = np.arange(c.n_codewords)
     # success weight of each (codeword, leaf): prior if the table guesses it
@@ -256,7 +228,7 @@ def _gradient(
     chunks = list(draw_chunks(phase, scale, weights.size))
     last = [_sensitivities(tree, c, nm, weights, *chunks.pop(), held.pop())] if held else []
     rest = (
-        _sensitivities(tree, c, nm, weights, ph, sc, _forward(tree, c, nm, ph, sc))
+        _sensitivities(tree, c, nm, weights, ph, sc, _forward(tree, c, nm, ph, sc, derivs=True))
         for ph, sc in chunks
     )
     gx = np.zeros(tree.nodes.size)
@@ -289,15 +261,17 @@ def formulate(
 ) -> FormulateResult:
     """Run the learning loop and return the best iterate.
 
-    Per iteration: draw a noise batch as arrays, run one forward over the
-    tree with derivatives, refit the table by MAP on the batch-averaged
-    distribution it gives, then reuse it for the gradient and take one
-    backtracked descent step (one plain forward per line-search step).  Stops
-    when the loss improvement over ``convergence_window`` iterations falls
-    below ``convergence_delta`` or at ``max_iterations`` (then the trace is
-    flagged unconverged rather than raising).  The returned table is refit
-    on the held-out batch used for ``final_loss``, matching how the receiver
-    would be deployed.  Fully deterministic for a fixed config.
+    Per iteration: draw a noise batch as arrays, run the batch accumulator
+    of :mod:`~coherentrx.simulator` once with derivatives, refit the table by
+    MAP on the batch-averaged distribution it gives, then reuse its forward
+    for the gradient and take one backtracked descent step (one plain
+    forward, through :func:`~coherentrx.simulator.batch_distribution`, per
+    line-search step).  Stops when the loss improvement over
+    ``convergence_window`` iterations falls below ``convergence_delta`` or
+    at ``max_iterations`` (then the trace is flagged unconverged rather than
+    raising).  The returned table is refit on the held-out batch used for
+    ``final_loss``, matching how the receiver would be deployed.  Fully
+    deterministic for a fixed config.
     """
     root = np.random.SeedSequence(cfg.seed)
     init_seq, holdout_seq, iter_root = root.spawn(3)
@@ -319,7 +293,7 @@ def formulate(
         # up front, made only for the iterations that run
         (iter_seq,) = iter_root.spawn(1)
         phase, scale = _jitter_arrays(nm, cfg.batch_size, iter_seq)
-        dist, held = _batch_forward(tree, c, nm, phase, scale)
+        dist, held = _batch_forward(tree, c, nm, phase, scale, derivs=True)
         new_table = map_table(dist)
         loss_start = error_rate(dist, table if table is not None else new_table)
         table = new_table

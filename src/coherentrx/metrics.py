@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .constellation import Constellation
-from .photonics import NoiseModel, detected_mean_jitter, outcome_probs
+from .photonics import NoiseModel, detected_mean, outcome_probs
 from .simulator import PathDistribution, exact_distribution
 from .tree import DecisionTree, decode_leaf_index, leaf_index
 
@@ -68,7 +68,7 @@ def posterior_trajectory(
     out = [c.priors.copy()]
     for j, k in enumerate(path):
         u = tree.node(path[:j])
-        means = detected_mean_jitter(slices, u, nm, 0.0, 1.0)
+        means = detected_mean(slices, u, nm)
         likelihood = likelihood * outcome_probs(means, tree.arity)[:, k]
         joint = c.priors * likelihood
         total = joint.sum()

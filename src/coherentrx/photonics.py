@@ -35,7 +35,6 @@ __all__ = [
     "DEFAULT_AMPLITUDE_JITTER",
     "lab_noise",
     "detected_mean",
-    "detected_mean_jitter",
     "outcome_probs",
     "outcome_prob_derivs",
     "sample_draws",
@@ -145,8 +144,9 @@ def detected_mean(
     """Mean detected photon number, broadcasting over every argument.
 
     ``effective_displacements`` are the displacements ``u'`` as applied,
-    jitter included (see :func:`detected_mean_jitter`), and the detected
-    mean is
+    jitter included: ``u' = rot * u`` with a draw's rotation
+    ``rot = amplitude_scale * exp(i*phase)``, formed once per draw and
+    associated in that order.  The detected mean is
 
         eta * (|b|^2 + |u'|^2 - 2*xi*Re(b * conj(u'))) + nu
 
@@ -167,24 +167,6 @@ def detected_mean(
         raw = slice_power + np.abs(u_eff) ** 2 - 2.0 * nm.visibility * cross
     # raw >= (1 - xi) * (|b|^2 + |u'|^2) >= 0; clip only guards rounding.
     return nm.efficiency * np.maximum(raw, 0.0) + nm.dark_counts
-
-
-def detected_mean_jitter(
-    slice_amps,
-    displacements,
-    nm: NoiseModel,
-    phase_offset,
-    amplitude_scale,
-) -> np.ndarray:
-    """:func:`detected_mean` of displacements under one jitter draw.
-
-    The effective displacement is ``u' = rot * u`` with the rotation
-    ``rot = amplitude_scale * exp(i*phase)``, associated in that order.
-    Callers that keep a draw over several rounds form ``rot`` once and call
-    :func:`detected_mean` directly; the means are the same bit for bit.
-    """
-    rot = np.asarray(amplitude_scale) * np.exp(1j * np.asarray(phase_offset))
-    return detected_mean(slice_amps, rot * np.asarray(displacements, dtype=np.complex128), nm)
 
 
 def outcome_probs(n, arity: int) -> np.ndarray:
@@ -273,6 +255,4 @@ def sample_draws(nm: NoiseModel, batch_size: int, seed) -> list[NoiseDraw]:
     directly (``_jitter_arrays``), so both see the same values.
     """
     phase, scale = _jitter_arrays(nm, batch_size, seed)
-    if nm.is_deterministic:
-        return [IDEAL_DRAW]
     return [NoiseDraw(p, s) for p, s in zip(phase.tolist(), scale.tolist())]

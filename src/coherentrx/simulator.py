@@ -7,11 +7,13 @@ rounds receives the equal time slice ``beta / sqrt(N)`` of the codeword
 amplitude, so the slice energies sum to the symbol energy.
 
 Exact enumeration is the workhorse.  Its one forward recursion, the private
-generator ``_levels``, serves :func:`path_probs` and the gradient sweep; it
-takes the outcome terms of every node from one kernel call,
-``_outcome_terms``, which the conditional-nulling design calls one level at
-a time.  :func:`mc_sample` simulates individual receiver runs as an
-independent statistical cross-check.
+function ``_forward``, serves :func:`path_probs`, the batch average and the
+gradient sweep; it takes the outcome terms of every node from one kernel
+call, ``_outcome_terms``, which the conditional-nulling design calls one
+level at a time.  One accumulator, ``_batch_forward``, averages a batch of
+draws for :func:`batch_distribution` and the learning loop.
+:func:`mc_sample` simulates individual receiver runs as an independent
+statistical cross-check.
 """
 
 from __future__ import annotations
@@ -77,6 +79,17 @@ class PathDistribution:
         object.__setattr__(self, "probs", probs)
 
 
+def _check_draws(phase, scale) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of jitter draws as float arrays of one shape ``(B,)``, scales positive."""
+    phase = np.asarray(phase, dtype=np.float64)
+    scale = np.asarray(scale, dtype=np.float64)
+    if phase.shape != scale.shape or phase.ndim != 1:
+        raise ValueError("phase and scale must share a shape (B,), one draw per receiver run")
+    if np.any(scale <= 0):
+        raise ValueError("amplitude scales must be positive")
+    return phase, scale
+
+
 def path_probs(
     tree: DecisionTree,
     c: Constellation,
@@ -89,21 +102,14 @@ def path_probs(
     ``phase`` and ``scale`` hold ``B`` jitter draws, one per receiver run,
     each held fixed across the rounds of its run: both of shape ``(B,)``.
     Returns ``probs`` of shape ``(B, K, M^N)``; ``probs[b]`` is the
-    distribution of run ``b``.  The detected means and outcome probabilities
-    of every node, draw and codeword come from one kernel call, and only the
-    prefix products go level by level; a single draw is ``B = 1`` of the
-    same call.  The arithmetic is elementwise, so every ``probs[b]`` equals
-    the single-draw result bit for bit.
+    distribution of run ``b``: the last level of the forward recursion
+    ``_forward``.  The detected means and outcome probabilities of every
+    node, draw and codeword come from one kernel call, and only the prefix
+    products go level by level; a single draw is ``B = 1`` of the same call.
+    The arithmetic is elementwise, so every ``probs[b]`` equals the
+    single-draw result bit for bit.
     """
-    phase = np.asarray(phase, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    if phase.shape != scale.shape or phase.ndim != 1:
-        raise ValueError("phase and scale must share a shape (B,), one draw per receiver run")
-    if np.any(scale <= 0):
-        raise ValueError("amplitude scales must be positive")
-    for probs, _, _ in _levels(tree, c, nm, scale * np.exp(1j * phase)):
-        pass
-    return probs
+    return _forward(tree, c, nm, *_check_draws(phase, scale))[0][-1]
 
 
 def _outcome_terms(
@@ -125,29 +131,32 @@ def _outcome_terms(
     return outcome_probs(means, arity), None
 
 
-def _levels(tree: DecisionTree, c: Constellation, nm: NoiseModel, rot, derivs: bool = False):
-    """The forward recursion over a tree, one level per step.
+def _forward(
+    tree: DecisionTree, c: Constellation, nm: NoiseModel, phase, scale, derivs: bool = False
+):
+    """The forward recursion over a tree: ``(prefix, q, dq)``, one entry per level.
 
-    ``rot`` is the jitter rotation ``scale * exp(i*phase)`` of ``B`` runs,
-    shape ``(B,)``, applied in every round.  A level's outcome terms do not
-    depend on the levels before it, so those of every node come from one
-    :func:`_outcome_terms` call before the first step; only the prefix
-    products go level by level.  Each step yields the ``(B, K, M^(level+1))``
-    prefix probabilities through the level, the level's outcome
-    probabilities ``q`` and their derivatives in the detected mean (``None``
-    unless ``derivs``).  The whole tree is read up front, so a design that
-    fills its nodes from the prefix probabilities of the level before
-    (:func:`~coherentrx.baselines.cn_tree`) calls :func:`_outcome_terms` one
-    level at a time instead.
+    ``phase`` and ``scale`` are checked arrays of ``B`` draws, whose jitter
+    rotation ``scale * exp(i*phase)`` applies in every round.  ``prefix[n]``
+    is the ``(B, K, M^n)`` probabilities of the first ``n`` outcomes, for
+    ``n = 0, ..., N``, so ``prefix[-1]`` is the path probabilities;
+    ``q[level]`` is the level's outcome probabilities and ``dq[level]`` their
+    derivatives in the detected mean (``dq`` is ``None`` unless ``derivs``).
+    A level's outcome terms do not depend on the levels before it, so those
+    of every node come from one :func:`_outcome_terms` call; only the prefix
+    products go level by level.  The whole tree is read up front, so a
+    design that fills its nodes from the prefix probabilities of the level
+    before (:func:`~coherentrx.baselines.cn_tree`) calls
+    :func:`_outcome_terms` one level at a time instead.
     """
-    batch, k_codes, m = rot.shape[0], c.n_codewords, tree.arity
-    q, dq = _outcome_terms(tree.nodes, c, tree.rounds, nm, rot, m, derivs)
-    probs = np.ones((batch, k_codes, 1))
-    for level in range(tree.rounds):
-        nodes = slice(level_offset(m, level), level_offset(m, level + 1))
-        q_level = q[:, :, nodes]
-        probs = (probs[:, :, :, None] * q_level).reshape(batch, k_codes, -1)
-        yield probs, q_level, None if dq is None else dq[:, :, nodes]
+    batch, k_codes, m = phase.shape[0], c.n_codewords, tree.arity
+    q, dq = _outcome_terms(tree.nodes, c, tree.rounds, nm, scale * np.exp(1j * phase), m, derivs)
+    levels = [slice(level_offset(m, lv), level_offset(m, lv + 1)) for lv in range(tree.rounds)]
+    q_levels = [q[:, :, nodes] for nodes in levels]
+    prefix = [np.ones((batch, k_codes, 1))]
+    for q_level in q_levels:
+        prefix.append((prefix[-1][:, :, :, None] * q_level).reshape(batch, k_codes, -1))
+    return prefix, q_levels, None if dq is None else [dq[:, :, nodes] for nodes in levels]
 
 
 def draw_arrays(draws: Sequence[NoiseDraw]) -> tuple[np.ndarray, np.ndarray]:
@@ -184,6 +193,30 @@ def draw_chunks(phase: np.ndarray, scale: np.ndarray, per_draw: int):
         yield phase[start : start + step], scale[start : start + step]
 
 
+def _batch_forward(
+    tree: DecisionTree, c: Constellation, nm: NoiseModel, phase, scale, derivs: bool = False
+):
+    """Batch-averaged path distribution, plus the last chunk's forward.
+
+    The draws, checked arrays as in :func:`_forward`, go through
+    :func:`draw_chunks` and are summed one at a time in batch order:
+    ``np.sum`` over the draw axis would switch to pairwise summation whenever
+    that axis is contiguous, which reorders the additions and changes the
+    last bits.  The last chunk's forward (with derivatives if ``derivs``) is
+    returned in a list, for the learning loop's gradient to take out; each
+    chunk's forward is dropped before the next one is computed, so one
+    chunk's forward is alive at a time.
+    """
+    acc = np.zeros((c.n_codewords, tree.arity**tree.rounds))
+    held = []
+    for ph, sc in draw_chunks(phase, scale, acc.size):
+        held.clear()
+        held.append(_forward(tree, c, nm, ph, sc, derivs))
+        for probs in held[0][0][-1]:
+            acc += probs
+    return PathDistribution(acc / phase.shape[0], tree.rounds, tree.arity, c), held
+
+
 def batch_distribution(
     tree: DecisionTree,
     c: Constellation,
@@ -193,21 +226,12 @@ def batch_distribution(
 ) -> PathDistribution:
     """Path distribution averaged over a batch of jitter draws.
 
-    ``phase`` and ``scale`` are as in :func:`path_probs`.  The draws are
-    summed one at a time in batch order: ``np.sum`` over the draw axis would
-    switch to pairwise summation whenever that axis is contiguous, which
-    reorders the additions and changes the last bits.  The learning loop
-    takes its MAP table from its gradient's forward instead, with the same
-    chunks and the same order of additions, so that table has these bits.
+    ``phase`` and ``scale`` are as in :func:`path_probs`, checked once for
+    the whole batch.  The draws are summed one at a time in batch order, by
+    the accumulator that also gives the learning loop its MAP table (with
+    derivatives, for the gradient), so that table has these bits.
     """
-    phase = np.asarray(phase, dtype=np.float64)
-    scale = np.asarray(scale, dtype=np.float64)
-    n_paths = tree.arity**tree.rounds
-    acc = np.zeros((c.n_codewords, n_paths))
-    for ph, sc in draw_chunks(phase, scale, c.n_codewords * n_paths):
-        for probs in path_probs(tree, c, nm, ph, sc):
-            acc += probs
-    return PathDistribution(acc / phase.shape[0], tree.rounds, tree.arity, c)
+    return _batch_forward(tree, c, nm, *_check_draws(phase, scale))[0]
 
 
 def averaged_distribution(
@@ -241,14 +265,15 @@ def error_rate(d: PathDistribution, table: DecisionTable) -> float:
     """Average error probability of a fixed decision table on a distribution.
 
     Equals ``1 - sum_path prior_guess(path) * P(path | guess(path))`` with
-    the constellation's priors; with the MAP table this is the Bayes-optimal
-    error for the distribution.
+    the constellation's priors, clamped at zero where rounding takes it a few
+    ulps below; with the MAP table this is the Bayes-optimal error for the
+    distribution.
     """
     if (table.rounds, table.arity) != (d.rounds, d.arity):
         raise ValueError("table shape does not match the distribution")
     guesses = table.guesses
     p_correct = d.constellation.priors[guesses] * d.probs[guesses, np.arange(guesses.size)]
-    return float(1.0 - p_correct.sum())
+    return float(max(1.0 - p_correct.sum(), 0.0))
 
 
 @dataclass(frozen=True)

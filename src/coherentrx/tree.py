@@ -277,15 +277,21 @@ class Receiver:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write a text file atomically: temp file in the same directory + rename."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    """Write a text file atomically: temp file in the same directory + rename.
+
+    An ``OSError`` names ``path``, not the temp file.
+    """
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

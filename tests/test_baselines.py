@@ -23,7 +23,7 @@ from coherentrx.baselines import (
     kennedy_bpsk,
 )
 from coherentrx.constellation import bpsk, custom, qam6
-from coherentrx.photonics import NoiseModel, detected_mean_jitter, outcome_probs
+from coherentrx.photonics import NoiseModel, detected_mean, outcome_probs
 from coherentrx.simulator import error_rate, exact_distribution, map_table
 from coherentrx.tree import DecisionTree, level_offset, num_nodes
 
@@ -182,7 +182,7 @@ def reference_heterodyne_sql_mc(c, num_samples, seed, chunk):
 def reference_cn_tree(c, rounds, arity):
     """The level loop as written before the shared forward recursion: each
     level's nodes from the ``argmax`` of the weighted prefix probabilities,
-    then ``detected_mean_jitter`` with no jitter and ``outcome_probs``."""
+    then ``detected_mean`` under the identity rotation and ``outcome_probs``."""
     slices = c.amplitudes / math.sqrt(rounds)
     nodes = np.zeros(num_nodes(rounds, arity), dtype=np.complex128)
     probs = np.ones((c.n_codewords, 1))
@@ -191,7 +191,7 @@ def reference_cn_tree(c, rounds, arity):
         disp = slices[y_star]
         start = level_offset(arity, level)
         nodes[start : start + arity**level] = disp
-        means = detected_mean_jitter(slices[:, None], disp[None, :], IDEAL, 0.0, 1.0)
+        means = detected_mean(slices[:, None], (1.0 * np.exp(1j * 0.0)) * disp[None, :], IDEAL)
         q = outcome_probs(means, arity)
         probs = (probs[:, :, None] * q).reshape(c.n_codewords, -1)
     return nodes
@@ -273,6 +273,12 @@ class TestConditionalNulling:
             nodes = cn_tree(c, rounds, arity).nodes
             want = reference_cn_tree(c, rounds, arity)
             assert nodes.tobytes() == want.tobytes(), (c, rounds, arity)
+
+    def test_error_is_never_negative(self):
+        # 1 - sum of the correct-guess terms rounds to -2.2e-16 here
+        c = bpsk(16.0)
+        tree, table = cn_receiver(c, 6, 2)
+        assert error_rate(exact_distribution(tree, c, NoiseModel()), table) == 0.0
 
     def test_helstrom_lower_bounds_cn(self):
         for nbar in np.geomspace(0.05, 5, 6):
@@ -419,9 +425,9 @@ class TestDolinar:
     def test_tree_bytes_do_not_depend_on_parts(self, rounds, monkeypatch):
         # the anchors cut each value-table level into parts; an anchor gap
         # longer than the grid leaves one part, which scans in full
-        windowed = [dolinar_tree(nbar, rounds).nodes.tobytes() for nbar in (0.2, 1.5)]
+        windowed = [dolinar_tree(nbar, rounds).nodes.tobytes() for nbar in (0.2, 1.5, 100.0)]
         monkeypatch.setattr("coherentrx.baselines._ANCHOR_GAP", 1 << 30)
-        full = [dolinar_tree(nbar, rounds).nodes.tobytes() for nbar in (0.2, 1.5)]
+        full = [dolinar_tree(nbar, rounds).nodes.tobytes() for nbar in (0.2, 1.5, 100.0)]
         assert windowed == full
 
     # each case misses the full scan's winner somewhere on the grid when one
@@ -543,7 +549,9 @@ class TestHeterodyne:
         # rotation of the pair.  Rotated off the real axis, the threshold is an
         # envelope crossing of the closed-form inner integral; on it, the
         # threshold is a kink of the outer integrand, where the x-range is split.
-        for nbar in (0.05, 0.2, 0.8, 2.0, 5.0):
+        # at large photon numbers the codewords' peaks are far apart and one
+        # unit wide
+        for nbar in (0.05, 0.2, 0.8, 2.0, 5.0, 1e2, 1e4, 1e6, 1e8, 1e10, 1e12):
             a = math.sqrt(nbar)
             for prior in (0.5, 0.8):
                 t = math.log((1.0 - prior) / prior) / (4.0 * a)
@@ -552,6 +560,12 @@ class TestHeterodyne:
                     amps = np.array([a, -a]) * np.exp(1j * angle)
                     c = custom(amps, np.array([prior, 1.0 - prior]))
                     assert abs(heterodyne_sql(c) - want) < 1e-13
+
+    def test_qam6_far_apart_codewords(self):
+        # each codeword's unit-width peak lies thousands of units from the
+        # others; a box-wide piece read 1/3 at 1e8 photons and 1.0 from 1e9
+        for nbar in (1e8, 1e9, 1e12):
+            assert heterodyne_sql(qam6(nbar)) <= 1e-12
 
     def test_matches_dblquad_oracle(self):
         # unequal priors, two codewords in one row, one codeword never used

@@ -127,6 +127,17 @@ class TestOptimize:
         assert "65536 leaves" in err
         assert not out.exists()
 
+    def test_out_in_missing_directory_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        code = run(
+            "optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2,
+            "--mean-photon", 1.0, "--iters", 3, "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {out}: ") and err.count("\n") == 1
+        assert not out.parent.exists()
+
     def test_loadable_receiver(self, bpsk_receiver):
         rx = load_receiver(str(bpsk_receiver))
         assert rx.tree.rounds == 4
@@ -190,6 +201,24 @@ class TestEvaluate:
                    "--mean-photon", 1.0, "--out", tmp_path / "o.csv")
         assert code == 1
         assert "nope.json" in capsys.readouterr().err
+        # a directory as the spec: one error line naming it, no traceback
+        for command, args in _SPEC_COMMAND_ARGS.items():
+            code = run(command, "--spec", tmp_path, *args, tmp_path / "out")
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read input file {tmp_path}: ")
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_out_in_missing_directory_is_io_error(self, bpsk_receiver, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.csv"
+        code = run("evaluate", "--spec", bpsk_receiver, "--mean-photon", 1.0,
+                   "--mc-samples", 100, "--batch", 2, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        # the path given, not the temp file the write went through
+        assert err.startswith(f"error: cannot write output file {out}: ") and err.count("\n") == 1
+        assert ".tmp" not in err
 
     def test_spec_header_is_content_hash(self, bpsk_receiver, tmp_path):
         outs = []
@@ -412,6 +441,19 @@ class TestBaseline:
             _, _, rows = read_csv(out / f"{name}.csv")
             errs = [float(r[2]) for r in rows]
             assert errs[0] > errs[1] > 0
+
+    # the Dolinar DP once scanned an empty fallback set at high photon
+    # numbers, and the CN error came out as 1 - sum = -2.2e-16 at (16, N = 6)
+    @pytest.mark.parametrize("receiver, rounds, sweep", [("dolinar", 4, "100"), ("cn", 6, "16")])
+    def test_designed_receivers_at_high_photon_numbers(
+        self, tmp_path, capsys, receiver, rounds, sweep
+    ):
+        out = tmp_path / "curves"
+        code = run("baseline", "--receivers", receiver, "--rounds", rounds,
+                   "--sweep", sweep, "--out-dir", out)
+        assert code == 0, capsys.readouterr().err
+        _, _, rows = read_csv(out / f"{receiver}.csv")
+        assert 0.0 <= float(rows[0][2]) <= 1.0
 
     def test_binary_only_receivers_reject_qam(self, tmp_path, capsys):
         code = run("baseline", "--receivers", "helstrom", "--encoding", "qam6",

@@ -301,7 +301,7 @@ class TestLevelBatchedLoop:
 
             return wrapper
 
-        kernels = ("detected_mean", "detected_mean_jitter", "outcome_probs", "outcome_prob_derivs")
+        kernels = ("detected_mean", "outcome_probs", "outcome_prob_derivs")
         for name, module in list(sys.modules.items()):
             if name.startswith("coherentrx.") and name != "coherentrx.photonics":
                 for kernel in kernels:

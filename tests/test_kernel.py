@@ -25,7 +25,6 @@ from coherentrx.formulator import _gradient_on_draws
 from coherentrx.photonics import (
     NoiseModel,
     detected_mean,
-    detected_mean_jitter,
     outcome_prob_derivs,
     outcome_probs,
     sample_draws,
@@ -65,9 +64,8 @@ def reference_probs(tree, c, nm, phase, scale):
     probs = np.ones((c.n_codewords, 1))
     for level in range(tree.rounds):
         disp = tree.level_nodes(level)
-        means = detected_mean_jitter(
-            slices[:, None], disp[None, :], nm, float(phase), float(scale)
-        )
+        rot = float(scale) * np.exp(1j * float(phase))
+        means = detected_mean(slices[:, None], rot * disp[None, :], nm)
         q = outcome_probs(means, tree.arity)
         probs = (probs[:, :, None] * q).reshape(c.n_codewords, -1)
     return probs
@@ -89,7 +87,8 @@ def reference_gradient(tree, table, c, nm, draws):
         forward = [np.ones((k_codes, 1))]
         for level in range(n):
             u = tree.level_nodes(level)
-            means = detected_mean_jitter(slices[:, None], u[None, :], nm, draw.phase_offset, a)
+            rot = a * np.exp(1j * draw.phase_offset)
+            means = detected_mean(slices[:, None], rot * u[None, :], nm)
             q, dq = outcome_prob_derivs(means, m)
             q_levels.append(q)
             dq_levels.append(dq)
@@ -335,11 +334,10 @@ def test_jitter_kernel_is_rotation_then_detected_mean(visibility):
     u[0, -1, 0] = b[0, 0, 0]
     phase = np.append(rng.normal(0.0, 0.1, 2), 0.0)[None, None, :]
     scale = np.append(rng.normal(1.0, 0.05, 2), 1.0)[None, None, :]
-    got = detected_mean_jitter(b, u, nm, phase, scale)
-    assert got.shape == (4, 5, 3)
-    assert np.array_equal(got, detected_mean(b, (scale * np.exp(1j * phase)) * u, nm))
-    assert np.array_equal(got, reference_mean(b, u, nm, phase, scale))
     u_eff = (scale * np.exp(1j * phase)) * u
+    got = detected_mean(b, u_eff, nm)
+    assert got.shape == (4, 5, 3)
+    assert np.array_equal(got, reference_mean(b, u, nm, phase, scale))
     with_power = detected_mean(b, u_eff, nm, slice_power=np.abs(b) ** 2)
     assert np.array_equal(with_power, got)
     # under exact nulling only the visibility residual 2*(1 - xi)*|b|^2 is left
@@ -351,7 +349,8 @@ def test_jitter_kernel_is_rotation_then_detected_mean(visibility):
         assert abs(null - residual) <= 1e-12 * residual
     # scalar jitter, as the single-run callers pass it
     for k in range(3):
-        scalar = detected_mean_jitter(b, u, nm, float(phase[0, 0, k]), float(scale[0, 0, k]))
+        rot = float(scale[0, 0, k]) * np.exp(1j * float(phase[0, 0, k]))
+        scalar = detected_mean(b, rot * u, nm)
         assert np.array_equal(scalar, got[:, :, k : k + 1])
 
 

@@ -10,7 +10,7 @@ from coherentrx.photonics import (
     NoiseDraw,
     NoiseModel,
     _jitter_arrays,
-    detected_mean_jitter,
+    detected_mean,
     outcome_probs,
     sample_draws,
 )
@@ -19,7 +19,7 @@ finite = st.floats(-3.0, 3.0, allow_nan=False)
 
 
 def scalar_mean(b, u, nm, phase=0.0, scale=1.0):
-    return float(detected_mean_jitter(b, u, nm, phase, scale))
+    return float(detected_mean(b, (scale * np.exp(1j * phase)) * np.complex128(u), nm))
 
 
 class TestDetectedMean:
@@ -62,9 +62,7 @@ class TestDetectedMean:
 
     def test_broadcasting(self):
         nm = NoiseModel()
-        out = detected_mean_jitter(
-            np.array([[1.0], [2.0]]), np.array([[0.5, 1.0, 1.5]]), nm, 0.0, 1.0
-        )
+        out = detected_mean(np.array([[1.0], [2.0]]), np.array([[0.5, 1.0, 1.5]]), nm)
         assert out.shape == (2, 3)
         assert abs(out[0, 1]) < 1e-15
 
