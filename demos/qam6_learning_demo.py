@@ -54,15 +54,15 @@ def main():
     print(f"heterodyne SQL   : {sql:.6f} (loss-free)")
     print(f"-> {100 * (1 - learned / sql):.1f}% below SQL, {100 * (1 - learned / cn_err):.1f}% below CN\n")
 
+    d = exact_distribution(res.tree, c, nm)
     print("posterior of the true codeword along its most likely record:")
     for y in range(c.n_codewords):
-        path = most_probable_path(res.tree, c, nm, y)
+        path = most_probable_path(d, y)
         traj = posterior_trajectory(res.tree, c, nm, path)
         probs = " ".join(f"{p:.3f}" for p in traj.posteriors[:, y])
         print(f"  codeword {y} (record {''.join(map(str, path))}): {probs}")
 
     print("\npairwise KL divergence (nats) of the measurement statistics by round:")
-    d = exact_distribution(res.tree, c, nm)
     for p in range(c.n_codewords):
         for q in range(p + 1, c.n_codewords):
             vals = [prefix_kl(d, p, q, n) for n in range(ROUNDS + 1)]

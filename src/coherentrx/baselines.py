@@ -13,8 +13,11 @@ computed by backward-induction dynamic programming on the posterior (a
 sufficient statistic for two hypotheses).  Each DP level scans a coarse
 displacement grid in blocks of displacement-posterior pairs, then refines by
 golden section; on the value-table levels all but a few anchor posteriors
-scan only windows around the anchors' winners, and the trees are the full
-scan's to the byte.
+scan only windows around the anchors' winners.  The trees are the full
+scan's to the byte at N = 1, 2, 4 and 10 for 0.2, 1.5 and 100 photons, and
+at N = 4 and 10 for 0.5-30 photons.  At N = 10 and 35, 45, 60 or 80
+photons some nodes differ, where near-zero values tie; the error rates agree
+to 2.2e-16.
 
 The heterodyne SQL is the minimum-error decision on an isotropic Gaussian
 outcome with variance 1/2 per quadrature around the codeword amplitude,
@@ -411,7 +414,9 @@ def _best_displacements(
     winners and around its mirror (the other hypothesis's basin), then the
     special displacements.  They scan in full where the anchors' winners are
     over ``2 * _HALF_WINDOW`` apart or special, or where they win on a
-    window edge.  Errors are elementwise, so the bits match the full scan's.
+    window edge.  Errors are elementwise, so each scanned pair's bits are the
+    full scan's; the winners match it in the checked range (see the module
+    docstring), not where near-zero values tie.
     """
     u_grid = np.concatenate(
         [np.linspace(-bracket, bracket, _COARSE), [-slice_amp, 0.0, slice_amp]]

@@ -15,6 +15,7 @@ atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import math
@@ -27,7 +28,7 @@ from . import __version__, baselines, metrics
 from .constellation import Constellation, bpsk, custom, mean_energy, qam6
 from .formulator import FormulatorConfig, formulate, optimize_sweep
 from .photonics import NoiseModel
-from .simulator import averaged_distribution, error_rate, mc_sample
+from .simulator import averaged_distribution, error_rate, exact_distribution, mc_sample
 from .tree import Receiver, atomic_write, load_receiver, num_nodes, save_receiver
 
 _ENCODINGS = {"bpsk": bpsk, "qam6": qam6}
@@ -138,7 +139,19 @@ def _scaled_constellation(c: Constellation, nbar: float) -> Constellation:
     return custom(c.amplitudes * np.sqrt(nbar / current), c.priors, name=c.name)
 
 
+def _check_writable(*paths: str) -> None:
+    """Refuse, before any work, an output file whose directory does not exist.
+
+    The ``OSError`` names the path given, as a failed write does.
+    """
+    for path in paths:
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
+    trace_path = args.trace or os.path.splitext(args.out)[0] + "_trace.csv"
+    _check_writable(args.out, trace_path)
     c = _build_constellation(args.encoding, args.mean_photon)
     nm = _noise_from_args(args)
     cfg = _formulator_config(args)
@@ -173,7 +186,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         metadata["warning"] = "did not converge within max iterations; best iterate returned"
     receiver = Receiver(result.tree, result.table, c, nm, metadata)
     save_receiver(args.out, receiver)
-    trace_path = args.trace or os.path.splitext(args.out)[0] + "_trace.csv"
     t = result.trace
     _write_csv(
         trace_path,
@@ -196,6 +208,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # checked before any evaluation, so that a bad count never waits for a
     # --reoptimize sweep
     _check_counts(("--mc-samples", args.mc_samples), ("--batch", args.batch))
+    _check_writable(args.out)
     receiver = load_receiver(args.spec)
     grid = args.sweep if args.sweep else [args.mean_photon]
     if any(x < 0 for x in grid):
@@ -304,13 +317,14 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     k_codes = c.n_codewords
     post_rows = []
     for model_name, model in models:
+        d = exact_distribution(tree, c, model)
         for label in range(k_codes):
-            path = metrics.most_probable_path(tree, c, model, label)
+            path = metrics.most_probable_path(d, label)
             traj = metrics.posterior_trajectory(tree, c, model, path)
             path_str = "".join(str(k) for k in path)
             for rnd, row in enumerate(traj.posteriors):
                 post_rows.append([model_name, "map_path", label, path_str, rnd] + [float(x) for x in row])
-            expected = metrics.expected_posterior_trajectory(tree, c, model, label)
+            expected = metrics.expected_posterior_trajectory(d, label)
             for rnd, row in enumerate(expected):
                 post_rows.append([model_name, "expected", label, path_str, rnd] + [float(x) for x in row])
     post_cols = ["model", "variant", "true_label", "path", "round"] + [
@@ -356,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="error-rate sweep of a stored receiver")
     p_eval.add_argument("--spec", required=True, help="receiver-spec JSON from 'optimize'")
-    p_eval.add_argument("--sweep", type=_parse_sweep, default=None, help="'a,b,c' or start:stop:num")
-    p_eval.add_argument("--mean-photon", type=float, default=None)
+    grid = p_eval.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--sweep", type=_parse_sweep, default=None, help="'a,b,c' or start:stop:num")
+    grid.add_argument("--mean-photon", type=float, default=None)
     p_eval.add_argument("--mc-samples", type=int, default=100_000)
     p_eval.add_argument("--batch", type=int, default=32,
                         help="noise draws for the exact average (and per learning iteration with --reoptimize)")
@@ -389,10 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "evaluate" and args.sweep is None and args.mean_photon is None:
-        parser.error("evaluate needs --sweep or --mean-photon")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -5,7 +5,10 @@ round along a measurement record; the pairwise prefix KL divergence
 quantifies how separable two codewords' measurement statistics have become
 after ``n`` rounds (non-decreasing in ``n`` by the chain rule); bits per
 received photon is the binary-channel information rate normalized by the
-symbol energy.
+symbol energy.  Only :func:`posterior_trajectory` walks the tree; the
+per-codeword diagnostics read a
+:class:`~coherentrx.simulator.PathDistribution`, which a caller builds once
+and passes to each.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .constellation import Constellation
 from .photonics import NoiseModel, detected_mean, outcome_probs
-from .simulator import PathDistribution, exact_distribution
+from .simulator import PathDistribution
 from .tree import DecisionTree, decode_leaf_index, leaf_index
 
 __all__ = [
@@ -78,39 +81,33 @@ def posterior_trajectory(
     return PosteriorTrajectory(np.array(out), path)
 
 
-def most_probable_path(
-    tree: DecisionTree,
-    c: Constellation,
-    nm: NoiseModel,
-    label: int,
-) -> tuple[int, ...]:
-    """Most likely complete outcome path for a given true codeword.
+def _check_label(d: PathDistribution, label: int) -> None:
+    if not 0 <= label < d.constellation.n_codewords:
+        raise ValueError("invalid codeword label")
+
+
+def most_probable_path(d: PathDistribution, label: int) -> tuple[int, ...]:
+    """Most likely complete outcome path of a distribution for a given true codeword.
 
     Ties break toward the lowest leaf index.
     """
-    d = exact_distribution(tree, c, nm)
-    leaf = int(np.argmax(d.probs[label]))
-    return decode_leaf_index(tree.arity, tree.rounds, leaf)
+    _check_label(d, label)
+    return decode_leaf_index(d.arity, d.rounds, int(np.argmax(d.probs[label])))
 
 
-def expected_posterior_trajectory(
-    tree: DecisionTree,
-    c: Constellation,
-    nm: NoiseModel,
-    label: int,
-) -> np.ndarray:
+def expected_posterior_trajectory(d: PathDistribution, label: int) -> np.ndarray:
     """Probability-weighted posterior per round for a given true codeword.
 
     Row ``j`` averages the round-``j`` posterior over all outcome prefixes,
     weighted by the prefix probability under the true codeword.  Row 0 is
     the prior.
     """
-    d = exact_distribution(tree, c, nm)
-    k_codes, m, n = c.n_codewords, tree.arity, tree.rounds
-    rows = [c.priors.copy()]
+    _check_label(d, label)
+    priors, m, n = d.constellation.priors, d.arity, d.rounds
+    rows = [priors.copy()]
     for j in range(1, n + 1):
-        marg = d.probs.reshape(k_codes, m**j, m ** (n - j)).sum(axis=2)
-        joint = c.priors[:, None] * marg
+        marg = d.probs.reshape(priors.size, m**j, m ** (n - j)).sum(axis=2)
+        joint = priors[:, None] * marg
         total = joint.sum(axis=0)
         post = np.where(total > 0, joint / np.where(total > 0, total, 1.0), 0.0)
         rows.append(post @ marg[label])
@@ -121,8 +118,7 @@ def prefix_marginal(d: PathDistribution, label: int, round_n: int) -> np.ndarray
     """Distribution of the first ``round_n`` outcomes given a codeword."""
     if not 0 <= round_n <= d.rounds:
         raise ValueError("round_n must lie in [0, rounds]")
-    if not 0 <= label < d.constellation.n_codewords:
-        raise ValueError("invalid codeword label")
+    _check_label(d, label)
     if round_n == 0:
         # the empty prefix is a point mass regardless of row rounding
         return np.ones(1)

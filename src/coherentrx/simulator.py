@@ -7,11 +7,12 @@ rounds receives the equal time slice ``beta / sqrt(N)`` of the codeword
 amplitude, so the slice energies sum to the symbol energy.
 
 Exact enumeration is the workhorse.  Its one forward recursion, the private
-function ``_forward``, serves :func:`path_probs`, the batch average and the
-gradient sweep; it takes the outcome terms of every node from one kernel
-call, ``_outcome_terms``, which the conditional-nulling design calls one
-level at a time.  One accumulator, ``_batch_forward``, averages a batch of
-draws for :func:`batch_distribution` and the learning loop.
+function ``_forward``, serves the batch average and the gradient sweep; it
+takes the outcome terms of every node from one kernel call,
+``_outcome_terms``, which the conditional-nulling design calls one level at
+a time.  One accumulator, ``_batch_forward``, averages a batch of draws for
+:func:`batch_distribution` and the learning loop; a single draw's
+:func:`exact_distribution` is a batch of one.
 :func:`mc_sample` simulates individual receiver runs as an independent
 statistical cross-check.
 """
@@ -37,7 +38,6 @@ from .tree import DecisionTable, DecisionTree, level_offset
 
 __all__ = [
     "PathDistribution",
-    "path_probs",
     "draw_arrays",
     "exact_distribution",
     "draw_chunks",
@@ -88,28 +88,6 @@ def _check_draws(phase, scale) -> tuple[np.ndarray, np.ndarray]:
     if np.any(scale <= 0):
         raise ValueError("amplitude scales must be positive")
     return phase, scale
-
-
-def path_probs(
-    tree: DecisionTree,
-    c: Constellation,
-    nm: NoiseModel,
-    phase,
-    scale,
-) -> np.ndarray:
-    """Conditional path probabilities for a batch of jitter draws.
-
-    ``phase`` and ``scale`` hold ``B`` jitter draws, one per receiver run,
-    each held fixed across the rounds of its run: both of shape ``(B,)``.
-    Returns ``probs`` of shape ``(B, K, M^N)``; ``probs[b]`` is the
-    distribution of run ``b``: the last level of the forward recursion
-    ``_forward``.  The detected means and outcome probabilities of every
-    node, draw and codeword come from one kernel call, and only the prefix
-    products go level by level; a single draw is ``B = 1`` of the same call.
-    The arithmetic is elementwise, so every ``probs[b]`` equals the
-    single-draw result bit for bit.
-    """
-    return _forward(tree, c, nm, *_check_draws(phase, scale))[0][-1]
 
 
 def _outcome_terms(
@@ -172,9 +150,8 @@ def exact_distribution(
     nm: NoiseModel,
     draw: NoiseDraw = IDEAL_DRAW,
 ) -> PathDistribution:
-    """Exact conditional path distribution for one per-run jitter draw."""
-    probs = path_probs(tree, c, nm, *draw_arrays([draw]))[0]
-    return PathDistribution(probs, tree.rounds, tree.arity, c)
+    """Exact conditional path distribution for one per-run jitter draw: a batch of one."""
+    return batch_distribution(tree, c, nm, *draw_arrays([draw]))
 
 
 # Upper bound on the per-draw values one batched call holds, so that large
@@ -226,10 +203,14 @@ def batch_distribution(
 ) -> PathDistribution:
     """Path distribution averaged over a batch of jitter draws.
 
-    ``phase`` and ``scale`` are as in :func:`path_probs`, checked once for
-    the whole batch.  The draws are summed one at a time in batch order, by
-    the accumulator that also gives the learning loop its MAP table (with
-    derivatives, for the gradient), so that table has these bits.
+    ``phase`` and ``scale`` hold ``B`` jitter draws, one per receiver run,
+    each held fixed across the rounds of its run: both of shape ``(B,)``,
+    checked once for the whole batch.  Draw ``b``'s path probabilities are
+    the last level of the forward recursion ``_forward``, elementwise, so
+    they equal the single-draw result bit for bit.  The draws are summed one
+    at a time in batch order, by the accumulator that also gives the
+    learning loop its MAP table (with derivatives, for the gradient), so
+    that table has these bits.
     """
     return _batch_forward(tree, c, nm, *_check_draws(phase, scale))[0]
 

@@ -174,9 +174,6 @@ class DecisionTable:
             raise ValueError("guesses must be valid labels")
         object.__setattr__(self, "guesses", guesses)
 
-    def guess(self, path: Sequence[int]) -> int:
-        return int(self.guesses[leaf_index(self.arity, self.rounds, path)])
-
 
 def displacement_report(
     t: DecisionTree, reference: DecisionTree

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coherentrx import cli
+from coherentrx import cli, simulator
 from coherentrx.cli import main
+from coherentrx.photonics import NoiseModel
 from coherentrx.tree import load_receiver
 
 
@@ -138,6 +139,21 @@ class TestOptimize:
         assert err.startswith(f"error: cannot write output file {out}: ") and err.count("\n") == 1
         assert not out.parent.exists()
 
+    def test_trace_in_missing_directory_fails_before_learning(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("learning ran before the outputs were checked")
+
+        monkeypatch.setattr(cli, "formulate", no_work)
+        out, trace = tmp_path / "r.json", tmp_path / "missing" / "t.csv"
+        code = run(
+            "optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2,
+            "--mean-photon", 1.0, "--iters", 3, "--out", out, "--trace", trace,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write output file {trace}: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_loadable_receiver(self, bpsk_receiver):
         rx = load_receiver(str(bpsk_receiver))
         assert rx.tree.rounds == 4
@@ -219,6 +235,20 @@ class TestEvaluate:
         # the path given, not the temp file the write went through
         assert err.startswith(f"error: cannot write output file {out}: ") and err.count("\n") == 1
         assert ".tmp" not in err
+
+    def test_out_in_missing_directory_fails_before_any_evaluation(
+        self, bpsk_receiver, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluation ran before the output was checked")
+
+        for name in ("optimize_sweep", "averaged_distribution", "mc_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "missing" / "o.csv"
+        code = run("evaluate", "--spec", bpsk_receiver, "--sweep", "0.6,1.0", "--reoptimize",
+                   "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write output file {out}: ")
 
     def test_spec_header_is_content_hash(self, bpsk_receiver, tmp_path):
         outs = []
@@ -553,6 +583,22 @@ class TestMetrics:
         assert (out1 / "kl.csv").read_bytes() == (out2 / "kl.csv").read_bytes()
         assert (out1 / "posterior.csv").read_bytes() == (out2 / "posterior.csv").read_bytes()
 
+    def test_one_exact_distribution_per_noise_model(self, qam6_spec, tmp_path, monkeypatch):
+        doc, spec_dir = qam6_spec
+        real, models = simulator.exact_distribution, []
+
+        def counted(tree, c, nm, *args, **kwargs):
+            models.append(nm)
+            return real(tree, c, nm, *args, **kwargs)
+
+        # every binding of the name, wherever a module imported it
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "coherentrx" and hasattr(module, "exact_distribution"):
+                monkeypatch.setattr(module, "exact_distribution", counted)
+        assert run("metrics", "--spec", spec_dir / "receiver.json", "--batch", 2,
+                   "--out-dir", tmp_path / "diag") == 0
+        assert models == [NoiseModel(), NoiseModel.from_dict(doc["noise_model"])]
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(
@@ -567,6 +613,17 @@ def test_evaluate_requires_sweep_or_point(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("evaluate", "--spec", tmp_path / "r.json", "--out", tmp_path / "o.csv")
     assert exc.value.code == 2
+
+
+def test_evaluate_refuses_sweep_and_point_together(bpsk_receiver, tmp_path, capsys):
+    # the point used to be dropped while the header still recorded it
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("evaluate", "--spec", bpsk_receiver, "--sweep", "1.0", "--mean-photon", 2.0,
+            "--out", out)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -121,12 +121,12 @@ def test_caller_detector():
     module = ast.parse("def f(g):\n    return g + f(1)\ndef h():\n    pass\nh()\n")
     assert names_read_in(module) & {"f", "g", "h"} == {"h"}
     script = ast.parse(
-        "from coherentrx import simulator as s\nfrom coherentrx.tree import leaf_index\ns.path_probs\n"
+        "from coherentrx import simulator as s\nfrom coherentrx.tree import leaf_index\ns.map_table\n"
     )
     assert names_used_from(script, None) == {
         "coherentrx": {"simulator", "tree"},
         "coherentrx.tree": {"leaf_index"},
-        "coherentrx.simulator": {"path_probs"},
+        "coherentrx.simulator": {"map_table"},
     }
 
 
@@ -143,6 +143,44 @@ def test_public_names_have_a_caller_outside_tests():
             continue
         callers = used.get(module, set()) | names_read_in(tree)
         uncalled += [f"{module}.{n}" for n in exported_names(tree) if n not in callers]
+    assert uncalled == []
+
+
+def public_methods(tree: ast.AST) -> list[str]:
+    """``Class.method`` for each public method or property of an exported class."""
+    exported = set(exported_names(tree))
+    return [
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name in exported
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+
+
+def test_public_method_detector():
+    module = ast.parse(
+        "__all__ = ['A']\nclass A:\n    def f(self):\n        pass\n"
+        "    def _g(self):\n        pass\n    @property\n    def h(self):\n        pass\n"
+        "class B:\n    def k(self):\n        pass\n"
+    )
+    assert public_methods(module) == ["A.f", "A.h"]
+
+
+def test_public_methods_have_a_caller_outside_tests():
+    # a caller is any file of the package, demos or benchmark that reads the
+    # name as an attribute, whatever the object
+    parsed = {path: ast.parse(path.read_text()) for path in CALLER_FILES}
+    attributes = {
+        node.attr for tree in parsed.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    uncalled = [
+        f"{module_name(path)}.{method}"
+        for path, tree in parsed.items()
+        if module_name(path) is not None
+        for method in public_methods(tree)
+        if method.rpartition(".")[2] not in attributes
+    ]
     assert uncalled == []
 
 

@@ -23,6 +23,7 @@ from coherentrx.baselines import cn_receiver
 from coherentrx.constellation import bpsk, custom, qam6
 from coherentrx.formulator import _gradient_on_draws
 from coherentrx.photonics import (
+    NoiseDraw,
     NoiseModel,
     detected_mean,
     outcome_prob_derivs,
@@ -37,9 +38,13 @@ from coherentrx.simulator import (
     exact_distribution,
     map_table,
     mc_sample,
-    path_probs,
 )
 from coherentrx.tree import DecisionTree, level_offset, num_nodes
+
+
+def path_probs(tree, c, nm, phase, scale):
+    """Per-draw path probabilities ``(B, K, M^N)``: the forward recursion's last level."""
+    return simulator._forward(tree, c, nm, *simulator._check_draws(phase, scale))[0][-1]
 
 
 def random_instance(rng, rounds, arity, k_codes):
@@ -136,6 +141,16 @@ def test_path_probs_per_run_matches_reference_loop(seed, batch):
         assert np.array_equal(got[b], want)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_distribution_matches_reference_loop(seed):
+    # a batch of one through the accumulator: 0.0 + p and p / 1 keep every bit
+    rng, rounds, arity, k_codes = random_shapes(seed)
+    tree, c, nm = random_instance(rng, rounds, arity, k_codes)
+    phase, scale = float(rng.normal(0.0, 0.1)), float(rng.normal(1.0, 0.05))
+    got = exact_distribution(tree, c, nm, NoiseDraw(phase, scale)).probs
+    assert got.tobytes() == reference_probs(tree, c, nm, phase, scale).tobytes()
+
+
 @pytest.mark.parametrize("batch", [1, 3, 16])
 @pytest.mark.parametrize("seed", range(12, 18))
 def test_gradient_matches_reference_loop(seed, batch):
@@ -176,11 +191,11 @@ def test_shape_validation():
     rng, _, _, _ = random_shapes(0)
     tree, c, nm = random_instance(rng, 3, 2, 2)
     with pytest.raises(ValueError):
-        path_probs(tree, c, nm, np.zeros(3), np.ones(2))
+        batch_distribution(tree, c, nm, np.zeros(3), np.ones(2))
     with pytest.raises(ValueError):
-        path_probs(tree, c, nm, np.zeros((4, 2)), np.ones((4, 2)))
+        batch_distribution(tree, c, nm, np.zeros((4, 2)), np.ones((4, 2)))
     with pytest.raises(ValueError):
-        path_probs(tree, c, nm, np.zeros(2), np.array([1.0, 0.0]))
+        batch_distribution(tree, c, nm, np.zeros(2), np.array([1.0, 0.0]))
 
 
 instance_seeds = st.integers(0, 2**32 - 1)

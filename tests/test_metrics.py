@@ -92,21 +92,34 @@ class TestMostProbablePathAndExpectation:
         c = bpsk(1.3)
         nodes = np.full(num_nodes(3, 2), c.amplitudes[0] / math.sqrt(3))
         tree = DecisionTree(3, 2, nodes)
-        assert most_probable_path(tree, c, IDEAL, 0) == (0, 0, 0)
+        assert most_probable_path(exact_distribution(tree, c, IDEAL), 0) == (0, 0, 0)
 
     def test_expected_posterior_rows_normalized(self):
         c = qam6(4.0)
         tree, _ = cn_receiver(c, 3, 3)
+        d = exact_distribution(tree, c, IDEAL)
         for label in range(6):
-            rows = expected_posterior_trajectory(tree, c, IDEAL, label)
+            rows = expected_posterior_trajectory(d, label)
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-10)
             np.testing.assert_array_equal(rows[0], c.priors)
 
     def test_expected_true_posterior_grows(self):
         c = bpsk(0.9)
         tree, _ = cn_receiver(c, 4, 2)
-        rows = expected_posterior_trajectory(tree, c, IDEAL, 1)
+        rows = expected_posterior_trajectory(exact_distribution(tree, c, IDEAL), 1)
         assert rows[-1, 1] > rows[0, 1]
+
+    @pytest.mark.parametrize("label", [-1, 6])
+    def test_label_outside_the_constellation_rejected(self, label):
+        # -1 used to read codeword 5's row, and 6 raised IndexError
+        c = qam6(2.0)
+        tree, _ = cn_receiver(c, 2, 3)
+        d = exact_distribution(tree, c, IDEAL)
+        for diagnostic in (most_probable_path, expected_posterior_trajectory):
+            with pytest.raises(ValueError, match="invalid codeword label"):
+                diagnostic(d, label)
+        with pytest.raises(ValueError, match="invalid codeword label"):
+            prefix_marginal(d, label, 1)
 
 
 class TestPrefixKL:

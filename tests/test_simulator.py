@@ -9,12 +9,12 @@ from coherentrx.photonics import NoiseDraw, NoiseModel, sample_draws
 from coherentrx.simulator import (
     PathDistribution,
     averaged_distribution,
+    batch_distribution,
     error_rate,
     exact_distribution,
     map_table,
     draw_arrays,
     mc_sample,
-    path_probs,
 )
 from coherentrx.tree import DecisionTable, DecisionTree, num_nodes
 
@@ -87,7 +87,7 @@ class TestExactDistribution:
         tree, c, nm = random_instance(rng, rounds=3)
         phase, scale = draw_arrays(sample_draws(nm, 3, 11))
         with pytest.raises(ValueError, match=r"\(B,\)"):
-            path_probs(tree, c, nm, phase[None, :], scale[None, :])
+            batch_distribution(tree, c, nm, phase[None, :], scale[None, :])
 
 
 class TestAveragedDistribution:

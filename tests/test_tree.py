@@ -207,5 +207,4 @@ def test_bpsk_cn_style_table_is_well_formed():
     c = bpsk(1.2)
     tree = DecisionTree(1, 2, np.array([c.amplitudes[0]]))
     table = map_table(exact_distribution(tree, c, NoiseModel()))
-    assert table.guess([0]) == 0
-    assert table.guess([1]) == 1
+    assert table.guesses.tolist() == [0, 1]
