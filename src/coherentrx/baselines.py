@@ -558,6 +558,9 @@ _GL_POINTS = 24
 _TIE_TOL = 1e-9
 _HALVING_TOL = 1e-13
 _MAX_HALVINGS = 30
+# Largest codeword quadrature heterodyne_sql takes: beyond it the unit-width
+# peaks around each a_k span too few floats (the ulp of 1e18 is 128)
+_MAX_QUADRATURE = 1e8
 
 
 @functools.cache
@@ -621,7 +624,19 @@ def heterodyne_sql(c: Constellation) -> float:
     agree while both are off by more.)  A piece that would need more than
     ``_MAX_HALVINGS`` halvings raises ``RuntimeError`` rather than return an
     unconverged value.
+
+    A codeword whose real or imaginary part exceeds ``_MAX_QUADRATURE`` =
+    1e8 in magnitude (BPSK above 1e16 photons) raises ``ValueError``: there
+    the windows fall below float resolution near ``a_k``, and the value
+    would be wrong.  Up to that limit BPSK reads at most ~2e-12, against a
+    true error of 0 to hundreds of digits.
     """
+    # written so that NaN fails it
+    if not (np.abs(c.amplitudes.view(np.float64)) <= _MAX_QUADRATURE).all():
+        raise ValueError(
+            f"heterodyne_sql takes codeword quadratures up to {_MAX_QUADRATURE:g} in magnitude "
+            f"(1e16 photons for bpsk): beyond that its windows fall below float resolution"
+        )
     keep = c.priors > 0
     amps, log_priors = c.amplitudes[keep], np.log(c.priors[keep])
     pad = 7.0

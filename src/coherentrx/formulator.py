@@ -30,16 +30,8 @@ import numpy as np
 
 from .baselines import cn_tree, dolinar_tree
 from .constellation import Constellation, mean_energy
-from .photonics import NoiseDraw, NoiseModel, _jitter_arrays
-from .simulator import (
-    _batch_forward,
-    _forward,
-    batch_distribution,
-    draw_arrays,
-    draw_chunks,
-    error_rate,
-    map_table,
-)
+from .photonics import NoiseModel, sample_draws
+from .simulator import _batch_forward, _draw_chunks, _forward, batch_distribution, error_rate, map_table
 from .tree import DecisionTable, DecisionTree, level_offset, num_nodes
 
 __all__ = [
@@ -225,7 +217,7 @@ def _gradient(
     labels = np.arange(c.n_codewords)
     # success weight of each (codeword, leaf): prior if the table guesses it
     weights = c.priors[:, None] * (table.guesses[None, :] == labels[:, None])
-    chunks = list(draw_chunks(phase, scale, weights.size))
+    chunks = list(_draw_chunks(phase, scale, weights.size))
     last = [_sensitivities(tree, c, nm, weights, *chunks.pop(), held.pop())] if held else []
     rest = (
         _sensitivities(tree, c, nm, weights, ph, sc, _forward(tree, c, nm, ph, sc, derivs=True))
@@ -238,17 +230,6 @@ def _gradient(
             gx += rx
             gy += ry
     return -(gx + 1j * gy) / phase.shape[0]
-
-
-def _gradient_on_draws(
-    tree: DecisionTree,
-    table: DecisionTable,
-    c: Constellation,
-    nm: NoiseModel,
-    draws: list[NoiseDraw],
-) -> np.ndarray:
-    """:func:`_gradient` on a list of draws."""
-    return _gradient(tree, table, c, nm, *draw_arrays(draws))
 
 
 def formulate(
@@ -292,7 +273,7 @@ def formulate(
         # one child a spawn: the seeds of spawning max_iterations children
         # up front, made only for the iterations that run
         (iter_seq,) = iter_root.spawn(1)
-        phase, scale = _jitter_arrays(nm, cfg.batch_size, iter_seq)
+        phase, scale = sample_draws(nm, cfg.batch_size, iter_seq)
         dist, held = _batch_forward(tree, c, nm, phase, scale, derivs=True)
         new_table = map_table(dist)
         loss_start = error_rate(dist, table if table is not None else new_table)
@@ -333,7 +314,7 @@ def formulate(
         converged=converged,
         best_iteration=best_iteration,
     )
-    holdout = _jitter_arrays(nm, _HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
+    holdout = sample_draws(nm, _HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
     final_dist = batch_distribution(best_tree, c, nm, *holdout)
     final_table = map_table(final_dist)
     final_loss = error_rate(final_dist, final_table)

@@ -28,8 +28,6 @@ from .constellation import _real
 
 __all__ = [
     "NoiseModel",
-    "NoiseDraw",
-    "IDEAL_DRAW",
     "DEFAULT_DARK_COUNTS",
     "DEFAULT_PHASE_JITTER",
     "DEFAULT_AMPLITUDE_JITTER",
@@ -109,21 +107,6 @@ class NoiseModel:
         return cls(**{k: _real(v, k) for k, v in d.items()})
 
 
-@dataclass(frozen=True)
-class NoiseDraw:
-    """One realization of the per-run displacement-chain jitter."""
-
-    phase_offset: float = 0.0
-    amplitude_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.amplitude_scale <= 0:
-            raise ValueError("amplitude_scale must be positive")
-
-
-IDEAL_DRAW = NoiseDraw()
-
-
 def lab_noise(visibility: float = 0.9975, efficiency: float = 0.85) -> NoiseModel:
     """Noise model at the documented default dark-count and jitter levels."""
     return NoiseModel(
@@ -145,7 +128,7 @@ def detected_mean(
 
     ``effective_displacements`` are the displacements ``u'`` as applied,
     jitter included: ``u' = rot * u`` with a draw's rotation
-    ``rot = amplitude_scale * exp(i*phase)``, formed once per draw and
+    ``rot = scale * exp(i*phase)``, formed once per draw and
     associated in that order.  The detected mean is
 
         eta * (|b|^2 + |u'|^2 - 2*xi*Re(b * conj(u'))) + nu
@@ -209,17 +192,22 @@ def outcome_prob_derivs(n, arity: int) -> tuple[np.ndarray, np.ndarray]:
     return probs, derivs
 
 
-def _jitter_arrays(nm: NoiseModel, batch_size: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """The phases and amplitude scales of :func:`sample_draws`, as arrays.
+def sample_draws(nm: NoiseModel, batch_size: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic batch of per-run jitter draws for a given seed.
 
-    Each draw takes its phase, then its amplitude scale, from one generator,
-    and ``rng.normal(loc, sigma)`` forms each as ``loc + sigma * z`` from one
-    standard normal ``z``.  So one ``standard_normal`` call of every draw's
-    values, de-interleaved, gives the per-draw loop's values bit for bit,
-    unless a scale comes out non-positive: the loop redraws such a scale at
-    once, which shifts every later value, so such a batch is drawn again by
-    that loop from the generator's starting state.  Without jitter the batch
-    is the ideal draw alone, arrays of length one.
+    Returns the phases and amplitude scales as float arrays of shape ``(B,)``.
+    Each draw takes its phase, then its amplitude scale, from one generator.
+    The amplitude scale is Normal(1, sigma^2) redrawn until positive, which
+    for realistic sigmas essentially never loops.  ``rng.normal(loc, sigma)``
+    forms each value as ``loc + sigma * z`` from one standard normal ``z``,
+    so one ``standard_normal`` call of every draw's values, de-interleaved,
+    gives a per-draw loop's values bit for bit, unless a scale comes out
+    non-positive: the loop redraws such a scale at once, which shifts every
+    later value, so such a batch is drawn again by that loop from the
+    generator's starting state.  Without jitter every draw is the ideal one
+    (phase 0, scale 1), so the batch collapses to arrays of length one for
+    any ``batch_size``, and an average over it is exactly batch-size
+    invariant.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
@@ -241,18 +229,3 @@ def _jitter_arrays(nm: NoiseModel, batch_size: int, seed) -> tuple[np.ndarray, n
             while scale[b] <= 0.0:
                 scale[b] = rng.normal(1.0, nm.amplitude_jitter)
     return phase, scale
-
-
-def sample_draws(nm: NoiseModel, batch_size: int, seed) -> list[NoiseDraw]:
-    """Deterministic batch of per-run jitter draws for a given seed.
-
-    Each draw takes its phase, then its amplitude scale, from one generator.
-    The amplitude scale is Normal(1, sigma^2) redrawn until positive, which
-    for realistic sigmas essentially never loops.  Without jitter every draw
-    is the ideal one, so the batch collapses to ``[IDEAL_DRAW]`` for any
-    ``batch_size``, and an average over it is exactly batch-size invariant.
-    The draws are built from the arrays that the learning loop takes
-    directly (``_jitter_arrays``), so both see the same values.
-    """
-    phase, scale = _jitter_arrays(nm, batch_size, seed)
-    return [NoiseDraw(p, s) for p, s in zip(phase.tolist(), scale.tolist())]

@@ -20,27 +20,16 @@ statistical cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .constellation import Constellation
-from .photonics import (
-    IDEAL_DRAW,
-    NoiseDraw,
-    NoiseModel,
-    detected_mean,
-    outcome_prob_derivs,
-    outcome_probs,
-    sample_draws,
-)
+from .photonics import NoiseModel, detected_mean, outcome_prob_derivs, outcome_probs, sample_draws
 from .tree import DecisionTable, DecisionTree, level_offset
 
 __all__ = [
     "PathDistribution",
-    "draw_arrays",
     "exact_distribution",
-    "draw_chunks",
     "batch_distribution",
     "averaged_distribution",
     "map_table",
@@ -80,13 +69,17 @@ class PathDistribution:
 
 
 def _check_draws(phase, scale) -> tuple[np.ndarray, np.ndarray]:
-    """A batch of jitter draws as float arrays of one shape ``(B,)``, scales positive."""
+    """A batch of jitter draws as float arrays of one shape ``(B,)``.
+
+    Phases must be finite, and scales finite and positive.
+    """
     phase = np.asarray(phase, dtype=np.float64)
     scale = np.asarray(scale, dtype=np.float64)
     if phase.shape != scale.shape or phase.ndim != 1:
         raise ValueError("phase and scale must share a shape (B,), one draw per receiver run")
-    if np.any(scale <= 0):
-        raise ValueError("amplitude scales must be positive")
+    # one reduction, written so that NaN fails it
+    if not (np.isfinite(phase) & (scale > 0) & (scale < np.inf)).all():
+        raise ValueError("jitter draws need finite phases and finite, positive amplitude scales")
     return phase, scale
 
 
@@ -137,21 +130,9 @@ def _forward(
     return prefix, q_levels, None if dq is None else [dq[:, :, nodes] for nodes in levels]
 
 
-def draw_arrays(draws: Sequence[NoiseDraw]) -> tuple[np.ndarray, np.ndarray]:
-    """Phase offsets and amplitude scales of a list of draws, as arrays."""
-    phase = np.array([d.phase_offset for d in draws], dtype=np.float64)
-    scale = np.array([d.amplitude_scale for d in draws], dtype=np.float64)
-    return phase, scale
-
-
-def exact_distribution(
-    tree: DecisionTree,
-    c: Constellation,
-    nm: NoiseModel,
-    draw: NoiseDraw = IDEAL_DRAW,
-) -> PathDistribution:
-    """Exact conditional path distribution for one per-run jitter draw: a batch of one."""
-    return batch_distribution(tree, c, nm, *draw_arrays([draw]))
+def exact_distribution(tree: DecisionTree, c: Constellation, nm: NoiseModel) -> PathDistribution:
+    """Exact conditional path distribution at the ideal draw (no jitter): a batch of one."""
+    return batch_distribution(tree, c, nm, np.zeros(1), np.ones(1))
 
 
 # Upper bound on the per-draw values one batched call holds, so that large
@@ -159,7 +140,7 @@ def exact_distribution(
 _CHUNK_ELEMS = 1 << 18
 
 
-def draw_chunks(phase: np.ndarray, scale: np.ndarray, per_draw: int):
+def _draw_chunks(phase: np.ndarray, scale: np.ndarray, per_draw: int):
     """Consecutive chunks ``(phase, scale)`` of a batch of draws, in order.
 
     Each chunk holds at most ``_CHUNK_ELEMS // per_draw`` draws (at least
@@ -176,7 +157,7 @@ def _batch_forward(
     """Batch-averaged path distribution, plus the last chunk's forward.
 
     The draws, checked arrays as in :func:`_forward`, go through
-    :func:`draw_chunks` and are summed one at a time in batch order:
+    :func:`_draw_chunks` and are summed one at a time in batch order:
     ``np.sum`` over the draw axis would switch to pairwise summation whenever
     that axis is contiguous, which reorders the additions and changes the
     last bits.  The last chunk's forward (with derivatives if ``derivs``) is
@@ -186,7 +167,7 @@ def _batch_forward(
     """
     acc = np.zeros((c.n_codewords, tree.arity**tree.rounds))
     held = []
-    for ph, sc in draw_chunks(phase, scale, acc.size):
+    for ph, sc in _draw_chunks(phase, scale, acc.size):
         held.clear()
         held.append(_forward(tree, c, nm, ph, sc, derivs))
         for probs in held[0][0][-1]:
@@ -228,7 +209,7 @@ def averaged_distribution(
     jitter :func:`~coherentrx.photonics.sample_draws` gives the ideal draw
     alone, so the average is the exact distribution for any ``batch_size``.
     """
-    return batch_distribution(tree, c, nm, *draw_arrays(sample_draws(nm, batch_size, seed)))
+    return batch_distribution(tree, c, nm, *sample_draws(nm, batch_size, seed))
 
 
 def map_table(d: PathDistribution) -> DecisionTable:

@@ -293,8 +293,15 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def save_receiver(path: str, receiver: Receiver) -> None:
-    """Write a receiver-spec JSON document atomically."""
-    atomic_write(path, json.dumps(receiver.to_dict(), indent=2, sort_keys=True) + "\n")
+    """Write a receiver-spec JSON document atomically.
+
+    The document passes the loader's checks first, so a spec that
+    :func:`load_receiver` would refuse raises ``ValueError`` and is not
+    written.
+    """
+    text = json.dumps(receiver.to_dict(), indent=2, sort_keys=True) + "\n"
+    Receiver.from_dict(json.loads(text))
+    atomic_write(path, text)
 
 
 def load_receiver(path: str) -> Receiver:

@@ -24,13 +24,12 @@ from coherentrx.baselines import (
     kennedy_bpsk,
 )
 from coherentrx.constellation import bpsk, custom, qam6
-from coherentrx.formulator import FormulatorConfig, _gradient_on_draws, formulate, optimize_sweep
+from coherentrx.formulator import FormulatorConfig, _gradient, formulate, optimize_sweep
 from coherentrx.metrics import posterior_trajectory, prefix_kl
 from coherentrx.photonics import (
     DEFAULT_AMPLITUDE_JITTER,
     DEFAULT_DARK_COUNTS,
     DEFAULT_PHASE_JITTER,
-    NoiseDraw,
     NoiseModel,
     lab_noise,
     sample_draws,
@@ -38,6 +37,7 @@ from coherentrx.photonics import (
 from coherentrx.simulator import (
     PathDistribution,
     averaged_distribution,
+    batch_distribution,
     error_rate,
     exact_distribution,
     map_table,
@@ -185,7 +185,7 @@ def jitter_averaged_error(tree, c, nm, table, order: int = 24) -> float:
             scale = 1.0 + nm.amplitude_jitter * y
             if scale <= 0.0:
                 continue
-            d = exact_distribution(tree, c, nm, NoiseDraw(phase, scale))
+            d = batch_distribution(tree, c, nm, [phase], [scale])
             total += wx * wy * error_rate(d, table)
             weight += wx * wy
     return total / weight
@@ -264,13 +264,13 @@ def test_criterion_4_gradient_correctness():
         )
         draws = sample_draws(nm, 3, 500 + i)
         table = map_table(averaged_distribution(tree, c, nm, 3, seed=500 + i))
-        grad = _gradient_on_draws(tree, table, c, nm, draws)
+        grad = _gradient(tree, table, c, nm, *draws)
 
         def loss_at(nd):
             acc = np.zeros((k, arity**rounds))
-            for draw in draws:
-                acc += exact_distribution(DecisionTree(rounds, arity, nd), c, nm, draw).probs
-            return error_rate(PathDistribution(acc / len(draws), rounds, arity, c), table)
+            for ph, sc in zip(*(x.tolist() for x in draws)):
+                acc += batch_distribution(DecisionTree(rounds, arity, nd), c, nm, [ph], [sc]).probs
+            return error_rate(PathDistribution(acc / draws[0].size, rounds, arity, c), table)
 
         h = 1e-6
         fd = np.zeros(n, dtype=complex)

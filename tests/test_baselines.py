@@ -567,6 +567,18 @@ class TestHeterodyne:
         for nbar in (1e8, 1e9, 1e12):
             assert heterodyne_sql(qam6(nbar)) <= 1e-12
 
+    @pytest.mark.parametrize("builder", [bpsk, qam6])
+    @pytest.mark.parametrize("nbar", [1e20, 1e24, 1e36])
+    def test_huge_photon_numbers_rejected(self, builder, nbar):
+        # the true error is 0 to hundreds of digits; the windows around each
+        # codeword fell below float resolution and read up to 0.8333
+        with pytest.raises(ValueError, match="quadratures up to 1e\\+08"):
+            heterodyne_sql(builder(nbar))
+
+    def test_limit_is_inclusive_and_accurate(self):
+        # BPSK codewords at +-1e8 exactly: the largest quadrature taken
+        assert heterodyne_sql(bpsk(1e16)) <= 1e-11
+
     def test_matches_dblquad_oracle(self):
         # unequal priors, two codewords in one row, one codeword never used
         amps = np.array([0.6 + 0.5j, -0.9 + 0.5j, 0.2 - 0.8j, 1.4 + 1.2j])

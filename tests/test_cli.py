@@ -154,6 +154,20 @@ class TestOptimize:
         assert err.startswith(f"error: cannot write output file {trace}: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
+    def test_spec_the_loader_refuses_is_not_written(self, tmp_path, capsys):
+        # the spec once got written, and evaluate and metrics then refused it
+        out = tmp_path / "r.json"
+        code = run(
+            "optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2,
+            "--mean-photon", 1e300, "--iters", 3, "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: receiver spec out of range: a detected mean photon number exceeds 1e+300; "
+            "node displacements and codeword amplitudes must stay below about 1e150\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_loadable_receiver(self, bpsk_receiver):
         rx = load_receiver(str(bpsk_receiver))
         assert rx.tree.rounds == 4
@@ -538,6 +552,17 @@ class TestBaseline:
         assert exc.value.code == 2
         assert "sweep values must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_heterodyne_beyond_its_range_is_usage_error(self, tmp_path, capsys):
+        # once an OverflowError traceback from the quadrature's window sums
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("baseline", "--receivers", "heterodyne", "--sweep", "1e308",
+                       "--out-dir", tmp_path / "x")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: heterodyne_sql takes codeword quadratures up to 1e+08")
+        assert err.count("\n") == 1
 
     def test_unknown_receiver(self, tmp_path):
         code = run("baseline", "--receivers", "psychic", "--sweep", "1.0",

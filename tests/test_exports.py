@@ -184,6 +184,73 @@ def test_public_methods_have_a_caller_outside_tests():
     assert uncalled == []
 
 
+def defaulted_parameters(tree: ast.AST) -> list[tuple[str, str, int | None]]:
+    """``(function, parameter, position)`` for each defaulted parameter of an exported function.
+
+    ``position`` is the index among the positional parameters, ``None`` for a
+    keyword-only one.
+    """
+    exported = set(exported_names(tree))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in exported:
+            a = node.args
+            positional = a.posonlyargs + a.args
+            for i, p in enumerate(positional[len(positional) - len(a.defaults) :]):
+                found.append((node.name, p.arg, len(positional) - len(a.defaults) + i))
+            found += [(node.name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return found
+
+
+def passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether a call passes a parameter: by keyword, by position or through a starred argument."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    """Every call in some files, by the name called (``f(...)`` and ``x.f(...)`` alike)."""
+    found: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                found.setdefault(name, []).append(node)
+    return found
+
+
+def test_defaulted_parameter_detector():
+    module = ast.parse(
+        "__all__ = ['f', 'g']\ndef f(a, b=1, *, c=2, d):\n    pass\n"
+        "def g(x=0):\n    pass\ndef h(y=0):\n    pass\n"
+    )
+    assert defaulted_parameters(module) == [("f", "b", 1), ("f", "c", None), ("g", "x", 0)]
+    calls = calls_by_name([ast.parse("f(1, 2)\nm.f(1, c=3)\ng(*xs)\nh()\n")])
+    assert [passes(call, "b", 1) for call in calls["f"]] == [True, False]
+    assert [passes(call, "c", None) for call in calls["f"]] == [False, True]
+    assert passes(calls["g"][0], "x", 0)
+    assert not passes(calls["h"][0], "y", 0)
+
+
+def test_public_parameters_are_passed_outside_tests():
+    # a parameter with a default that no package, demo or benchmark call
+    # passes is an option only tests set
+    parsed = {path: ast.parse(path.read_text()) for path in CALLER_FILES}
+    calls = calls_by_name(parsed.values())
+    unpassed = [
+        f"{module_name(path)}.{function}({parameter})"
+        for path, tree in parsed.items()
+        if module_name(path) is not None
+        for function, parameter, position in defaulted_parameters(tree)
+        if not any(passes(call, parameter, position) for call in calls.get(function, []))
+    ]
+    assert unpassed == []
+
+
 def test_import_starts_no_process_machinery():
     src = str(pathlib.Path(coherentrx.__file__).parents[1])
     code = (

@@ -10,7 +10,7 @@ from coherentrx.baselines import cn_receiver, cn_tree
 from coherentrx.constellation import bpsk, custom, qam6
 from coherentrx.formulator import (
     FormulatorConfig,
-    _gradient_on_draws,
+    _gradient,
     formulate,
     init_tree,
     optimize_receiver,
@@ -19,7 +19,6 @@ from coherentrx.photonics import NoiseModel, sample_draws
 from coherentrx.simulator import (
     averaged_distribution,
     batch_distribution,
-    draw_arrays,
     error_rate,
     exact_distribution,
     map_table,
@@ -85,7 +84,7 @@ class TestGradient:
         c = custom(np.array([0.8, -0.8]), np.array([1.0, 0.0]))
         tree = init_tree(c, 3, 2, 0.2, seed=2)
         table = map_table(exact_distribution(tree, c, IDEAL))
-        g = _gradient_on_draws(tree, table, c, IDEAL, sample_draws(IDEAL, 4, seed=0))
+        g = _gradient(tree, table, c, IDEAL, *sample_draws(IDEAL, 4, seed=0))
         assert np.abs(g).max() < 1e-14
 
     def test_unreachable_branch_has_zero_gradient(self):
@@ -94,7 +93,7 @@ class TestGradient:
         c = custom(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
         tree = DecisionTree.zeros(2, 2)
         table = map_table(exact_distribution(tree, c, IDEAL))
-        g = _gradient_on_draws(tree, table, c, IDEAL, sample_draws(IDEAL, 1, seed=0))
+        g = _gradient(tree, table, c, IDEAL, *sample_draws(IDEAL, 1, seed=0))
         assert g[2] == 0.0  # node reached only after a click at the root
 
     def test_matches_central_finite_differences(self):
@@ -112,7 +111,7 @@ class TestGradient:
             )
             tree = DecisionTree(rounds, arity, nodes)
             table = map_table(exact_distribution(tree, c, nm))
-            g = _gradient_on_draws(tree, table, c, nm, sample_draws(nm, 3, seed=7))
+            g = _gradient(tree, table, c, nm, *sample_draws(nm, 3, seed=7))
             h = 1e-6
             for idx in rng.choice(nodes.size, size=min(3, nodes.size), replace=False):
                 for comp, part in ((1.0, "real"), (1j, "imag")):
@@ -230,14 +229,13 @@ def reference_formulate(c, rounds, arity, nm, cfg):
     table, rows = None, []
     best_loss, best_tree = math.inf, tree
     for it in range(cfg.max_iterations):
-        draws = sample_draws(nm, cfg.batch_size, iter_seqs[it])
-        phase, scale = draw_arrays(draws)
+        phase, scale = sample_draws(nm, cfg.batch_size, iter_seqs[it])
         dist = batch_distribution(tree, c, nm, phase, scale)
         new_table = map_table(dist)
         loss_start = error_rate(dist, table if table is not None else new_table)
         table = new_table
         loss_post_table = error_rate(dist, table)
-        grad = _gradient_on_draws(tree, table, c, nm, draws)
+        grad = _gradient(tree, table, c, nm, phase, scale)
         gnorm = float(np.linalg.norm(grad.view(np.float64)))
         loss_end = loss_post_table
         if gnorm > 0:
@@ -256,7 +254,7 @@ def reference_formulate(c, rounds, arity, nm, cfg):
         if it >= window and rows[it - window][0] - loss_end < cfg.convergence_delta:
             break
     holdout = sample_draws(nm, formulator._HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
-    final = batch_distribution(best_tree, c, nm, *draw_arrays(holdout))
+    final = batch_distribution(best_tree, c, nm, *holdout)
     return best_tree, np.array(rows), error_rate(final, map_table(final))
 
 

@@ -21,9 +21,8 @@ from hypothesis import strategies as st
 from coherentrx import simulator
 from coherentrx.baselines import cn_receiver
 from coherentrx.constellation import bpsk, custom, qam6
-from coherentrx.formulator import _gradient_on_draws
+from coherentrx.formulator import _gradient
 from coherentrx.photonics import (
-    NoiseDraw,
     NoiseModel,
     detected_mean,
     outcome_prob_derivs,
@@ -33,7 +32,6 @@ from coherentrx.photonics import (
 from coherentrx.simulator import (
     averaged_distribution,
     batch_distribution,
-    draw_arrays,
     error_rate,
     exact_distribution,
     map_table,
@@ -77,7 +75,10 @@ def reference_probs(tree, c, nm, phase, scale):
 
 
 def reference_gradient(tree, table, c, nm, draws):
-    """Forward/backward sweep one draw at a time, summed in draw order."""
+    """Forward/backward sweep one draw at a time, summed in draw order.
+
+    ``draws`` is a ``(phase, scale)`` pair of arrays, read as Python floats.
+    """
     n, m = tree.rounds, tree.arity
     k_codes = c.n_codewords
     slices = c.amplitudes / math.sqrt(n)
@@ -85,14 +86,13 @@ def reference_gradient(tree, table, c, nm, draws):
     weights = c.priors[:, None] * (table.guesses[None, :] == labels[:, None])
     gx = np.zeros(num_nodes(n, m))
     gy = np.zeros(num_nodes(n, m))
-    for draw in draws:
-        a = draw.amplitude_scale
-        w = slices * np.exp(-1j * draw.phase_offset)
+    for phase, a in zip(*(x.tolist() for x in draws)):
+        w = slices * np.exp(-1j * phase)
         q_levels, dq_levels = [], []
         forward = [np.ones((k_codes, 1))]
         for level in range(n):
             u = tree.level_nodes(level)
-            rot = a * np.exp(1j * draw.phase_offset)
+            rot = a * np.exp(1j * phase)
             means = detected_mean(slices[:, None], rot * u[None, :], nm)
             q, dq = outcome_prob_derivs(means, m)
             q_levels.append(q)
@@ -114,7 +114,7 @@ def reference_gradient(tree, table, c, nm, draws):
             gx[start:stop] += (coeff * dn_dx).sum(axis=0)
             gy[start:stop] += (coeff * dn_dy).sum(axis=0)
             backward = (q_levels[level] * b_next).sum(axis=2)
-    return -(gx + 1j * gy) / len(draws)
+    return -(gx + 1j * gy) / draws[0].size
 
 
 def random_shapes(seed):
@@ -147,8 +147,11 @@ def test_exact_distribution_matches_reference_loop(seed):
     rng, rounds, arity, k_codes = random_shapes(seed)
     tree, c, nm = random_instance(rng, rounds, arity, k_codes)
     phase, scale = float(rng.normal(0.0, 0.1)), float(rng.normal(1.0, 0.05))
-    got = exact_distribution(tree, c, nm, NoiseDraw(phase, scale)).probs
+    got = batch_distribution(tree, c, nm, [phase], [scale]).probs
     assert got.tobytes() == reference_probs(tree, c, nm, phase, scale).tobytes()
+    # exact_distribution is the ideal draw: phase 0, scale 1
+    got = exact_distribution(tree, c, nm).probs
+    assert got.tobytes() == reference_probs(tree, c, nm, 0.0, 1.0).tobytes()
 
 
 @pytest.mark.parametrize("batch", [1, 3, 16])
@@ -158,7 +161,7 @@ def test_gradient_matches_reference_loop(seed, batch):
     tree, c, nm = random_instance(rng, rounds, arity, k_codes)
     draws = sample_draws(nm, batch, seed)
     table = map_table(averaged_distribution(tree, c, nm, batch, seed))
-    got = _gradient_on_draws(tree, table, c, nm, draws)
+    got = _gradient(tree, table, c, nm, *draws)
     assert np.array_equal(got, reference_gradient(tree, table, c, nm, draws))
 
 
@@ -183,7 +186,7 @@ def test_chunked_gradient_matches_reference_loop(monkeypatch):
     draws = sample_draws(nm, 7, 21)
     table = map_table(averaged_distribution(tree, c, nm, 7, 21))
     monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 1)
-    got = _gradient_on_draws(tree, table, c, nm, draws)
+    got = _gradient(tree, table, c, nm, *draws)
     assert np.array_equal(got, reference_gradient(tree, table, c, nm, draws))
 
 
@@ -276,10 +279,9 @@ def test_bpsk_mirror_keeps_the_error(seed, nbar, noisy, shape):
 def test_gradient_matches_central_differences(seed, batch):
     rng, rounds, arity, k_codes = random_shapes(seed)
     tree, c, nm = random_instance(rng, rounds, arity, k_codes)
-    draws = sample_draws(nm, batch, seed)
-    phase, scale = draw_arrays(draws)
+    phase, scale = sample_draws(nm, batch, seed)
     table = map_table(batch_distribution(tree, c, nm, phase, scale))
-    grad = _gradient_on_draws(tree, table, c, nm, draws)
+    grad = _gradient(tree, table, c, nm, phase, scale)
 
     def loss_at(nodes):
         d = batch_distribution(DecisionTree(rounds, arity, nodes), c, nm, phase, scale)
@@ -552,10 +554,10 @@ def test_gradient_turns_with_a_common_rotation(jitter):
             nm = replace(nm, phase_jitter=0.0, amplitude_jitter=0.0)
         turn = np.exp(1j * rng.uniform(-np.pi, np.pi))
         draws = sample_draws(nm, 4, seed)
-        table = map_table(batch_distribution(tree, c, nm, *draw_arrays(draws)))
-        grad = _gradient_on_draws(tree, table, c, nm, draws)
+        table = map_table(batch_distribution(tree, c, nm, *draws))
+        grad = _gradient(tree, table, c, nm, *draws)
         tree_rot = DecisionTree(rounds, arity, tree.nodes * turn)
         c_rot = custom(c.amplitudes * turn, c.priors)
-        got = _gradient_on_draws(tree_rot, table, c_rot, nm, draws)
+        got = _gradient(tree_rot, table, c_rot, nm, *draws)
         # an absolute floor for gradients at a stationary point (|g| ~ 1e-17)
         np.testing.assert_allclose(got, turn * grad, rtol=1e-9, atol=1e-13)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coherentrx.constellation import bpsk, custom
-from coherentrx.photonics import NoiseDraw, NoiseModel, sample_draws
+from coherentrx.photonics import NoiseModel, sample_draws
 from coherentrx.simulator import (
     PathDistribution,
     averaged_distribution,
@@ -13,7 +13,6 @@ from coherentrx.simulator import (
     error_rate,
     exact_distribution,
     map_table,
-    draw_arrays,
     mc_sample,
 )
 from coherentrx.tree import DecisionTable, DecisionTree, num_nodes
@@ -68,7 +67,7 @@ class TestExactDistribution:
         rng = np.random.default_rng(1)
         for _ in range(20):
             tree, c, nm = random_instance(rng)
-            d = exact_distribution(tree, c, nm, NoiseDraw(0.03, 1.01))
+            d = batch_distribution(tree, c, nm, [0.03], [1.01])
             np.testing.assert_allclose(d.probs.sum(axis=1), 1.0, atol=1e-10)
 
     def test_global_phase_covariance(self):
@@ -85,9 +84,27 @@ class TestExactDistribution:
         # jitter is drawn once per receiver run: a (1, N) batch is refused
         rng = np.random.default_rng(3)
         tree, c, nm = random_instance(rng, rounds=3)
-        phase, scale = draw_arrays(sample_draws(nm, 3, 11))
+        phase, scale = sample_draws(nm, 3, 11)
         with pytest.raises(ValueError, match=r"\(B,\)"):
             batch_distribution(tree, c, nm, phase[None, :], scale[None, :])
+
+    @pytest.mark.parametrize(
+        "phase, scale",
+        [
+            (math.nan, 1.0),
+            (math.inf, 1.0),
+            (-math.inf, 1.0),
+            (0.0, math.nan),
+            (0.0, math.inf),
+            (0.0, 0.0),
+            (0.0, -0.5),
+        ],
+    )
+    def test_non_finite_or_non_positive_draws_rejected(self, phase, scale):
+        # caught before the kernel, with one message that names the draws
+        tree, c, nm = random_instance(np.random.default_rng(3), rounds=2)
+        with pytest.raises(ValueError, match="jitter draws need finite phases"):
+            batch_distribution(tree, c, nm, [0.01, phase], [1.0, scale])
 
 
 class TestAveragedDistribution:
@@ -101,8 +118,8 @@ class TestAveragedDistribution:
         rng = np.random.default_rng(5)
         tree, c, nm = random_instance(rng)
         d1 = averaged_distribution(tree, c, nm, 1, seed=9)
-        draw = sample_draws(nm, 1, 9)[0]
-        np.testing.assert_array_equal(d1.probs, exact_distribution(tree, c, nm, draw).probs)
+        phase, scale = sample_draws(nm, 1, 9)
+        np.testing.assert_array_equal(d1.probs, batch_distribution(tree, c, nm, phase, scale).probs)
 
     def test_monte_carlo_convergence_rate(self):
         # batch-mean estimates tighten like 1/sqrt(batch)

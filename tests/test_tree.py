@@ -197,6 +197,21 @@ class TestReceiverSpecFile:
         with pytest.raises(ValueError, match="unknown noise model keys"):
             Receiver.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda rx: rx.tree.nodes.__setitem__(0, 1e200), "exceeds 1e\\+300"),
+            (lambda rx: rx.metadata.update(encoding=3), "encoding must be a string"),
+        ],
+        ids=["huge_node", "encoding"],
+    )
+    def test_spec_the_loader_refuses_is_not_saved(self, tmp_path, mutate, message):
+        rx = self._receiver()
+        mutate(rx)
+        with pytest.raises(ValueError, match=message):
+            save_receiver(str(tmp_path / "r.json"), rx)
+        assert list(tmp_path.iterdir()) == []
+
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         rx = self._receiver()
         save_receiver(str(tmp_path / "r.json"), rx)
