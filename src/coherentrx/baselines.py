@@ -50,7 +50,7 @@ import numpy as np
 
 from .constellation import Constellation, bpsk
 from .photonics import NoiseModel
-from .simulator import _outcome_terms, exact_distribution, map_table
+from .simulator import _forward, exact_distribution, map_table
 from .tree import DecisionTable, DecisionTree, level_offset
 
 __all__ = [
@@ -115,8 +115,10 @@ def kennedy_bpsk(mean_photons: float) -> float:
 def cn_tree(c: Constellation, rounds: int, arity: int) -> DecisionTree:
     """Conditional-nulling tree: each node nulls the current MAP hypothesis.
 
-    Posteriors are propagated with the ideal noise model; ties between
-    hypotheses break toward the lowest label.
+    Posteriors are propagated with the ideal noise model.  Ties between
+    hypotheses break toward the lowest label (``np.argmax``) only where they
+    are exact in floating point: two weighted prefix probabilities that agree
+    in exact arithmetic but differ in their last bits go to the larger one.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -124,17 +126,14 @@ def cn_tree(c: Constellation, rounds: int, arity: int) -> DecisionTree:
         raise ValueError("arity must be at least 2")
     tree = DecisionTree.zeros(rounds, arity)
     slices = c.amplitudes / math.sqrt(rounds)
-    probs = np.ones((1, c.n_codewords, 1))
-    ideal, rot = NoiseModel(), np.ones(1, dtype=np.complex128)
-    # each level's nodes come from the prefix probabilities of the level
-    # before, so the outcome terms are evaluated one level at a time
+    ideal, phase, scale = NoiseModel(), np.zeros(1), np.ones(1)
+    probs = np.ones((c.n_codewords, 1))
     for level in range(rounds):
-        y_star = np.argmax(c.priors[:, None] * probs[0], axis=0)
-        nodes = tree.level_nodes(level)
-        nodes[:] = slices[y_star]
+        tree.level_nodes(level)[:] = slices[np.argmax(c.priors[:, None] * probs, axis=0)]
         if level + 1 < rounds:
-            q, _ = _outcome_terms(nodes, c, rounds, ideal, rot, arity)
-            probs = (probs[:, :, :, None] * q).reshape(1, c.n_codewords, -1)
+            # the next level's prefix probabilities read only the levels
+            # filled so far
+            probs = _forward(tree, c, ideal, phase, scale)[0][level + 1][0]
     return tree
 
 

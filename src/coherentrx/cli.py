@@ -289,15 +289,23 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     if any(x < 0 for x in args.sweep):
         raise ValueError("mean photon numbers must be non-negative")
     nm = _noise_from_args(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     grid = args.sweep
-    for name in receivers:
-        errors = [_baseline_error(args, nm, name, nbar, args.seed + i) for i, nbar in enumerate(grid)]
-        curve = baselines.BoundCurve(name, np.asarray(grid), np.asarray(errors))
-        out = os.path.join(args.out_dir, f"{name}.csv")
+    # every curve before the directory or any file: a sweep point that a
+    # receiver refuses leaves no partial output
+    curves = [
+        baselines.BoundCurve(
+            name,
+            np.asarray(grid),
+            np.asarray([_baseline_error(args, nm, name, nbar, args.seed + i) for i, nbar in enumerate(grid)]),
+        )
+        for name in receivers
+    ]
+    os.makedirs(args.out_dir, exist_ok=True)
+    for curve in curves:
+        out = os.path.join(args.out_dir, f"{curve.receiver}.csv")
         _write_csv(
             out,
-            _meta(args, "baseline") | {"receiver": name},
+            _meta(args, "baseline") | {"receiver": curve.receiver},
             ["receiver", "mean_photons", "error"],
             [[curve.receiver, float(n), float(e)] for n, e in zip(curve.mean_photons, curve.error)],
         )

@@ -5,10 +5,11 @@ round along a measurement record; the pairwise prefix KL divergence
 quantifies how separable two codewords' measurement statistics have become
 after ``n`` rounds (non-decreasing in ``n`` by the chain rule); bits per
 received photon is the binary-channel information rate normalized by the
-symbol energy.  Only :func:`posterior_trajectory` walks the tree; the
-per-codeword diagnostics read a
-:class:`~coherentrx.simulator.PathDistribution`, which a caller builds once
-and passes to each.
+symbol energy.  No diagnostic walks the tree itself:
+:func:`posterior_trajectory` reads the prefix probabilities of the
+simulator's one forward recursion along its record, and the per-codeword
+diagnostics read a :class:`~coherentrx.simulator.PathDistribution`, which a
+caller builds once and passes to each.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .constellation import Constellation
-from .photonics import NoiseModel, detected_mean, outcome_probs
-from .simulator import PathDistribution
+from .simulator import PathDistribution, _forward
 from .tree import DecisionTree, decode_leaf_index, leaf_index
 
 __all__ = [
@@ -54,26 +54,27 @@ class PosteriorTrajectory:
 def posterior_trajectory(
     tree: DecisionTree,
     c: Constellation,
-    nm: NoiseModel,
+    nm,
     path: Sequence[int],
 ) -> PosteriorTrajectory:
     """Bayesian belief after each round of a complete measurement record.
 
-    Raises ValueError when the record has zero probability under every
-    hypothesis (the conditional is undefined there).
+    The likelihoods are the prefix probabilities of the simulator's forward
+    recursion under the :class:`~coherentrx.photonics.NoiseModel` ``nm`` at
+    the ideal draw (jitter left out), read at the record's prefixes.  So the
+    last row is the normalized column ``priors * P(path | y)`` of
+    :func:`~coherentrx.simulator.exact_distribution`, bit for bit.  Raises
+    ValueError when the record has zero probability under every hypothesis
+    (the conditional is undefined there).
     """
     path = tuple(int(k) for k in path)
     if len(path) != tree.rounds:
         raise ValueError("path must cover all rounds")
     leaf_index(tree.arity, tree.rounds, path)  # range check of every outcome
-    slices = c.amplitudes / math.sqrt(tree.rounds)
-    likelihood = np.ones(c.n_codewords)
+    prefix = _forward(tree, c, nm, np.zeros(1), np.ones(1))[0]
     out = [c.priors.copy()]
-    for j, k in enumerate(path):
-        u = tree.node(path[:j])
-        means = detected_mean(slices, u, nm)
-        likelihood = likelihood * outcome_probs(means, tree.arity)[:, k]
-        joint = c.priors * likelihood
+    for j in range(1, tree.rounds + 1):
+        joint = c.priors * prefix[j][0, :, leaf_index(tree.arity, j, path[:j])]
         total = joint.sum()
         if total <= 0.0:
             raise ValueError(f"path {path} has zero probability under every hypothesis")

@@ -7,10 +7,11 @@ rounds receives the equal time slice ``beta / sqrt(N)`` of the codeword
 amplitude, so the slice energies sum to the symbol energy.
 
 Exact enumeration is the workhorse.  Its one forward recursion, the private
-function ``_forward``, serves the batch average and the gradient sweep; it
-takes the outcome terms of every node from one kernel call,
-``_outcome_terms``, which the conditional-nulling design calls one level at
-a time.  One accumulator, ``_batch_forward``, averages a batch of draws for
+function ``_forward``, takes the outcome terms of every node from one kernel
+call and serves every walk of a tree: the batch average, the gradient sweep,
+the conditional-nulling design (one call per level, each reading the prefix
+probabilities of the levels filled so far) and the posterior trajectory along
+one record.  One accumulator, ``_batch_forward``, averages a batch of draws for
 :func:`batch_distribution` and the learning loop; a single draw's
 :func:`exact_distribution` is a batch of one.
 :func:`mc_sample` simulates individual receiver runs as an independent
@@ -83,25 +84,6 @@ def _check_draws(phase, scale) -> tuple[np.ndarray, np.ndarray]:
     return phase, scale
 
 
-def _outcome_terms(
-    nodes, c: Constellation, rounds: int, nm: NoiseModel, rot, arity: int, derivs: bool = False
-):
-    """Outcome probabilities of some nodes for every run and codeword, in one kernel call.
-
-    ``nodes`` are displacements of a tree with ``rounds`` rounds and ``rot``
-    the jitter rotations ``scale * exp(i*phase)`` of ``B`` runs, shape
-    ``(B,)``.  Returns ``(q, dq)`` of shape ``(B, K, nodes, M)``: the binned
-    Poisson probabilities of each node's round and their derivatives in the
-    detected mean (``None`` unless ``derivs``).  The terms are elementwise,
-    so any set of nodes gives each node's terms with the same bits.
-    """
-    slices = (c.amplitudes / np.sqrt(rounds))[None, :, None]
-    means = detected_mean(slices, rot[:, None, None] * nodes[None, None, :], nm)
-    if derivs:
-        return outcome_prob_derivs(means, arity)
-    return outcome_probs(means, arity), None
-
-
 def _forward(
     tree: DecisionTree, c: Constellation, nm: NoiseModel, phase, scale, derivs: bool = False
 ):
@@ -111,17 +93,20 @@ def _forward(
     rotation ``scale * exp(i*phase)`` applies in every round.  ``prefix[n]``
     is the ``(B, K, M^n)`` probabilities of the first ``n`` outcomes, for
     ``n = 0, ..., N``, so ``prefix[-1]`` is the path probabilities;
-    ``q[level]`` is the level's outcome probabilities and ``dq[level]`` their
-    derivatives in the detected mean (``dq`` is ``None`` unless ``derivs``).
-    A level's outcome terms do not depend on the levels before it, so those
-    of every node come from one :func:`_outcome_terms` call; only the prefix
-    products go level by level.  The whole tree is read up front, so a
-    design that fills its nodes from the prefix probabilities of the level
-    before (:func:`~coherentrx.baselines.cn_tree`) calls
-    :func:`_outcome_terms` one level at a time instead.
+    ``q[level]`` is the level's ``(B, K, M^level, M)`` outcome probabilities
+    and ``dq[level]`` their derivatives in the detected mean (``dq`` is
+    ``None`` unless ``derivs``).  A level's outcome terms do not depend on the
+    levels before it, so those of every node come from one kernel call; only
+    the prefix products go level by level.  So ``prefix[n]`` reads the first
+    ``n`` levels' nodes alone: a design that fills its nodes level by level
+    (:func:`~coherentrx.baselines.cn_tree`) and a walk along one record
+    (:func:`~coherentrx.metrics.posterior_trajectory`) read it too.
     """
     batch, k_codes, m = phase.shape[0], c.n_codewords, tree.arity
-    q, dq = _outcome_terms(tree.nodes, c, tree.rounds, nm, scale * np.exp(1j * phase), m, derivs)
+    slices = (c.amplitudes / np.sqrt(tree.rounds))[None, :, None]
+    rot = scale * np.exp(1j * phase)
+    means = detected_mean(slices, rot[:, None, None] * tree.nodes[None, None, :], nm)
+    q, dq = outcome_prob_derivs(means, m) if derivs else (outcome_probs(means, m), None)
     levels = [slice(level_offset(m, lv), level_offset(m, lv + 1)) for lv in range(tree.rounds)]
     q_levels = [q[:, :, nodes] for nodes in levels]
     prefix = [np.ones((batch, k_codes, 1))]

@@ -31,7 +31,6 @@ __all__ = [
     "MAX_LEAVES",
     "num_nodes",
     "level_offset",
-    "node_index",
     "leaf_index",
     "decode_leaf_index",
     "displacement_report",
@@ -67,31 +66,19 @@ def level_offset(arity: int, level: int) -> int:
     return (arity**level - 1) // (arity - 1)
 
 
-def _check_path(arity: int, path: Sequence[int]) -> None:
+def leaf_index(arity: int, rounds: int, path: Sequence[int]) -> int:
+    """Index of a complete outcome path in [0, M^N), base-M big-endian.
+
+    Read at a prefix of length ``d`` (``rounds = d``) it is the prefix's
+    position in its level, so the node that the prefix reaches is slot
+    ``level_offset(arity, d) + leaf_index(arity, d, prefix)``.
+    """
+    if len(path) != rounds:
+        raise ValueError(f"path length {len(path)} != rounds {rounds}")
+    pos = 0
     for k in path:
         if not 0 <= int(k) < arity:
             raise ValueError(f"outcome {k} out of range for arity {arity}")
-
-
-def node_index(arity: int, path: Sequence[int], rounds: int | None = None) -> int:
-    """Flat breadth-first slot of the node reached by an outcome prefix.
-
-    The empty prefix is the root (slot 0).  Bijective between length-d
-    prefixes and level-d slots.
-    """
-    d = len(path)
-    if rounds is not None and d >= rounds:
-        raise ValueError(f"prefix of length {d} too long for {rounds} rounds")
-    return level_offset(arity, d) + leaf_index(arity, d, path)
-
-
-def leaf_index(arity: int, rounds: int, path: Sequence[int]) -> int:
-    """Index of a complete outcome path in [0, M^N), base-M big-endian."""
-    if len(path) != rounds:
-        raise ValueError(f"path length {len(path)} != rounds {rounds}")
-    _check_path(arity, path)
-    pos = 0
-    for k in path:
         pos = pos * arity + int(k)
     return pos
 
@@ -142,9 +129,6 @@ class DecisionTree:
         """View of the displacements at one level, in prefix order."""
         start = level_offset(self.arity, level)
         return self.nodes[start : start + self.arity**level]
-
-    def node(self, path: Sequence[int]) -> complex:
-        return complex(self.nodes[node_index(self.arity, path, self.rounds)])
 
     def copy(self) -> "DecisionTree":
         return DecisionTree(self.rounds, self.arity, self.nodes.copy())

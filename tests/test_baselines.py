@@ -235,7 +235,7 @@ class TestConditionalNulling:
     def test_root_nulls_lowest_max_prior_label(self):
         c = bpsk(1.0)
         tree = cn_tree(c, 4, 2)
-        assert tree.node([]) == c.amplitudes[0] / 2.0
+        assert tree.nodes[0] == c.amplitudes[0] / 2.0
 
     def test_cn12_is_kennedy(self):
         for nbar in (0.3, 1.2):
@@ -247,8 +247,8 @@ class TestConditionalNulling:
         c = bpsk(1.0)
         tree = cn_tree(c, 3, 2)
         # no click keeps nulling +a; a click reveals -a
-        assert tree.node([0]) == c.amplitudes[0] / math.sqrt(3)
-        assert tree.node([1]) == c.amplitudes[1] / math.sqrt(3)
+        assert tree.nodes[1] == c.amplitudes[0] / math.sqrt(3)
+        assert tree.nodes[2] == c.amplitudes[1] / math.sqrt(3)
 
     def test_cn63_beats_heterodyne_sql_ideally(self):
         c = qam6(7.8)

@@ -564,6 +564,17 @@ class TestBaseline:
         assert err.startswith("error: heterodyne_sql takes codeword quadratures up to 1e+08")
         assert err.count("\n") == 1
 
+    def test_refused_sweep_point_leaves_no_partial_output(self, tmp_path, capsys):
+        # helstrom's curve is fine; heterodyne refuses 1e20 photons after it
+        out = tmp_path / "x"
+        code = run("baseline", "--receivers", "helstrom,heterodyne", "--sweep", "0.5,1e20",
+                   "--out-dir", out)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: heterodyne_sql takes codeword quadratures")
+        assert not out.exists()
+
     def test_unknown_receiver(self, tmp_path):
         code = run("baseline", "--receivers", "psychic", "--sweep", "1.0",
                    "--out-dir", tmp_path / "x")

@@ -146,6 +146,24 @@ def test_public_names_have_a_caller_outside_tests():
     assert uncalled == []
 
 
+# the outcome-probability kernels and the modules that may read them: every
+# other outcome probability comes from the simulator's forward recursion
+KERNELS = {"outcome_probs", "outcome_prob_derivs"}
+KERNEL_READERS = {"coherentrx.photonics", "coherentrx.simulator"}
+
+
+def test_only_photonics_and_simulator_read_the_outcome_kernels():
+    readers = {}
+    for path in CALLER_FILES:
+        module = module_name(path)
+        if module in KERNEL_READERS:
+            continue
+        used = names_used_from(ast.parse(path.read_text()), module).get("coherentrx.photonics", set())
+        if used & KERNELS:
+            readers[path.relative_to(REPO).as_posix()] = sorted(used & KERNELS)
+    assert readers == {}
+
+
 def public_methods(tree: ast.AST) -> list[str]:
     """``Class.method`` for each public method or property of an exported class."""
     exported = set(exported_names(tree))

@@ -330,7 +330,7 @@ class TestLevelBatchedLoop:
         # a forward is one detected-mean call and one binned-Poisson call for
         # all nodes; an iteration's gradient reuses its table's forward of the
         # last chunk and computes the other chunks' again; the CN start
-        # evaluates every level but the last one at a time
+        # runs one forward for each level but the first
         forwards = (iterations * (2 * chunks - 1) + evals * chunks + holdout_chunks
                     + (rounds - 1))
         assert calls["kernel"] == 2 * forwards

@@ -86,6 +86,33 @@ class TestPosteriorTrajectory:
                 traj = posterior_trajectory(tree, c, IDEAL, path)
                 assert int(np.argmax(traj.posteriors[-1])) == table.guesses[leaf]
 
+    @pytest.mark.parametrize(
+        "design,nbar,visibility",
+        [
+            # likelihoods taken node by node, outside the forward, miss these
+            # bits by an ulp on 3 and 2 of the random tree's 729 leaves
+            ("random-seed0", 3.0, 0.99),
+            ("random-seed0", 3.0, 0.9975),
+            ("cn", 7.8, 0.9975),
+        ],
+    )
+    def test_last_row_is_the_distributions_normalized_column_bit_for_bit(
+        self, design, nbar, visibility
+    ):
+        c = qam6(nbar)
+        if design == "cn":
+            tree = cn_tree(c, 6, 3)
+        else:
+            rng = np.random.default_rng(0)
+            nodes = rng.normal(0, 1, num_nodes(6, 3)) + 1j * rng.normal(0, 1, num_nodes(6, 3))
+            tree = DecisionTree(6, 3, nodes)
+        nm = NoiseModel(visibility=visibility)
+        probs = exact_distribution(tree, c, nm).probs
+        for leaf in range(3**6):
+            joint = c.priors * probs[:, leaf]
+            traj = posterior_trajectory(tree, c, nm, decode_leaf_index(3, 6, leaf))
+            assert traj.posteriors[-1].tobytes() == (joint / joint.sum()).tobytes(), leaf
+
 
 class TestMostProbablePathAndExpectation:
     def test_perfect_null_prefers_quiet_path(self):

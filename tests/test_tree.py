@@ -15,21 +15,26 @@ from coherentrx.tree import (
     decode_leaf_index,
     displacement_report,
     leaf_index,
+    level_offset,
     load_receiver,
-    node_index,
     num_nodes,
     save_receiver,
 )
 
 
+def slot(arity, prefix):
+    """Flat slot of the node an outcome prefix reaches, as the forward recursion lays it out."""
+    return level_offset(arity, len(prefix)) + leaf_index(arity, len(prefix), prefix)
+
+
 class TestIndexing:
     def test_root(self):
-        assert node_index(2, []) == 0
-        assert node_index(3, []) == 0
+        assert slot(2, []) == 0
+        assert slot(3, []) == 0
 
     def test_spec_slots(self):
-        assert node_index(2, [1, 0]) == 5
-        assert node_index(3, [2]) == 3
+        assert slot(2, [1, 0]) == 5
+        assert slot(3, [2]) == 3
 
     def test_leaf_corners(self):
         assert leaf_index(2, 4, [0, 0, 0, 0]) == 0
@@ -40,13 +45,9 @@ class TestIndexing:
         with pytest.raises(ValueError):
             leaf_index(2, 4, [0, 1])
 
-    def test_node_rejects_full_paths(self):
-        with pytest.raises(ValueError):
-            node_index(2, [0, 1], rounds=2)
-
     def test_outcome_range_checked(self):
         with pytest.raises(ValueError):
-            node_index(2, [2])
+            leaf_index(2, 1, [2])
         with pytest.raises(ValueError):
             leaf_index(2, 2, [0, -1])
 
@@ -54,7 +55,7 @@ class TestIndexing:
     def test_node_round_trip_exhaustive(self, arity):
         rounds = 6
         slots = [
-            node_index(arity, path, rounds)
+            slot(arity, path)
             for d in range(rounds)
             for path in itertools.product(range(arity), repeat=d)
         ]
@@ -94,7 +95,7 @@ class TestDecisionTree:
     def test_level_nodes_are_views(self):
         t = DecisionTree.zeros(3, 2)
         t.level_nodes(1)[0] = 1 + 2j
-        assert t.node([0]) == 1 + 2j
+        assert t.nodes[1] == 1 + 2j
 
     def test_parameter_count_qam6_case(self):
         # depth-6 ternary control logic: 364 nodes -> 728 real parameters,
