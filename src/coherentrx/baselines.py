@@ -33,9 +33,10 @@ Gauss-Legendre quadrature.
 The Dolinar DP interpolates its value tables with an in-repo PCHIP cubic
 whose values are scipy's ``PchipInterpolator``'s to the bit.  The golden
 section asks the interpolant for the same number of queries at every step,
-and their intervals barely move, so the interpolant keeps each query's
-interval row as a hint and searches again only for the queries that left it;
-no value depends on the hint.  The module runs on numpy alone and never
+and their intervals barely move, so it keeps each query's interval row
+between steps and hands the rows to the interpolant, which searches again
+only for the queries that left theirs; no value depends on the rows, and no
+call changes the interpolant.  The module runs on numpy alone and never
 imports scipy.
 """
 
@@ -161,7 +162,7 @@ def _round_terms(p, q, u, slice_amp: float, prob, post, joint) -> None:
     Unreachable branches get posterior 1/2; they carry zero probability
     weight.  Both signs' ``exp(-(slice_amp -/+ u)**2)`` go through one call,
     and the posteriors are a plain division unless some outcome has
-    probability zero.
+    probability zero (a masked division costs twice as much).
     """
     # both signs' no-click probabilities, then their click ones
     e = np.empty((2,) + u.shape)
@@ -199,8 +200,15 @@ _EVAL_BLOCK = 8192
 
 
 class _Pchip:
-    """PCHIP cubic of a table on an evenly spaced grid of at least three knots
-    over [0, 1], NaN outside it.
+    """Monotone cubic interpolant of a value-function table: the PCHIP cubic
+    of a table on an evenly spaced grid of at least three knots over [0, 1],
+    NaN outside it.
+
+    Piecewise-linear interpolation leaves slope kinks whose magnitude can
+    exceed the tiny true value differences at near-certain posteriors (error
+    scales reach 1e-9 at high photon numbers), which makes the displacement
+    argmin noise-driven there; a C1 shape-preserving cubic removes the kinks
+    without overshooting.
 
     The derivatives are Fritsch & Butland's weighted harmonic means of the
     neighbouring slopes, zero at a sign change or a flat side, with
@@ -209,15 +217,8 @@ class _Pchip:
     ``scipy.interpolate.PchipInterpolator(p, v, extrapolate=False)`` in the
     same order, so the values are its values to the bit: the interval holds
     ``p[i] <= x < p[i + 1]`` (the last one is closed), and the cubic is
-    ``((c3 + c2*s) + c1*(s*s)) + c0*((s*s)*s)``.
-
-    A caller that evaluates the same number of queries again and again (the
-    golden section) gets an interval hint: from the second such call on, the
-    interpolant keeps each query's interval row (both knots and the four
-    coefficients) and, on the next call, searches again only for the queries
-    that left their row's interval.  The hint saves gathers and nothing else;
-    no value depends on it.  It is state of the interpolant, so one
-    interpolant must not evaluate in two threads at once.
+    ``((c3 + c2*s) + c1*(s*s)) + c0*((s*s)*s)``.  The interpolant is a
+    function of its table: no call changes it.
     """
 
     def __init__(self, p_grid: np.ndarray, values: np.ndarray) -> None:
@@ -241,7 +242,7 @@ class _Pchip:
         # one row per interval: left knot, right knot (the last one closed),
         # c0 to c3; one more row of NaN coefficients, index n - 1 (and -1,
         # which wraps to it), takes every query outside the grid.  Its left
-        # knot lies above 1.0, so no query of the grid passes a hint to it.
+        # knot lies above 1.0, so no query of the grid stays in it.
         nan = [np.nan]
         self._rows = np.stack([
             np.concatenate([x[:-1], [np.nextafter(x[-1], np.inf)]]),
@@ -254,35 +255,29 @@ class _Pchip:
         ])
         self._left, self._right, self._c0, self._c1, self._c2, self._c3 = self._rows
         self._last = x.size - 2
-        # query count of the last call, and the hint rows of a repeated count
-        self._count = -1
-        self._hint = None
 
-    def __call__(self, x) -> np.ndarray:
-        """Values at ``x`` in a new array; ``x`` is left as it is."""
-        out = np.array(x, dtype=np.float64, order="C")
-        return self.evaluate(out, np.empty_like(out))
-
-    def evaluate(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    def evaluate(self, x: np.ndarray, scratch: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Overwrite ``x`` with the values at ``x`` and return it.
 
         ``x`` and ``scratch`` are C-contiguous float64 arrays of one shape;
-        ``scratch`` is left undefined.  The queries go ``_EVAL_BLOCK`` at a
-        time, so the evaluation's own temporaries (an interval index and two
-        float64 arrays) stay near 200 KB however many queries there are.  A
-        call of at most ``_EVAL_BLOCK`` queries whose count repeats the last
-        call's uses the hint, which holds 48 bytes a query until a call of
-        another count drops it.
+        ``scratch`` is left undefined.  Without ``rows`` the queries go
+        ``_EVAL_BLOCK`` at a time, so the evaluation's own temporaries (an
+        interval index and two float64 arrays) stay near 200 KB however many
+        queries there are.
+
+        ``rows`` is the caller's C-contiguous ``(6, x.size)`` float64 buffer
+        of each query's interval row (both knots and the four coefficients),
+        for at most ``_EVAL_BLOCK`` queries, NaN before its first call.  The
+        call searches again only for the queries that left their row's
+        interval and leaves every query's row in ``rows`` for the next call.
+        It saves gathers and nothing else; no value depends on it.
         """
         flat_x, flat_s = x.reshape(-1), scratch.reshape(-1)
-        count = flat_x.size
-        if count == self._count and count <= _EVAL_BLOCK:
-            self._evaluate_hinted(flat_x, flat_s)
+        if rows is not None:
+            self._evaluate_hinted(flat_x, flat_s, rows)
         else:
-            self._hint = None
-            for k in range(0, count, _EVAL_BLOCK):
+            for k in range(0, flat_x.size, _EVAL_BLOCK):
                 self._evaluate_block(flat_x[k : k + _EVAL_BLOCK], flat_s[k : k + _EVAL_BLOCK])
-        self._count = count
         return x
 
     def _locate(self, x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -319,18 +314,13 @@ class _Pchip:
         term *= sss
         acc += term
 
-    def _evaluate_hinted(self, x: np.ndarray, scratch: np.ndarray) -> None:
-        rows = self._hint
-        if rows is None:
-            rows = self._hint = np.empty((6, x.size))
-            stay = 0
-        else:
-            # written so that NaN fails the check
-            inside = np.less_equal(rows[0], x)
-            inside &= x < rows[1]
-            stay = np.count_nonzero(inside)
+    def _evaluate_hinted(self, x: np.ndarray, scratch: np.ndarray, rows: np.ndarray) -> None:
+        # written so that NaN, in a query or in the rows, fails the check
+        inside = np.less_equal(rows[0], x)
+        inside &= x < rows[1]
+        stay = np.count_nonzero(inside)
         if 4 * stay < 3 * x.size:
-            # a new hint, or most of the queries moved: searching them all is cheaper
+            # most of the queries moved: searching them all is cheaper
             self._rows.take(self._locate(x, scratch), axis=1, mode="wrap", out=rows)
         elif stay < x.size:
             moved = np.flatnonzero(~inside)
@@ -347,19 +337,6 @@ class _Pchip:
         acc += ss
         sss *= c0
         acc += sss
-
-
-def _value_interpolant(p_grid: np.ndarray, values: np.ndarray) -> _Pchip:
-    """Monotone cubic interpolant of a value-function table.
-
-    Piecewise-linear interpolation leaves slope kinks whose magnitude can
-    exceed the tiny true value differences at near-certain posteriors (error
-    scales reach 1e-9 at high photon numbers), which makes the displacement
-    argmin noise-driven there; a C1 shape-preserving cubic removes the kinks
-    without overshooting.  The cubic is scipy's PCHIP to the bit, computed
-    here on numpy alone (:class:`_Pchip`).
-    """
-    return _Pchip(p_grid, values)
 
 
 # Displacement-posterior pairs per coarse-scan block.  The block buffers hold
@@ -400,11 +377,13 @@ def _best_displacements(
     posterior's optimum simultaneously.  Each evaluation writes both
     outcomes' posteriors into one reused buffer and passes it to ``v_next``
     in a single call; the golden-section pair and the refinement use
-    contiguous prefixes of the same buffers.  Every golden step asks
-    ``v_next`` for the same number of queries, which lets a :class:`_Pchip`
-    use its interval hint; the final refinement asks for another number,
-    which drops the hint.  A step makes a fixed handful of numpy calls, whose
-    fixed cost dominates at the unroll's few posteriors.
+    contiguous prefixes of the same buffers.  The golden section owns the
+    interval rows of its pair's ``4 * p.size`` queries, when they fit in
+    ``_EVAL_BLOCK``: it allocates them once, NaN, and passes them to
+    ``v_next.evaluate`` at every step, so that each step searches again only
+    for the queries that left their intervals (see :class:`_Pchip`).  A step
+    makes a fixed handful of numpy calls, whose fixed cost dominates at the
+    unroll's few posteriors.
 
     ``window`` is for a sorted, evenly spaced ``p`` of more than
     ``_ANCHOR_GAP`` posteriors: the anchors (every ``_ANCHOR_GAP``-th
@@ -430,10 +409,12 @@ def _best_displacements(
         # prob, post and joint of `rows` displacements at `cols` posteriors
         return [b[: 2 * rows * cols].reshape(2, rows, cols) for b in bufs]
 
-    def expected_error(u: np.ndarray, p: np.ndarray, q: np.ndarray, prob, post, joint) -> np.ndarray:
+    def expected_error(
+        u: np.ndarray, p: np.ndarray, q: np.ndarray, prob, post, joint, intervals=None
+    ) -> np.ndarray:
         # u is (rows, 1) or (rows, P) in the scan, (2, P) or (1, P) after it
         _round_terms(p, q, u, slice_amp, prob, post, joint)
-        v = v_next.evaluate(post, joint)
+        v = v_next.evaluate(post, joint, intervals)
         np.multiply(prob, v, out=v)
         return np.add(v[0], v[1], out=joint[0])
 
@@ -483,11 +464,14 @@ def _best_displacements(
     # which bound moves to its pair point: hi where the left point is lower, else lo
     moves = np.empty((2, size), dtype=bool)
     golden = terms(2, size)
+    # the pair's interval rows; NaN fails every interval check, so the first
+    # step searches in full
+    intervals = np.full((6, 4 * size), np.nan) if 4 * size <= _EVAL_BLOCK else None
     for _ in range(_GOLDEN_ITERS):
         np.subtract(bounds[1], bounds[0], out=width)
         np.multiply(signed, width, out=pair)
         np.add(pair, bounds[::-1], out=pair)
-        f = expected_error(pair, p, q, *golden)
+        f = expected_error(pair, p, q, *golden, intervals)
         np.less(f[0], f[1], out=moves[1])
         np.logical_not(moves[1], out=moves[0])
         np.putmask(bounds, moves, pair)
@@ -521,10 +505,10 @@ def dolinar_tree(mean_photons: float, rounds: int) -> DecisionTree:
     p_grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     # the value interpolants of levels rounds, rounds - 1, ..., 1; the unroll
     # takes them back from the end and drops each one once it has used it
-    interpolants = [_value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))]
+    interpolants = [_Pchip(p_grid, np.minimum(p_grid, 1.0 - p_grid))]
     for _ in range(rounds - 1):
         _, v = _best_displacements(p_grid, slice_amp, interpolants[-1], bracket, window=True)
-        interpolants.append(_value_interpolant(p_grid, v))
+        interpolants.append(_Pchip(p_grid, v))
     posteriors = np.array([0.5])
     for level in range(rounds):
         u, _ = _best_displacements(posteriors, slice_amp, interpolants.pop(), bracket)

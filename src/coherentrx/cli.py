@@ -29,7 +29,7 @@ from .constellation import Constellation, bpsk, custom, mean_energy, qam6
 from .formulator import FormulatorConfig, formulate, optimize_sweep
 from .photonics import NoiseModel
 from .simulator import averaged_distribution, error_rate, exact_distribution, mc_sample
-from .tree import Receiver, atomic_write, load_receiver, num_nodes, save_receiver
+from .tree import _MAX_MEAN_PHOTONS, Receiver, atomic_write, load_receiver, num_nodes, save_receiver
 
 _ENCODINGS = {"bpsk": bpsk, "qam6": qam6}
 
@@ -121,14 +121,6 @@ def _formulator_config(args: argparse.Namespace) -> FormulatorConfig:
     )
 
 
-def _build_constellation(encoding: str, nbar: float) -> Constellation:
-    try:
-        builder = _ENCODINGS[encoding]
-    except KeyError:
-        raise ValueError(f"unknown encoding {encoding!r}; choose from {sorted(_ENCODINGS)}")
-    return builder(nbar)
-
-
 def _scaled_constellation(c: Constellation, nbar: float) -> Constellation:
     """Same geometry at a different prior-averaged energy."""
     if c.name in _ENCODINGS:
@@ -149,11 +141,35 @@ def _check_writable(*paths: str) -> None:
             raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
+def _check_detected_means(c: Constellation, rounds: int, nm: NoiseModel) -> None:
+    """Refuse, before any work, a design whose every receiver the spec
+    loader would refuse.
+
+    At any displacement ``u`` one of the two farthest-apart slices ``b1,
+    b2`` has a detected mean of at least ``eta * |b1 - b2|**2 / 4 + dark``:
+    at visibility ``xi`` in [0, 1] the raw mean is
+    ``|b - xi*u|**2 + (1 - xi**2) * |u|**2``, and one of ``b1, b2`` lies at
+    least ``|b1 - b2| / 2`` from ``xi*u``.  Where that bound exceeds the
+    loader's, every tree's root exceeds it too.
+    """
+    spread = float(np.abs(c.amplitudes[:, None] - c.amplitudes).max())
+    half = spread / (2.0 * math.sqrt(rounds))
+    # products of Python floats go to inf rather than raise
+    if nm.efficiency * half * half + nm.dark_counts > _MAX_MEAN_PHOTONS:
+        raise ValueError(
+            f"design out of range: at any displacement some codeword's detected mean photon number "
+            f"exceeds {_MAX_MEAN_PHOTONS:g}, beyond what a receiver spec may hold; lower --mean-photon "
+            "or --dark, or raise --rounds"
+        )
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     trace_path = args.trace or os.path.splitext(args.out)[0] + "_trace.csv"
     _check_writable(args.out, trace_path)
-    c = _build_constellation(args.encoding, args.mean_photon)
+    c = _ENCODINGS[args.encoding](args.mean_photon)
     nm = _noise_from_args(args)
+    if args.rounds >= 1:  # formulate refuses fewer rounds in its own words
+        _check_detected_means(c, args.rounds, nm)
     cfg = _formulator_config(args)
     result = formulate(c, args.rounds, args.arity, nm, cfg)
     metadata = {
@@ -252,7 +268,7 @@ _BASELINES = {
     "homodyne": (True, lambda args, nbar: baselines.homodyne_sql_bpsk(nbar), None),
     "heterodyne": (
         False,
-        lambda args, nbar: baselines.heterodyne_sql(_build_constellation(args.encoding, nbar)),
+        lambda args, nbar: baselines.heterodyne_sql(_ENCODINGS[args.encoding](nbar)),
         None,
     ),
     "kennedy": (True, lambda args, nbar: baselines.kennedy_bpsk(nbar), None),
@@ -266,7 +282,7 @@ def _baseline_error(args, nm: NoiseModel, name: str, nbar: float, seed) -> float
     _, curve, design = _BASELINES[name]
     if curve is not None:
         return curve(args, nbar)
-    c = _build_constellation(args.encoding, nbar)
+    c = _ENCODINGS[args.encoding](nbar)
     tree, table = design(args, c, nbar)
     return error_rate(averaged_distribution(tree, c, nm, args.batch, seed), table)
 

@@ -11,7 +11,7 @@ from coherentrx.baselines import (
     _SCAN_ELEMS,
     BoundCurve,
     _best_displacements,
-    _value_interpolant,
+    _Pchip,
     cn_receiver,
     cn_tree,
     dolinar_receiver,
@@ -34,6 +34,12 @@ def simulated_error(tree, table, c):
     return error_rate(exact_distribution(tree, c, IDEAL), table)
 
 
+def interpolated(v, x):
+    """Values of the interpolant ``v`` at ``x``, in a new array."""
+    out = np.array(x, dtype=np.float64, order="C")
+    return v.evaluate(out, np.empty_like(out))
+
+
 def reference_best_displacements(p, slice_amp, v_next, bracket, coarse=512, golden_iters=70):
     """One displacement at a time: the coarse scan with strict ``<``, then a
     golden section that evaluates its two points in separate calls."""
@@ -47,7 +53,7 @@ def reference_best_displacements(p, slice_amp, v_next, bracket, coarse=512, gold
         joint1_p = p * (1.0 - e_plus)
         prob1 = joint1_p + (1.0 - p) * (1.0 - e_minus)
         post1 = np.where(prob1 > 0, joint1_p / np.where(prob1 > 0, prob1, 1.0), 0.5)
-        return prob0 * v_next(post0) + prob1 * v_next(post1)
+        return prob0 * interpolated(v_next, post0) + prob1 * interpolated(v_next, post1)
 
     u_grid = np.concatenate([np.linspace(-bracket, bracket, coarse), [-slice_amp, 0.0, slice_amp]])
     step = u_grid[1] - u_grid[0]
@@ -78,7 +84,7 @@ class ScipyValues:
     def __init__(self, p_grid, values):
         self.pchip = PchipInterpolator(p_grid, values, extrapolate=False)
 
-    def evaluate(self, x, scratch):
+    def evaluate(self, x, scratch, rows=None):
         x[...] = self.pchip(x)
         return x
 
@@ -304,30 +310,45 @@ class TestValueInterpolant:
         ])
         for values in tables:
             want = PchipInterpolator(p_grid, values, extrapolate=False)(queries)
-            got = _value_interpolant(p_grid, values)(queries)
+            got = interpolated(_Pchip(p_grid, values), queries)
             assert got.tobytes() == want.tobytes()
         inside = (queries >= 0.0) & (queries <= 1.0)
         np.testing.assert_array_equal(np.isnan(got), ~inside)
 
-    def test_call_leaves_query_alone_and_evaluate_overwrites_it(self):
+    def test_evaluate_overwrites_its_queries(self):
         p_grid, tables = value_tables(101)
-        v = _value_interpolant(p_grid, tables[1])
+        v = _Pchip(p_grid, tables[1])
         # more queries than one evaluation block, in the scan's (2, rows, P) layout
         x = np.random.default_rng(3).uniform(0.0, 1.0, (2, 9, 1001))
-        before = x.copy()
-        got = v(x)
-        assert got is not x and x.tobytes() == before.tobytes()
         want = PchipInterpolator(p_grid, tables[1], extrapolate=False)(x)
-        assert got.tobytes() == want.tobytes()
-        assert v(x.T).tobytes() == want.T.tobytes()
+        assert interpolated(v, x.T).tobytes() == np.ascontiguousarray(want.T).tobytes()
         assert v.evaluate(x, np.empty_like(x)) is x
         assert x.tobytes() == want.tobytes()
 
+    def test_no_call_changes_the_interpolant(self):
+        def state(v):
+            return {
+                name: (type(a), a.shape, a.dtype, a.tobytes()) if isinstance(a, np.ndarray) else a
+                for name, a in vars(v).items()
+            }
+
+        p_grid, tables = value_tables(101)
+        v = _Pchip(p_grid, tables[1])
+        before = state(v)
+        x = np.random.default_rng(4).uniform(0.0, 1.0, 400)
+        rows = np.full((6, x.size), np.nan)
+        # repeated counts, with and without rows, and a count that differs
+        for queries in (x, x, x[::-1], x[:7], x, x):
+            interpolated(v, queries)
+            got = np.array(queries)
+            v.evaluate(got, np.empty_like(got), rows if got.size == x.size else None)
+        assert state(v) == before
+
     @pytest.mark.parametrize("grid_points", [3, 101, 2001])
     def test_interval_hint_matches_scipy_bit_for_bit(self, grid_points):
-        # a repeated query count builds the hint on its second call; every
-        # later set of that count is checked against it, whether all, most or
-        # a few of its queries left their intervals
+        # one rows buffer, NaN at first, goes through every set; each set is
+        # checked against the rows the last one left, whether all, most or a
+        # few of its queries left their intervals
         p_grid, tables = value_tables(grid_points)
         rng = np.random.default_rng(grid_points + 1)
         b = np.concatenate([
@@ -349,16 +370,19 @@ class TestValueInterpolant:
         edge[b == 0.0] = -0.5
         for values in tables:
             want = PchipInterpolator(p_grid, values, extrapolate=False)
-            v = _value_interpolant(p_grid, values)
+            v = _Pchip(p_grid, values)
+            rows = np.full((6, b.size), np.nan)
             for x in (a, a, b, few, b, edge, b, a, b):
-                assert v(x).tobytes() == want(x).tobytes()
+                got = x.copy()
+                v.evaluate(got, np.empty_like(got), rows)
+                assert got.tobytes() == want(x).tobytes()
 
     @pytest.mark.parametrize(
         "nbar, rounds", [(0.2, 4), (1.5, 4), (5.0, 4), (9.8, 4), (0.5, 10), (5.0, 10), (9.8, 10)]
     )
     def test_dp_trees_match_dp_on_scipy_pchip(self, nbar, rounds, monkeypatch):
         got = dolinar_tree(nbar, rounds).nodes.tobytes()
-        monkeypatch.setattr("coherentrx.baselines._value_interpolant", ScipyValues)
+        monkeypatch.setattr("coherentrx.baselines._Pchip", ScipyValues)
         assert got == dolinar_tree(nbar, rounds).nodes.tobytes()
 
 
@@ -442,10 +466,10 @@ class TestDolinar:
         p_grid = np.linspace(0.0, 1.0, grid_points)
         slice_amp = math.sqrt(nbar / rounds)
         bracket = 2.0 + 3.0 * math.sqrt(nbar)
-        v_next = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
+        v_next = _Pchip(p_grid, np.minimum(p_grid, 1.0 - p_grid))
         for _ in range(depth):
             _, v = _best_displacements(p_grid, slice_amp, v_next, bracket)
-            v_next = _value_interpolant(p_grid, v)
+            v_next = _Pchip(p_grid, v)
         monkeypatch.setattr("coherentrx.baselines._COARSE", coarse)
         want = _best_displacements(p_grid, slice_amp, v_next, bracket)
         got = _best_displacements(p_grid, slice_amp, v_next, bracket, window=True)
@@ -462,12 +486,12 @@ class TestDolinar:
         monkeypatch.setattr("coherentrx.baselines._COARSE", coarse)
         rng = np.random.default_rng(7)
         p_grid = np.linspace(0.0, 1.0, 2001)
-        terminal = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
+        terminal = _Pchip(p_grid, np.minimum(p_grid, 1.0 - p_grid))
         for nbar, rounds in ((0.2, 4), (5.0, 4)):
             slice_amp = math.sqrt(nbar / rounds)
             bracket = 2.0 + 3.0 * math.sqrt(nbar)
             _, v = reference_best_displacements(p_grid, slice_amp, terminal, bracket, coarse)
-            level = _value_interpolant(p_grid, v)
+            level = _Pchip(p_grid, v)
             # {0, 1} reach the zero-probability branch at u = -/+ slice_amp
             for p in (p_grid, np.array([0.0, 0.5, 1.0]), rng.uniform(0.0, 1.0, 333)):
                 for v_next in (terminal, level):
@@ -478,12 +502,12 @@ class TestDolinar:
 
     @pytest.mark.parametrize("grid_points", [3, 101])
     def test_golden_section_matches_per_u_oracle_on_value_tables(self, grid_points):
-        # the golden section runs on the interval hint; the oracle evaluates
-        # one displacement at a time, each call a different query count
+        # the golden section runs on its interval rows; the oracle evaluates
+        # one displacement at a time, without them
         p_grid, tables = value_tables(grid_points)
         rng = np.random.default_rng(grid_points)
         for values in tables:
-            v_next = _value_interpolant(p_grid, values)
+            v_next = _Pchip(p_grid, values)
             for nbar, rounds in ((0.2, 4), (9.8, 8)):
                 slice_amp = math.sqrt(nbar / rounds)
                 bracket = 2.0 + 3.0 * math.sqrt(nbar)
@@ -493,10 +517,23 @@ class TestDolinar:
                     assert got[0].tobytes() == want[0].tobytes()
                     assert got[1].tobytes() == want[1].tobytes()
 
+    def test_golden_section_without_interval_rows_gives_the_same_bits(self, monkeypatch):
+        # a pair of more than _EVAL_BLOCK queries keeps no interval rows and
+        # goes through the interpolant in blocks
+        p_grid, tables = value_tables(101)
+        p = np.random.default_rng(5).uniform(0.0, 1.0, 40)
+        args = (p, math.sqrt(9.8 / 8), _Pchip(p_grid, tables[1]), 2.0 + 3.0 * math.sqrt(9.8))
+        want = _best_displacements(*args)
+        monkeypatch.setattr("coherentrx.baselines._EVAL_BLOCK", 4 * p.size - 1)
+        got = _best_displacements(*args)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
     @pytest.mark.parametrize("nbar, rounds, limit", [(0.2, 10, 3.2e6), (0.8, 4, 2.6e6)])
     def test_tree_memory_is_bounded(self, nbar, rounds, limit):
-        # whole trees, so that interval hints kept past their level would
-        # show; a first small tree takes numpy's one-time allocations
+        # whole trees, so that interval rows or scan buffers kept past their
+        # level would show; a first small tree takes numpy's one-time
+        # allocations
         dolinar_tree(nbar, 2)
         tracemalloc.start()
         try:
@@ -512,7 +549,7 @@ class TestDolinar:
         # output and a mask, about 66 bytes; allow 96, plus 160 bytes per
         # posterior of running state and 32 KiB of fixed overhead
         p_grid = np.linspace(0.0, 1.0, 2001)
-        terminal = _value_interpolant(p_grid, np.minimum(p_grid, 1.0 - p_grid))
+        terminal = _Pchip(p_grid, np.minimum(p_grid, 1.0 - p_grid))
         p = np.linspace(0.0, 1.0, size) if size > 1 else np.array([0.5])
         pairs = min(515 * size, _SCAN_ELEMS)
         tracemalloc.start()

@@ -168,6 +168,26 @@ class TestOptimize:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("encoding, nbar", [("bpsk", 1e308), ("qam6", 1e305)])
+    def test_hopeless_mean_photon_fails_before_learning(self, tmp_path, capsys, monkeypatch, encoding, nbar):
+        # it once ran the learning loop, printing numpy's overflow warning,
+        # before the spec check refused the result
+        def no_work(*args, **kwargs):
+            raise AssertionError("learning ran on a design no spec can hold")
+
+        monkeypatch.setattr(cli, "formulate", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                "optimize", "--encoding", encoding, "--rounds", 2, "--arity", 2,
+                "--mean-photon", nbar, "--iters", 3, "--out", tmp_path / "r.json",
+            )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: design out of range: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_loadable_receiver(self, bpsk_receiver):
         rx = load_receiver(str(bpsk_receiver))
         assert rx.tree.rounds == 4
