@@ -51,7 +51,7 @@ import numpy as np
 
 from .constellation import Constellation, bpsk
 from .photonics import NoiseModel
-from .simulator import _forward, exact_distribution, map_table
+from .simulator import _ideal_prefixes, exact_distribution, map_table
 from .tree import DecisionTable, DecisionTree, level_offset
 
 __all__ = [
@@ -127,14 +127,14 @@ def cn_tree(c: Constellation, rounds: int, arity: int) -> DecisionTree:
         raise ValueError("arity must be at least 2")
     tree = DecisionTree.zeros(rounds, arity)
     slices = c.amplitudes / math.sqrt(rounds)
-    ideal, phase, scale = NoiseModel(), np.zeros(1), np.ones(1)
+    ideal = NoiseModel()
     probs = np.ones((c.n_codewords, 1))
     for level in range(rounds):
         tree.level_nodes(level)[:] = slices[np.argmax(c.priors[:, None] * probs, axis=0)]
         if level + 1 < rounds:
             # the next level's prefix probabilities read only the levels
             # filled so far
-            probs = _forward(tree, c, ideal, phase, scale)[0][level + 1][0]
+            probs = _ideal_prefixes(tree, c, ideal)[level + 1]
     return tree
 
 

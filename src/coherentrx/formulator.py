@@ -13,7 +13,8 @@ The loss is the averaged-distribution error rate with the table held fixed,
 which is smooth in the node parameters: every path probability is a product
 of binned-Poisson terms whose means are quadratic in the displacements.  The
 gradient is therefore computed exactly by a forward/backward sweep over the
-tree rather than by finite differences.
+tree rather than by finite differences; that sweep lives in
+:mod:`~coherentrx.simulator`, beside the forward recursion it reuses.
 
 Initialization starts from the conditional-nulling design plus a small
 relative Gaussian perturbation, which lands the search near a known-good
@@ -22,7 +23,6 @@ receiver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -31,8 +31,8 @@ import numpy as np
 from .baselines import cn_tree, dolinar_tree
 from .constellation import Constellation, mean_energy
 from .photonics import NoiseModel, sample_draws
-from .simulator import _batch_forward, _draw_chunks, _forward, batch_distribution, error_rate, map_table
-from .tree import DecisionTable, DecisionTree, level_offset, num_nodes
+from .simulator import _batch_forward, _gradient, batch_distribution, error_rate, map_table
+from .tree import DecisionTable, DecisionTree
 
 __all__ = [
     "FormulatorConfig",
@@ -40,7 +40,6 @@ __all__ = [
     "FormulateResult",
     "init_tree",
     "formulate",
-    "optimize_receiver",
     "optimize_sweep",
 ]
 
@@ -144,94 +143,6 @@ def init_tree(
     return DecisionTree(rounds, arity, base.nodes + perturbation * scale * jitter)
 
 
-def _sensitivities(
-    tree: DecisionTree,
-    c: Constellation,
-    nm: NoiseModel,
-    weights: np.ndarray,
-    phase: np.ndarray,
-    scale: np.ndarray,
-    forward: tuple,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-draw success-probability derivatives, each of shape (B, nodes).
-
-    One forward/backward sweep over the whole batch: forward prefix
-    probabilities F and backward suffix sums B of the per-path success
-    ``weights``; a node's sensitivity combines them with the binned-Poisson
-    derivative of its round and the chain rule through the detected mean,
-    which is quadratic in the displacement components.  ``forward`` is the
-    ``(prefix, q, dq)`` of :func:`~coherentrx.simulator._forward`, with
-    derivatives, for these draws.  The chain-rule factors ``dn/dx`` and
-    ``dn/dy`` of every node come from one expression each, as the outcome
-    terms come from one kernel call; only the backward sums and each level's
-    reduction over codewords go level by level.
-    """
-    n, m = tree.rounds, tree.arity
-    k_codes = c.n_codewords
-    batch = phase.shape[0]
-    slices = c.amplitudes / math.sqrt(n)
-    a = scale[:, None, None]
-    w = slices[None, :] * np.exp(-1j * phase[:, None])
-    forward_probs, q_levels, dq_levels = forward
-    u = tree.nodes[None, None, :]
-    dn_dx = nm.efficiency * (
-        2.0 * a * a * u.real - 2.0 * nm.visibility * a * w.real[:, :, None]
-    )
-    dn_dy = nm.efficiency * (
-        2.0 * a * a * u.imag - 2.0 * nm.visibility * a * w.imag[:, :, None]
-    )
-    sx = np.empty((batch, num_nodes(n, m)))
-    sy = np.empty((batch, num_nodes(n, m)))
-    backward = weights[None]
-    for level in range(n - 1, -1, -1):
-        b_next = backward.reshape(backward.shape[0], k_codes, m**level, m)
-        coeff = forward_probs[level] * (dq_levels[level] * b_next).sum(axis=3)
-        nodes = slice(level_offset(m, level), level_offset(m, level + 1))
-        sx[:, nodes] = (coeff * dn_dx[:, :, nodes]).sum(axis=1)
-        sy[:, nodes] = (coeff * dn_dy[:, :, nodes]).sum(axis=1)
-        backward = (q_levels[level] * b_next).sum(axis=3)
-    return sx, sy
-
-
-def _gradient(
-    tree: DecisionTree,
-    table: DecisionTable,
-    c: Constellation,
-    nm: NoiseModel,
-    phase: np.ndarray,
-    scale: np.ndarray,
-    held: list | None = None,
-) -> np.ndarray:
-    """Exact loss gradient, packed as d/d(re) + 1j * d/d(im) per node.
-
-    The draws are swept in chunks of bounded memory, and their
-    sensitivities are summed one draw at a time in batch order, as in
-    :func:`~coherentrx.simulator.batch_distribution`, so that numpy's
-    pairwise summation never reorders the additions.  ``held`` is the list
-    in which the batch accumulator, :func:`~coherentrx.simulator._batch_forward`
-    with derivatives, hands over the last chunk's forward.  That chunk's
-    sensitivities are taken first, which empties the list and frees the
-    forward; the other chunks' forwards are computed again, one at a time,
-    so one chunk's forward is alive at a time.
-    """
-    labels = np.arange(c.n_codewords)
-    # success weight of each (codeword, leaf): prior if the table guesses it
-    weights = c.priors[:, None] * (table.guesses[None, :] == labels[:, None])
-    chunks = list(_draw_chunks(phase, scale, weights.size))
-    last = [_sensitivities(tree, c, nm, weights, *chunks.pop(), held.pop())] if held else []
-    rest = (
-        _sensitivities(tree, c, nm, weights, ph, sc, _forward(tree, c, nm, ph, sc, derivs=True))
-        for ph, sc in chunks
-    )
-    gx = np.zeros(tree.nodes.size)
-    gy = np.zeros(tree.nodes.size)
-    for sx, sy in itertools.chain(rest, last):
-        for rx, ry in zip(sx, sy):
-            gx += rx
-            gy += ry
-    return -(gx + 1j * gy) / phase.shape[0]
-
-
 def formulate(
     c: Constellation,
     rounds: int,
@@ -252,7 +163,8 @@ def formulate(
     at ``max_iterations`` (then the trace is flagged unconverged rather than
     raising).  The returned table is refit on the held-out batch used for
     ``final_loss``, matching how the receiver would be deployed.  Fully
-    deterministic for a fixed config.
+    deterministic for a fixed config.  No tree is written to, so the result
+    may be ``initial_tree`` itself.
     """
     root = np.random.SeedSequence(cfg.seed)
     init_seq, holdout_seq, iter_root = root.spawn(3)
@@ -261,12 +173,12 @@ def formulate(
     else:
         if (initial_tree.rounds, initial_tree.arity) != (rounds, arity):
             raise ValueError("initial tree shape mismatch")
-        tree = initial_tree.copy()
+        tree = initial_tree
 
     table: DecisionTable | None = None
     rows: list[tuple[int, float, float, float, float]] = []
     best_loss = math.inf
-    best_tree = tree.copy()
+    best_tree = tree
     best_iteration = -1
     converged = False
     for it in range(cfg.max_iterations):
@@ -296,7 +208,7 @@ def formulate(
         rows.append((it, loss_end, gnorm, loss_start, loss_post_table))
         if loss_end < best_loss:
             best_loss = loss_end
-            best_tree = tree.copy()
+            best_tree = tree
             best_iteration = it
         if it >= cfg.convergence_window:
             improvement = rows[it - cfg.convergence_window][1] - loss_end
@@ -321,25 +233,6 @@ def formulate(
     return FormulateResult(best_tree, final_table, trace, final_loss)
 
 
-def optimize_receiver(
-    c: Constellation,
-    rounds: int,
-    arity: int,
-    nm: NoiseModel,
-    cfg: FormulatorConfig,
-    extra_initial_trees: tuple[DecisionTree, ...] = (),
-) -> FormulateResult:
-    """Multi-start wrapper: CN-initialized run plus optional extra starts.
-
-    All candidates share the same held-out evaluation batch (same config
-    seed), so picking the lowest ``final_loss`` is a fair comparison.
-    """
-    results = [formulate(c, rounds, arity, nm, cfg)]
-    for t in extra_initial_trees:
-        results.append(formulate(c, rounds, arity, nm, cfg, initial_tree=t))
-    return min(results, key=lambda r: r.final_loss)
-
-
 def optimize_sweep(
     builder,
     mean_photon_grid,
@@ -354,22 +247,24 @@ def optimize_sweep(
     strategies can switch discontinuously along the sweep, so each point
     runs the CN-initialized search, a Dolinar-initialized one (binary trees
     of two codewords only), and a warm start from the neighboring point's
-    winner with displacements rescaled by the amplitude ratio; the lowest
-    held-out loss wins.
+    winner with displacements rescaled by the amplitude ratio.  The starts
+    of a point share its config, so also its held-out batch, and the lowest
+    ``final_loss`` wins; the CN start runs first, so a tie goes to it.
     """
     results: list[tuple[float, FormulateResult]] = []
     prev: tuple[float, DecisionTree] | None = None
     for i, nbar in enumerate(mean_photon_grid):
         c = builder(nbar)
         point_cfg = replace(cfg, seed=cfg.seed + i)
-        extras: list[DecisionTree] = []
+        starts: list[DecisionTree | None] = [None]  # None: the CN start
         if arity == 2 and c.n_codewords == 2:
-            extras.append(dolinar_tree(nbar, rounds))
+            starts.append(dolinar_tree(nbar, rounds))
         if prev is not None:
             prev_nbar, prev_tree = prev
             ratio = math.sqrt(nbar / prev_nbar) if prev_nbar > 0 else 1.0
-            extras.append(DecisionTree(rounds, arity, prev_tree.nodes * ratio))
-        res = optimize_receiver(c, rounds, arity, nm, point_cfg, tuple(extras))
+            starts.append(DecisionTree(rounds, arity, prev_tree.nodes * ratio))
+        runs = (formulate(c, rounds, arity, nm, point_cfg, initial_tree=t) for t in starts)
+        res = min(runs, key=lambda r: r.final_loss)
         results.append((float(nbar), res))
         prev = (float(nbar), res.tree)
     return results

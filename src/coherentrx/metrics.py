@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .constellation import Constellation
-from .simulator import PathDistribution, _forward
+from .simulator import PathDistribution, _ideal_prefixes
 from .tree import DecisionTree, decode_leaf_index, leaf_index
 
 __all__ = [
@@ -71,10 +71,10 @@ def posterior_trajectory(
     if len(path) != tree.rounds:
         raise ValueError("path must cover all rounds")
     leaf_index(tree.arity, tree.rounds, path)  # range check of every outcome
-    prefix = _forward(tree, c, nm, np.zeros(1), np.ones(1))[0]
+    prefix = _ideal_prefixes(tree, c, nm)
     out = [c.priors.copy()]
     for j in range(1, tree.rounds + 1):
-        joint = c.priors * prefix[j][0, :, leaf_index(tree.arity, j, path[:j])]
+        joint = c.priors * prefix[j][:, leaf_index(tree.arity, j, path[:j])]
         total = joint.sum()
         if total <= 0.0:
             raise ValueError(f"path {path} has zero probability under every hypothesis")

@@ -6,27 +6,30 @@ over all M^N paths (at most 729 for the shapes of interest).  Each of the N
 rounds receives the equal time slice ``beta / sqrt(N)`` of the codeword
 amplitude, so the slice energies sum to the symbol energy.
 
-Exact enumeration is the workhorse.  Its one forward recursion, the private
-function ``_forward``, takes the outcome terms of every node from one kernel
-call and serves every walk of a tree: the batch average, the gradient sweep,
-the conditional-nulling design (one call per level, each reading the prefix
-probabilities of the levels filled so far) and the posterior trajectory along
-one record.  One accumulator, ``_batch_forward``, averages a batch of draws for
-:func:`batch_distribution` and the learning loop; a single draw's
-:func:`exact_distribution` is a batch of one.
+Exact enumeration is the workhorse, and every walk of a tree is in this
+module.  Its one forward recursion, the private ``_forward``, takes the
+outcome terms of every node from one kernel call.  One accumulator,
+``_batch_forward``, averages a batch of draws for :func:`batch_distribution`
+and the learning loop (a single draw's :func:`exact_distribution` is a batch
+of one), and the gradient's backward sweep, ``_gradient``, takes over its
+last forward.  ``_ideal_prefixes`` gives the conditional-nulling design (one
+call per level) and the posterior trajectory along one record each level's
+prefix probabilities at the ideal draw; no other module reads a forward.
 :func:`mc_sample` simulates individual receiver runs as an independent
 statistical cross-check.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constellation import Constellation
 from .photonics import NoiseModel, detected_mean, outcome_prob_derivs, outcome_probs, sample_draws
-from .tree import DecisionTable, DecisionTree, level_offset
+from .tree import DecisionTable, DecisionTree, level_offset, num_nodes
 
 __all__ = [
     "PathDistribution",
@@ -97,10 +100,8 @@ def _forward(
     and ``dq[level]`` their derivatives in the detected mean (``dq`` is
     ``None`` unless ``derivs``).  A level's outcome terms do not depend on the
     levels before it, so those of every node come from one kernel call; only
-    the prefix products go level by level.  So ``prefix[n]`` reads the first
-    ``n`` levels' nodes alone: a design that fills its nodes level by level
-    (:func:`~coherentrx.baselines.cn_tree`) and a walk along one record
-    (:func:`~coherentrx.metrics.posterior_trajectory`) read it too.
+    the prefix products go level by level, and ``prefix[n]`` reads the first
+    ``n`` levels' nodes alone.
     """
     batch, k_codes, m = phase.shape[0], c.n_codewords, tree.arity
     slices = (c.amplitudes / np.sqrt(tree.rounds))[None, :, None]
@@ -113,6 +114,11 @@ def _forward(
     for q_level in q_levels:
         prefix.append((prefix[-1][:, :, :, None] * q_level).reshape(batch, k_codes, -1))
     return prefix, q_levels, None if dq is None else [dq[:, :, nodes] for nodes in levels]
+
+
+def _ideal_prefixes(tree: DecisionTree, c: Constellation, nm: NoiseModel) -> list[np.ndarray]:
+    """The ``(K, M^n)`` ``prefix[n]`` of :func:`_forward` at the ideal draw, ``n = 0, ..., N``."""
+    return [probs[0] for probs in _forward(tree, c, nm, np.zeros(1), np.ones(1))[0]]
 
 
 def exact_distribution(tree: DecisionTree, c: Constellation, nm: NoiseModel) -> PathDistribution:
@@ -179,6 +185,94 @@ def batch_distribution(
     that table has these bits.
     """
     return _batch_forward(tree, c, nm, *_check_draws(phase, scale))[0]
+
+
+def _sensitivities(
+    tree: DecisionTree,
+    c: Constellation,
+    nm: NoiseModel,
+    weights: np.ndarray,
+    phase: np.ndarray,
+    scale: np.ndarray,
+    forward: tuple,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-draw success-probability derivatives, each of shape (B, nodes).
+
+    One forward/backward sweep over the whole batch: forward prefix
+    probabilities F and backward suffix sums B of the per-path success
+    ``weights``; a node's sensitivity combines them with the binned-Poisson
+    derivative of its round and the chain rule through the detected mean,
+    which is quadratic in the displacement components.  ``forward`` is the
+    ``(prefix, q, dq)`` of :func:`_forward`, with derivatives, for these
+    draws.  The chain-rule factors ``dn/dx`` and ``dn/dy`` of every node
+    come from one expression each, as the outcome terms come from one kernel
+    call; only the backward sums and each level's reduction over codewords
+    go level by level.
+    """
+    n, m = tree.rounds, tree.arity
+    k_codes = c.n_codewords
+    batch = phase.shape[0]
+    slices = c.amplitudes / math.sqrt(n)
+    a = scale[:, None, None]
+    w = slices[None, :] * np.exp(-1j * phase[:, None])
+    forward_probs, q_levels, dq_levels = forward
+    u = tree.nodes[None, None, :]
+    dn_dx = nm.efficiency * (
+        2.0 * a * a * u.real - 2.0 * nm.visibility * a * w.real[:, :, None]
+    )
+    dn_dy = nm.efficiency * (
+        2.0 * a * a * u.imag - 2.0 * nm.visibility * a * w.imag[:, :, None]
+    )
+    sx = np.empty((batch, num_nodes(n, m)))
+    sy = np.empty((batch, num_nodes(n, m)))
+    backward = weights[None]
+    for level in range(n - 1, -1, -1):
+        b_next = backward.reshape(backward.shape[0], k_codes, m**level, m)
+        coeff = forward_probs[level] * (dq_levels[level] * b_next).sum(axis=3)
+        nodes = slice(level_offset(m, level), level_offset(m, level + 1))
+        sx[:, nodes] = (coeff * dn_dx[:, :, nodes]).sum(axis=1)
+        sy[:, nodes] = (coeff * dn_dy[:, :, nodes]).sum(axis=1)
+        backward = (q_levels[level] * b_next).sum(axis=3)
+    return sx, sy
+
+
+def _gradient(
+    tree: DecisionTree,
+    table: DecisionTable,
+    c: Constellation,
+    nm: NoiseModel,
+    phase: np.ndarray,
+    scale: np.ndarray,
+    held: list | None = None,
+) -> np.ndarray:
+    """Exact loss gradient, packed as d/d(re) + 1j * d/d(im) per node.
+
+    The draws are swept in chunks of bounded memory, and their
+    sensitivities are summed one draw at a time in batch order, as in
+    :func:`batch_distribution`, so that numpy's pairwise summation never
+    reorders the additions.  ``held`` is the list in which the batch
+    accumulator, :func:`_batch_forward` with derivatives, hands over the last
+    chunk's forward.  That chunk's sensitivities are taken first, which
+    empties the list and frees the forward; the other chunks' forwards are
+    computed again, one at a time, so one chunk's forward is alive at a time.
+    """
+    labels = np.arange(c.n_codewords)
+    # success weight of each (codeword, leaf): prior if the table guesses it
+    weights = c.priors[:, None] * (table.guesses[None, :] == labels[:, None])
+    # the weights have the accumulator's shape, so these are its chunks
+    chunks = list(_draw_chunks(phase, scale, weights.size))
+    last = [_sensitivities(tree, c, nm, weights, *chunks.pop(), held.pop())] if held else []
+    rest = (
+        _sensitivities(tree, c, nm, weights, ph, sc, _forward(tree, c, nm, ph, sc, derivs=True))
+        for ph, sc in chunks
+    )
+    gx = np.zeros(tree.nodes.size)
+    gy = np.zeros(tree.nodes.size)
+    for sx, sy in itertools.chain(rest, last):
+        for rx, ry in zip(sx, sy):
+            gx += rx
+            gy += ry
+    return -(gx + 1j * gy) / phase.shape[0]
 
 
 def averaged_distribution(
@@ -271,19 +365,35 @@ def mc_sample(
     leaf indices (4 bytes) and, with jitter, the rotations (16 bytes) are
     held for every run: 21 bytes a run with jitter and 5 without.  One
     chunk's temporaries add about 6 MB, whatever ``num_runs`` is (both
-    figures are tracemalloc peaks on a QAM6 tree of 6 ternary rounds).
+    figures are tracemalloc peaks on a QAM6 tree of 6 ternary rounds).  The
+    whole-run arrays are allocated before the first draw, and a count they
+    cannot hold raises ValueError, naming that cost.
     """
     if num_runs < 1:
         raise ValueError("num_runs must be at least 1")
     if (table.rounds, table.arity) != (tree.rounds, tree.arity):
         raise ValueError("table shape does not match the tree")
+    code_dtype = np.min_scalar_type(c.n_codewords - 1)
+    jitter = nm.phase_jitter > 0 or nm.amplitude_jitter > 0
+    try:
+        y = np.empty(num_runs, dtype=code_dtype)
+        # leaf indices stay below MAX_LEAVES = 2^16 at every level
+        leaf = np.zeros(num_runs, dtype=np.int32)
+        rot = np.ones(num_runs, dtype=np.complex128) if jitter else None
+    except (MemoryError, ValueError):
+        per_run = code_dtype.itemsize + 4 + 16 * jitter
+        raise ValueError(
+            f"the Monte Carlo sampler cannot hold {num_runs} runs: it keeps {per_run} bytes a run"
+        ) from None
     rng = np.random.default_rng(seed)
     # each run of a chunk holds about four values: slice, displacement,
     # mean and count
     step = max(1, _CHUNK_ELEMS // 4)
-    chunks = [slice(s, min(s + step, num_runs)) for s in range(0, num_runs, step)]
-    y = np.empty(num_runs, dtype=np.min_scalar_type(c.n_codewords - 1))
-    for s in chunks:
+
+    def chunks():
+        return (slice(s, min(s + step, num_runs)) for s in range(0, num_runs, step))
+
+    for s in chunks():
         y[s] = rng.choice(c.n_codewords, size=s.stop - s.start, p=c.priors)
     # per-codeword slice amplitudes and |b|^2, gathered for a chunk of runs;
     # only the visibility < 1 form reads |b|^2
@@ -292,16 +402,12 @@ def mc_sample(
     # exp(i*phase), then times the scale where one is drawn: a scale of
     # exactly 1 changes no bit of these rotations.  A non-positive scale
     # leaves its rotation as it is until a redraw gives a positive one.
-    rot = None
     if nm.phase_jitter > 0:
-        rot = np.empty(num_runs, dtype=np.complex128)
-        for s in chunks:
+        for s in chunks():
             np.exp(1j * rng.normal(0.0, nm.phase_jitter, s.stop - s.start), out=rot[s])
     if nm.amplitude_jitter > 0:
-        if rot is None:
-            rot = np.ones(num_runs, dtype=np.complex128)
         redraw = []
-        for s in chunks:
+        for s in chunks():
             scale = rng.normal(1.0, nm.amplitude_jitter, s.stop - s.start)
             ok = scale > 0
             np.multiply(rot[s], scale, out=rot[s], where=ok)
@@ -314,11 +420,9 @@ def mc_sample(
             redraw = redraw[~ok]
         # the last chunk's scales would otherwise stay alive through the rounds
         del scale, ok, redraw
-    # leaf indices stay below MAX_LEAVES = 2^16 at every level
-    leaf = np.zeros(num_runs, dtype=np.int32)
     for level in range(tree.rounds):
         nodes = tree.level_nodes(level)
-        for s in chunks:
+        for s in chunks():
             # fancy indexing through narrow indices runs at about half speed:
             # widen the codewords once for their two gathers; take() widens
             # the leaves in one pass
@@ -340,7 +444,7 @@ def mc_sample(
     n_paths = tree.arity**tree.rounds
     errors = 0
     counts = np.zeros(n_paths, dtype=np.int64)
-    for s in chunks:
+    for s in chunks():
         errors += int(np.count_nonzero(table.guesses.take(leaf[s]) != y[s]))
         counts += np.bincount(leaf[s], minlength=n_paths)
     return MCResult(num_runs, errors, counts)

@@ -99,8 +99,9 @@ class DecisionTree:
     """Per-history displacement parameters of an (N, M) receiver.
 
     ``nodes`` is complex of length ``(M^N - 1)/(M - 1)``, breadth-first.
-    Trees are read-shared during evaluation; the optimizer mutates ``nodes``
-    only in its single-writer update phase.
+    Only a design writes ``nodes``, into the tree it is building (the CN
+    design fills one level at a time); evaluation and the learning loop
+    only read them, since each descent step makes a new tree.
     """
 
     rounds: int
@@ -129,9 +130,6 @@ class DecisionTree:
         """View of the displacements at one level, in prefix order."""
         start = level_offset(self.arity, level)
         return self.nodes[start : start + self.arity**level]
-
-    def copy(self) -> "DecisionTree":
-        return DecisionTree(self.rounds, self.arity, self.nodes.copy())
 
     @property
     def n_parameters(self) -> int:

@@ -246,6 +246,19 @@ class TestEvaluate:
         assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", [2**70, 2**62])
+    def test_run_count_beyond_memory_is_usage_error(self, bpsk_receiver, tmp_path, capsys, count):
+        # the sampler allocates its whole-run arrays before the first draw,
+        # so numpy refuses these counts at once, and no file is written
+        out = tmp_path / "o.csv"
+        code = run("evaluate", "--spec", bpsk_receiver, "--mean-photon", 1.2,
+                   "--mc-samples", count, "--batch", 2, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: the Monte Carlo sampler cannot hold {count} runs: it keeps 21 bytes a run\n"
+        )
+        assert not out.exists()
+
     def test_missing_spec_is_io_error(self, tmp_path, capsys):
         code = run("evaluate", "--spec", tmp_path / "nope.json",
                    "--mean-photon", 1.0, "--out", tmp_path / "o.csv")

@@ -164,6 +164,23 @@ def test_only_photonics_and_simulator_read_the_outcome_kernels():
     assert readers == {}
 
 
+# the simulator's forward recursion, its draw chunks and the gradient sweep:
+# every other module walks a tree through the simulator's functions
+FORWARD_INTERNALS = {"_forward", "_draw_chunks", "_sensitivities"}
+
+
+def test_only_simulator_reads_the_forward_recursion():
+    readers = {}
+    for path in CALLER_FILES:
+        module = module_name(path)
+        if module == "coherentrx.simulator":
+            continue
+        used = names_used_from(ast.parse(path.read_text()), module).get("coherentrx.simulator", set())
+        if used & FORWARD_INTERNALS:
+            readers[path.relative_to(REPO).as_posix()] = sorted(used & FORWARD_INTERNALS)
+    assert readers == {}
+
+
 def public_methods(tree: ast.AST) -> list[str]:
     """``Class.method`` for each public method or property of an exported class."""
     exported = set(exported_names(tree))

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from coherentrx import formulator, simulator
-from coherentrx.baselines import cn_receiver, cn_tree
+from coherentrx.baselines import cn_receiver, cn_tree, dolinar_tree
 from coherentrx.constellation import bpsk, custom, qam6
 from coherentrx.formulator import (
     FormulatorConfig,
     _gradient,
     formulate,
     init_tree,
-    optimize_receiver,
+    optimize_sweep,
 )
 from coherentrx.photonics import NoiseModel, sample_draws
 from coherentrx.simulator import (
@@ -189,6 +189,19 @@ class TestFormulate:
         q_loss = error_rate(averaged_distribution(res.tree, c, LAB, 80, seed=900), res.table)
         assert q_loss < cn_loss
 
+    @pytest.mark.parametrize("nbar", [0.0, 0.8])
+    def test_initial_tree_is_never_written(self, nbar):
+        # at zero energy every gradient is zero and the start is the best
+        # iterate; otherwise the loop steps away from it
+        c = bpsk(nbar)
+        tree = init_tree(c, 3, 2, 0.05, seed=1)
+        before = tree.nodes.tobytes()
+        tree.nodes.setflags(write=False)
+        cfg = FormulatorConfig(max_iterations=10, batch_size=4, seed=2)
+        res = formulate(c, 3, 2, LAB, cfg, initial_tree=tree)
+        assert tree.nodes.tobytes() == before
+        assert (res.tree is tree) == (nbar == 0.0)
+
     def test_initial_tree_shape_checked(self):
         cfg = FormulatorConfig(max_iterations=5, batch_size=1, seed=0)
         with pytest.raises(ValueError):
@@ -212,12 +225,41 @@ class TestConfigValidation:
             FormulatorConfig(**kwargs)
 
 
-def test_optimize_receiver_multi_start_keeps_best():
-    c = bpsk(0.5)
-    cfg = FormulatorConfig(max_iterations=60, batch_size=4, seed=8)
-    base = formulate(c, 3, 2, LAB, cfg)
-    multi = optimize_receiver(c, 3, 2, LAB, cfg, extra_initial_trees=(DecisionTree.zeros(3, 2),))
-    assert multi.final_loss <= base.final_loss
+def result_bytes(res):
+    """Every array and value of a learning result, as bytes and plain values."""
+    t = res.trace
+    arrays = (res.tree.nodes, res.table.guesses, t.iteration, t.loss, t.gradient_norm,
+              t.loss_start, t.loss_post_table)
+    return [a.tobytes() for a in arrays], t.converged, t.best_iteration, res.final_loss
+
+
+# (mean photons, rounds, noise model, config): the Dolinar start wins by
+# 6e-7; both starts reach a loss of exactly 0 with different trees
+SWEEP_POINTS = {
+    "dolinar_wins": (0.5, 3, LAB, FormulatorConfig(max_iterations=60, batch_size=4, seed=8)),
+    "tie": (20.0, 2, IDEAL, FormulatorConfig(max_iterations=10, batch_size=1,
+                                             init_perturbation=0.0, seed=8)),
+}
+
+
+@pytest.mark.parametrize("point", sorted(SWEEP_POINTS))
+def test_optimize_sweep_keeps_the_first_best_start(point):
+    # a one-point BPSK grid runs the CN start, then the Dolinar start, at
+    # the sweep's config for that point; the lowest held-out loss wins, and
+    # a tie goes to the CN start
+    nbar, rounds, nm, cfg = SWEEP_POINTS[point]
+    ((got_nbar, got),) = optimize_sweep(bpsk, [nbar], rounds, 2, nm, cfg)
+    c = bpsk(nbar)
+    runs = [formulate(c, rounds, 2, nm, cfg, initial_tree=t) for t in (None, dolinar_tree(nbar, rounds))]
+    want = min(runs, key=lambda r: r.final_loss)
+    assert got_nbar == nbar
+    assert result_bytes(got) == result_bytes(want)
+    if point == "tie":
+        assert runs[0].final_loss == runs[1].final_loss
+        assert runs[0].tree.nodes.tobytes() != runs[1].tree.nodes.tobytes()
+        assert want is runs[0]
+    else:
+        assert want is runs[1]
 
 
 def reference_formulate(c, rounds, arity, nm, cfg):

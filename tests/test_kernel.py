@@ -417,8 +417,8 @@ def test_mc_sample_memory_per_run_is_bounded(monkeypatch, small_chunks):
     # whole-run arrays take 21 bytes a run with jitter and one chunk's
     # temporaries a fixed ~6 MB (~30 bytes a run here); a round's
     # temporaries held for every run would take ~100 bytes a run.  With
-    # small chunks (49 of 4096 runs) the chunk list and the per-chunk
-    # redraw indices must stay small too
+    # small chunks (49 of 4096 runs) the per-chunk redraw indices must stay
+    # small too
     if small_chunks:
         monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 1 << 14)
     c = qam6(7.8)
@@ -523,7 +523,8 @@ def test_mc_sample_memory_slope_per_run(monkeypatch, jitter, small_chunks):
     # what grows with num_runs is the codewords (1 byte a run here), the
     # leaves (4) and, with jitter, the rotations (16); one chunk's
     # temporaries are the same at both sizes.  With small chunks (16 to 64
-    # of 4096 runs) the chunk list grows too, by well under a byte a run
+    # of 4096 runs) the list of per-chunk redraw indices grows too, by well
+    # under a byte a run
     if small_chunks:
         monkeypatch.setattr(simulator, "_CHUNK_ELEMS", 1 << 14)
     c = qam6(7.8)

@@ -255,6 +255,23 @@ class TestMonteCarlo:
         res = mc_sample(tree, table, c, nm, 7_777, seed=4)
         assert res.path_counts.sum() == 7_777
 
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("num_runs", [2**70, 2**62])
+    def test_run_count_beyond_memory_is_refused_before_any_draw(self, monkeypatch, num_runs, jitter):
+        # a codeword byte and a 4-byte leaf index a run, and a 16-byte
+        # rotation with jitter; the generator is never made
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a draw was made before the run arrays were allocated")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        c = bpsk(1.0)
+        tree = DecisionTree(2, 2, np.full(num_nodes(2, 2), 1.0 + 0j))
+        table = DecisionTable(2, 2, np.array([0, 1, 1, 1]))
+        nm = NoiseModel(phase_jitter=0.02, amplitude_jitter=0.005) if jitter else IDEAL
+        per_run = 21 if jitter else 5
+        with pytest.raises(ValueError, match=f"cannot hold {num_runs} runs: it keeps {per_run} bytes a run"):
+            mc_sample(tree, table, c, nm, num_runs, seed=0)
+
     def test_table_shape_mismatch_rejected(self):
         c = bpsk(0.5)
         tree = DecisionTree(2, 2, np.zeros(num_nodes(2, 2), dtype=complex))
