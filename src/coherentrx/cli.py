@@ -15,6 +15,7 @@ atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import hashlib
 import json
@@ -45,7 +46,11 @@ def _parse_sweep(text: str) -> list[float]:
             raise argparse.ArgumentTypeError("grid needs at least one point")
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise argparse.ArgumentTypeError("sweep values must be finite")
-        return [float(x) for x in np.linspace(start, stop, num)]
+        # numpy refuses a grid beyond 2**63 bytes, or near that misindexes it
+        if num <= np.iinfo(np.intp).max // 8:
+            with contextlib.suppress(MemoryError):
+                return np.linspace(start, stop, num).tolist()
+        raise argparse.ArgumentTypeError(f"a grid of {num} points is more than memory holds")
     values = [float(x) for x in text.split(",") if x.strip()]
     if not values:
         raise argparse.ArgumentTypeError("empty sweep")
@@ -83,42 +88,38 @@ def _meta(args: argparse.Namespace, command: str) -> dict:
     return meta
 
 
-def _noise_from_args(args: argparse.Namespace) -> NoiseModel:
-    return NoiseModel(
-        visibility=args.visibility,
-        efficiency=args.efficiency,
-        dark_counts=args.dark,
-        phase_jitter=args.phase_jitter,
-        amplitude_jitter=args.amp_jitter,
-    )
+# The noise and learning flags: flag -> (field, help).  A flag takes its
+# field's default, and that default's type, from NoiseModel() or
+# FormulatorConfig().  Each subcommand declares its own --batch and --seed.
+_NOISE_FLAGS = {
+    "--visibility": ("visibility", "interference visibility in [0,1]"),
+    "--efficiency": ("efficiency", "detection efficiency in [0,1]"),
+    "--dark": ("dark_counts", "mean dark counts per round"),
+    "--phase-jitter": ("phase_jitter", "per-run phase jitter sigma (rad)"),
+    "--amp-jitter": ("amplitude_jitter", "per-run relative amplitude jitter sigma"),
+}
+_LEARNING_FLAGS = {
+    "--iters": ("max_iterations", "max learning iterations"),
+    "--learning-rate": ("learning_rate", None),
+    "--perturbation": ("init_perturbation", "relative scale of the initialization perturbation"),
+    "--window": ("convergence_window", "convergence window (iterations)"),
+    "--delta": ("convergence_delta", "convergence loss-improvement threshold"),
+}
 
 
-def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--visibility", type=float, default=1.0, help="interference visibility in [0,1]")
-    p.add_argument("--efficiency", type=float, default=1.0, help="detection efficiency in [0,1]")
-    p.add_argument("--dark", type=float, default=0.0, help="mean dark counts per round")
-    p.add_argument("--phase-jitter", type=float, default=0.0, help="per-run phase jitter sigma (rad)")
-    p.add_argument("--amp-jitter", type=float, default=0.0, help="per-run relative amplitude jitter sigma")
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")  # the attribute argparse stores a long flag under
 
 
-def _add_formulator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--iters", type=int, default=300, help="max learning iterations")
-    p.add_argument("--learning-rate", type=float, default=2.0)
-    p.add_argument("--perturbation", type=float, default=0.01, help="relative scale of the initialization perturbation")
-    p.add_argument("--window", type=int, default=20, help="convergence window (iterations)")
-    p.add_argument("--delta", type=float, default=1e-6, help="convergence loss-improvement threshold")
+def _add_flags(p: argparse.ArgumentParser, table: dict, defaults) -> None:
+    for flag, (field, text) in table.items():
+        default = getattr(defaults, field)
+        p.add_argument(flag, type=type(default), default=default, help=text)
 
 
-def _formulator_config(args: argparse.Namespace) -> FormulatorConfig:
-    return FormulatorConfig(
-        max_iterations=args.iters,
-        batch_size=args.batch,
-        learning_rate=args.learning_rate,
-        convergence_window=args.window,
-        convergence_delta=args.delta,
-        init_perturbation=args.perturbation,
-        seed=args.seed,
-    )
+def _from_flags(cls, table: dict, args: argparse.Namespace, **fixed):
+    """The ``cls`` (NoiseModel or FormulatorConfig) that the table's flags give."""
+    return cls(**{field: getattr(args, _dest(flag)) for flag, (field, _) in table.items()}, **fixed)
 
 
 def _scaled_constellation(c: Constellation, nbar: float) -> Constellation:
@@ -167,10 +168,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     trace_path = args.trace or os.path.splitext(args.out)[0] + "_trace.csv"
     _check_writable(args.out, trace_path)
     c = _ENCODINGS[args.encoding](args.mean_photon)
-    nm = _noise_from_args(args)
+    nm = _from_flags(NoiseModel, _NOISE_FLAGS, args)
     if args.rounds >= 1:  # formulate refuses fewer rounds in its own words
         _check_detected_means(c, args.rounds, nm)
-    cfg = _formulator_config(args)
+    cfg = _from_flags(FormulatorConfig, _LEARNING_FLAGS, args, batch_size=args.batch, seed=args.seed)
     result = formulate(c, args.rounds, args.arity, nm, cfg)
     metadata = {
         "command": "optimize",
@@ -178,14 +179,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "encoding": args.encoding,
         "mean_photon": args.mean_photon,
         "seed": args.seed,
-        "config": {
-            "iters": args.iters,
-            "batch": args.batch,
-            "learning_rate": args.learning_rate,
-            "perturbation": args.perturbation,
-            "window": args.window,
-            "delta": args.delta,
-        },
+        "config": {dest: getattr(args, dest) for dest in [*map(_dest, _LEARNING_FLAGS), "batch"]},
         "converged": result.trace.converged,
         "iterations_run": len(result.trace),
         "final_loss": result.final_loss,
@@ -232,7 +226,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     nm = receiver.noise_model
     rows = []
     if args.reoptimize:
-        cfg = _formulator_config(args)
+        cfg = _from_flags(FormulatorConfig, _LEARNING_FLAGS, args, batch_size=args.batch, seed=args.seed)
         swept = optimize_sweep(
             lambda nbar: _scaled_constellation(receiver.constellation, nbar),
             grid,
@@ -304,7 +298,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         num_nodes(args.rounds, args.arity if "cn" in designed else 2)
     if any(x < 0 for x in args.sweep):
         raise ValueError("mean photon numbers must be non-negative")
-    nm = _noise_from_args(args)
+    nm = _from_flags(NoiseModel, _NOISE_FLAGS, args)
     grid = args.sweep
     # every curve before the directory or any file: a sweep point that a
     # receiver refuses leaves no partial output
@@ -333,7 +327,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     _check_counts(("--batch", args.batch))
     receiver = load_receiver(args.spec)
     tree, c, nm = receiver.tree, receiver.constellation, receiver.noise_model
-    os.makedirs(args.out_dir, exist_ok=True)
     models = [("ideal", NoiseModel())]
     if nm != NoiseModel():
         models.append(("design", nm))
@@ -354,8 +347,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     post_cols = ["model", "variant", "true_label", "path", "round"] + [
         f"posterior_{y}" for y in range(k_codes)
     ]
-    post_path = os.path.join(args.out_dir, "posterior.csv")
-    _write_csv(post_path, _meta(args, "metrics"), post_cols, post_rows)
 
     kl_rows = []
     for model_name, model in models:
@@ -365,6 +356,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
                 for rnd in range(tree.rounds + 1):
                     val = metrics.prefix_kl(dist, p, q, rnd)
                     kl_rows.append([model_name, p, q, rnd, val])
+    # both files' rows first: a batch the jitter sampler refuses leaves no output
+    os.makedirs(args.out_dir, exist_ok=True)
+    post_path = os.path.join(args.out_dir, "posterior.csv")
+    _write_csv(post_path, _meta(args, "metrics"), post_cols, post_rows)
     kl_path = os.path.join(args.out_dir, "kl.csv")
     _write_csv(kl_path, _meta(args, "metrics"), ["model", "label_p", "label_q", "round", "kl_nats"], kl_rows)
     print(f"wrote {post_path} and {kl_path}")
@@ -384,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--rounds", type=int, required=True, help="processing rounds N (>= 1)")
     p_opt.add_argument("--arity", type=int, required=True, help="outcome classes M (>= 2)")
     p_opt.add_argument("--mean-photon", type=float, required=True)
-    _add_noise_flags(p_opt)
-    _add_formulator_flags(p_opt)
+    _add_flags(p_opt, _NOISE_FLAGS, NoiseModel())
+    _add_flags(p_opt, _LEARNING_FLAGS, FormulatorConfig())
     p_opt.add_argument("--batch", type=int, default=16, help="noise draws per learning iteration")
     p_opt.add_argument("--seed", type=int, default=0)
     p_opt.add_argument("--out", required=True, help="receiver-spec JSON path")
@@ -401,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--batch", type=int, default=32,
                         help="noise draws for the exact average (and per learning iteration with --reoptimize)")
     p_eval.add_argument("--reoptimize", action="store_true", help="re-learn the receiver at every sweep point")
-    _add_formulator_flags(p_eval)
+    _add_flags(p_eval, _LEARNING_FLAGS, FormulatorConfig())
     p_eval.add_argument("--seed", type=int, default=0)
     p_eval.add_argument("--out", required=True)
     p_eval.set_defaults(func=cmd_evaluate)
@@ -413,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_base.add_argument("--arity", type=int, default=2)
     p_base.add_argument("--sweep", type=_parse_sweep, required=True)
     p_base.add_argument("--batch", type=int, default=32)
-    _add_noise_flags(p_base)
+    _add_flags(p_base, _NOISE_FLAGS, NoiseModel())
     p_base.add_argument("--seed", type=int, default=0)
     p_base.add_argument("--out-dir", required=True)
     p_base.set_defaults(func=cmd_baseline)

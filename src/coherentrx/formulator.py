@@ -168,6 +168,9 @@ def formulate(
     """
     root = np.random.SeedSequence(cfg.seed)
     init_seq, holdout_seq, iter_root = root.spawn(3)
+    # drawn first, so that a batch whose held-out draws cannot be held fails
+    # before any learning
+    holdout = sample_draws(nm, _HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
     if initial_tree is None:
         tree = init_tree(c, rounds, arity, cfg.init_perturbation, init_seq)
     else:
@@ -226,7 +229,6 @@ def formulate(
         converged=converged,
         best_iteration=best_iteration,
     )
-    holdout = sample_draws(nm, _HOLDOUT_FACTOR * cfg.batch_size, holdout_seq)
     final_dist = batch_distribution(best_tree, c, nm, *holdout)
     final_table = map_table(final_dist)
     final_loss = error_rate(final_dist, final_table)

@@ -208,18 +208,36 @@ def sample_draws(nm: NoiseModel, batch_size: int, seed) -> tuple[np.ndarray, np.
     (phase 0, scale 1), so the batch collapses to arrays of length one for
     any ``batch_size``, and an average over it is exactly batch-size
     invariant.
+
+    Memory: with jitter, each draw keeps its phase and scale (8 bytes each)
+    and its standard normals (8 bytes each, one or two).  These arrays are
+    allocated before the generator is made, and a batch they cannot hold
+    raises ValueError, naming that cost.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     if nm.is_deterministic:
         return np.zeros(1), np.ones(1)
+    per_draw = int(nm.phase_jitter > 0) + int(nm.amplitude_jitter > 0)
+    try:
+        z = np.empty((batch_size, per_draw))
+        phase = np.zeros(batch_size)
+        scale = np.ones(batch_size)
+    except (MemoryError, ValueError):
+        raise ValueError(
+            f"the jitter sampler cannot hold {batch_size} draws: it keeps {8 * per_draw + 16} bytes a draw"
+        ) from None
     rng = np.random.default_rng(seed)
     start = rng.bit_generator.state
-    per_draw = int(nm.phase_jitter > 0) + int(nm.amplitude_jitter > 0)
-    z = rng.standard_normal((batch_size, per_draw))
-    # 0.0 + keeps the loop's bits even for z = -0.0
-    phase = 0.0 + nm.phase_jitter * z[:, 0] if nm.phase_jitter > 0 else np.zeros(batch_size)
-    scale = 1.0 + nm.amplitude_jitter * z[:, -1] if nm.amplitude_jitter > 0 else np.ones(batch_size)
+    rng.standard_normal(out=z)
+    # in place, as 0.0 + sigma * z (which keeps the loop's bits even for
+    # z = -0.0) and 1.0 + sigma * z
+    if nm.phase_jitter > 0:
+        np.multiply(nm.phase_jitter, z[:, 0], out=phase)
+        phase += 0.0
+    if nm.amplitude_jitter > 0:
+        np.multiply(nm.amplitude_jitter, z[:, -1], out=scale)
+        scale += 1.0
     if not (scale > 0).all():
         rng.bit_generator.state = start
         for b in range(batch_size):

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from coherentrx import cli, simulator
 from coherentrx.cli import main
+from coherentrx.formulator import FormulatorConfig
 from coherentrx.photonics import NoiseModel
 from coherentrx.tree import load_receiver
 
@@ -586,6 +588,30 @@ class TestBaseline:
         assert "sweep values must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("num", [2**62, 2**63 - 1, 10**12])
+    def test_grid_beyond_memory_is_usage_error(self, tmp_path, capsys, monkeypatch, num):
+        # numpy refuses 2**62 by arithmetic and misindexes 2**63 - 1; a
+        # 10**12-point grid would be allocated, so its allocation is faked
+        # to fail
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "linspace", no_memory)
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            run("baseline", "--receivers", "helstrom", "--sweep", f"0:1:{num}", "--out-dir", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: argument --sweep: a grid of {num} points is more than memory holds\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["0:1:1", "0.5:1.5:3", "-2:7:10", "1e-3:3:64"])
+    def test_grid_that_fits_is_linspace(self, grid):
+        start, stop, num = grid.split(":")
+        want = np.linspace(float(start), float(stop), int(num))
+        assert np.array(cli._parse_sweep(grid)).tobytes() == want.tobytes()
+
     def test_heterodyne_beyond_its_range_is_usage_error(self, tmp_path, capsys):
         # once an OverflowError traceback from the quadrature's window sums
         with warnings.catch_warnings():
@@ -667,6 +693,85 @@ class TestMetrics:
         assert run("metrics", "--spec", spec_dir / "receiver.json", "--batch", 2,
                    "--out-dir", tmp_path / "diag") == 0
         assert models == [NoiseModel(), NoiseModel.from_dict(doc["noise_model"])]
+
+
+def _batch_command(command, spec):
+    """A command that draws jitter at its --batch, up to its output flag."""
+    jitter = ["--phase-jitter", 0.02, "--amp-jitter", 0.005]
+    return {
+        "optimize": ["optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2,
+                     "--mean-photon", 1.0, *jitter, "--out"],
+        "evaluate": ["evaluate", "--spec", spec, "--mean-photon", 1.0, "--out"],
+        "reoptimize": ["evaluate", "--spec", spec, "--sweep", "0.6,1.0", "--reoptimize", "--out"],
+        "metrics": ["metrics", "--spec", spec, "--out-dir"],
+        "baseline": ["baseline", "--receivers", "kennedy,dolinar", "--sweep", 1.0, *jitter, "--out-dir"],
+    }[command]
+
+
+class TestBatchBeyondTheJitterSampler:
+    # a learning run draws its held-out batch, ten training batches, first
+    @pytest.mark.parametrize("command, factor", [
+        ("optimize", 10), ("evaluate", 1), ("reoptimize", 10), ("metrics", 1), ("baseline", 1),
+    ])
+    def test_batch_is_usage_error_with_no_output(self, bpsk_receiver, tmp_path, capsys, command, factor):
+        out = tmp_path / "out"
+        code = run(*_batch_command(command, bpsk_receiver), out, "--batch", 2**62)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the jitter sampler cannot hold {factor * 2**62} draws: it keeps 32 bytes a draw\n"
+        )
+        assert not out.exists()
+
+    def test_batch_without_jitter_draws_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        assert run("baseline", "--receivers", "dolinar", "--sweep", 1.0, "--rounds", 2,
+                   "--batch", 2**62, "--out-dir", out) == 0
+        assert (out / "dolinar.csv").exists()
+
+
+class TestFlagTables:
+    """Each noise and learning flag is declared once, with its field's default."""
+
+    def test_one_flag_a_field(self):
+        noise = [field for field, _ in cli._NOISE_FLAGS.values()]
+        learning = [field for field, _ in cli._LEARNING_FLAGS.values()]
+        assert sorted(noise) == sorted(f.name for f in dataclasses.fields(NoiseModel))
+        assert sorted(learning) == sorted(
+            f.name for f in dataclasses.fields(FormulatorConfig) if f.name not in ("batch_size", "seed")
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2, "--mean-photon", 1.0, "--out", "o.json"],
+        ["evaluate", "--spec", "r.json", "--mean-photon", 1.0, "--out", "o.csv"],
+        ["baseline", "--sweep", 1.0, "--out-dir", "o"],
+    ])
+    def test_defaults_are_the_dataclasses(self, argv):
+        args = cli.build_parser().parse_args([str(a) for a in argv])
+        if argv[0] != "evaluate":
+            assert cli._from_flags(NoiseModel, cli._NOISE_FLAGS, args) == NoiseModel()
+        if argv[0] != "baseline":
+            cfg = cli._from_flags(FormulatorConfig, cli._LEARNING_FLAGS, args,
+                                  batch_size=args.batch, seed=args.seed)
+            assert cfg == FormulatorConfig(batch_size=args.batch, seed=args.seed)
+
+    def test_every_flag_lands_in_its_field(self):
+        noise = {"--visibility": 0.9, "--efficiency": 0.8, "--dark": 0.01,
+                 "--phase-jitter": 0.03, "--amp-jitter": 0.02}
+        learning = {"--iters": 7, "--learning-rate": 0.5, "--perturbation": 0.05,
+                    "--window": 3, "--delta": 1e-4}
+        argv = ["optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2, "--mean-photon", 1.0,
+                "--batch", 5, "--seed", 9, "--out", "o.json"]
+        for flag, value in (noise | learning).items():
+            argv += [flag, value]
+        args = cli.build_parser().parse_args([str(a) for a in argv])
+        assert cli._from_flags(NoiseModel, cli._NOISE_FLAGS, args) == NoiseModel(0.9, 0.8, 0.01, 0.03, 0.02)
+        cfg = cli._from_flags(FormulatorConfig, cli._LEARNING_FLAGS, args, batch_size=5, seed=9)
+        assert cfg == FormulatorConfig(max_iterations=7, batch_size=5, learning_rate=0.5,
+                                       convergence_window=3, convergence_delta=1e-4,
+                                       init_perturbation=0.05, seed=9)
+        assert type(cfg.max_iterations) is int and type(cfg.convergence_window) is int
 
 
 def test_console_entry_point_runs():

@@ -202,6 +202,19 @@ class TestFormulate:
         assert tree.nodes.tobytes() == before
         assert (res.tree is tree) == (nbar == 0.0)
 
+    def test_held_out_batch_beyond_memory_fails_before_learning(self, monkeypatch):
+        # the held-out batch, ten training batches, is drawn before the
+        # initial tree is built or any forward runs
+        def no_learning(*args, **kwargs):
+            raise AssertionError("learning began before the held-out batch was drawn")
+
+        monkeypatch.setattr(formulator, "init_tree", no_learning)
+        monkeypatch.setattr(formulator, "_batch_forward", no_learning)
+        cfg = FormulatorConfig(batch_size=2**62)
+        draws = formulator._HOLDOUT_FACTOR * 2**62
+        with pytest.raises(ValueError, match=f"jitter sampler cannot hold {draws} draws: it keeps 32 bytes"):
+            formulate(bpsk(1.0), 2, 2, LAB, cfg)
+
     def test_initial_tree_shape_checked(self):
         cfg = FormulatorConfig(max_iterations=5, batch_size=1, seed=0)
         with pytest.raises(ValueError):

@@ -105,7 +105,7 @@ class TestSampling:
         phase, scale = sample_draws(NoiseModel(), 1, 0)
         assert phase.tolist() == [0.0] and scale.tolist() == [1.0]
 
-    @pytest.mark.parametrize("batch", [7, 64])
+    @pytest.mark.parametrize("batch", [7, 64, 2**62])
     def test_no_jitter_batch_is_one_ideal_draw(self, batch):
         # every draw would be ideal: the batch collapses for any size
         nm = NoiseModel(visibility=0.99, efficiency=0.8, dark_counts=1e-3)
@@ -152,6 +152,10 @@ class TestSampling:
     def test_unknown_dict_key_rejected(self):
         with pytest.raises(ValueError, match="unknown noise model keys"):
             NoiseModel.from_dict({"visibility": 1.0, "gain": 2.0})
+
+
+def no_draws(*args, **kwargs):
+    raise AssertionError("a draw was made before the draw arrays were allocated")
 
 
 def reference_draws(nm, batch_size, seed):
@@ -213,6 +217,25 @@ class TestJitterArrays:
     def test_no_jitter_is_one_ideal_draw(self):
         phase, scale = sample_draws(NoiseModel(dark_counts=1e-3), 16, 3)
         assert phase.tolist() == [0.0] and scale.tolist() == [1.0]
+
+    @pytest.mark.parametrize("batch", [2**62, 2**63 - 1])
+    @pytest.mark.parametrize("model, per_draw", [("phase_only", 24), ("amplitude_only", 24), ("both", 32)])
+    def test_batch_beyond_memory_is_refused_before_any_draw(self, monkeypatch, batch, model, per_draw):
+        # a phase and a scale a draw, and one standard normal per jitter
+        # source (8 bytes each); the generator is never made
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=f"cannot hold {batch} draws: it keeps {per_draw} bytes a draw"):
+            sample_draws(self.MODELS[model], batch, 0)
+
+    def test_failed_allocation_is_refused_before_any_draw(self, monkeypatch):
+        # a batch numpy does not refuse by arithmetic: its allocation fails
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=f"cannot hold {10**12} draws: it keeps 32 bytes a draw"):
+            sample_draws(self.MODELS["both"], 10**12, 0)
 
     @pytest.mark.parametrize("field", ["phase_jitter", "amplitude_jitter"])
     def test_jitter_sigma_is_bounded(self, field):
