@@ -635,26 +635,12 @@ def heterodyne_sql(c: Constellation) -> float:
     def inner(x: float) -> float:
         log_w = [max(lp - (x - a) ** 2 for a, lp in rows[b]) for b in slopes]
         icpt = [lw - b * b for lw, b in zip(log_w, slopes)]
-        # upper envelope by increasing slope; line hull[i] owns [starts[i], starts[i+1]]
-        hull: list[int] = []
-        starts: list[float] = []
-        for k, b in enumerate(slopes):
-            start = -math.inf
-            while hull:
-                j = hull[-1]
-                start = (icpt[j] - icpt[k]) / (2.0 * (b - slopes[j]))
-                if start > starts[-1]:
-                    break
-                hull.pop()
-                starts.pop()
-                start = -math.inf
-            hull.append(k)
-            starts.append(start)
         total = 0.0
-        for k, lo, hi in zip(hull, starts, starts[1:] + [math.inf]):
-            lo, hi = max(lo, y_lo), min(hi, y_hi)
+        for k, b in enumerate(slopes):
+            # line k tops the envelope between its lower- and higher-slope crossings
+            cross = [(icpt[j] - icpt[k]) / (2.0 * (b - slopes[j])) for j in range(len(slopes)) if j != k]
+            lo, hi = max([y_lo, *cross[:k]]), min([y_hi, *cross[k:]])
             if hi > lo:
-                b = slopes[k]
                 total += math.exp(log_w[k]) * (math.erf(hi - b) - math.erf(lo - b))
         return total / norm
 

@@ -35,13 +35,22 @@ from .tree import _MAX_MEAN_PHOTONS, Receiver, atomic_write, load_receiver, num_
 _ENCODINGS = {"bpsk": bpsk, "qam6": qam6}
 
 
+def _each(cast, texts: list[str], message: str) -> list:
+    """``cast`` of every text, or the parser's usage error with ``message``."""
+    try:
+        return [cast(t) for t in texts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+
+
 def _parse_sweep(text: str) -> list[float]:
     """Accept 'a,b,c' lists or 'start:stop:num' linear grids."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("grid form is start:stop:num")
-        start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = _each(float, parts[:2], "sweep values must be numbers")
+        (num,) = _each(int, parts[2:], f"the grid count must be an integer, got {parts[2]!r}")
         if num < 1:
             raise argparse.ArgumentTypeError("grid needs at least one point")
         if not (math.isfinite(start) and math.isfinite(stop)):
@@ -51,7 +60,7 @@ def _parse_sweep(text: str) -> list[float]:
             with contextlib.suppress(MemoryError):
                 return np.linspace(start, stop, num).tolist()
         raise argparse.ArgumentTypeError(f"a grid of {num} points is more than memory holds")
-    values = [float(x) for x in text.split(",") if x.strip()]
+    values = _each(float, [x for x in text.split(",") if x.strip()], "sweep values must be numbers")
     if not values:
         raise argparse.ArgumentTypeError("empty sweep")
     if not all(math.isfinite(x) for x in values):

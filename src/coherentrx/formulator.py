@@ -32,7 +32,7 @@ from .baselines import cn_tree, dolinar_tree
 from .constellation import Constellation, mean_energy
 from .photonics import NoiseModel, sample_draws
 from .simulator import _batch_forward, _gradient, batch_distribution, error_rate, map_table
-from .tree import DecisionTable, DecisionTree
+from .tree import _MEANS_OUT_OF_RANGE, DecisionTable, DecisionTree, _means_in_range
 
 __all__ = [
     "FormulatorConfig",
@@ -140,7 +140,9 @@ def init_tree(
     jitter = rng.standard_normal(base.nodes.size) + 1j * rng.standard_normal(
         base.nodes.size
     )
-    return DecisionTree(rounds, arity, base.nodes + perturbation * scale * jitter)
+    # a perturbation near the float range overflows into nodes the tree refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return DecisionTree(rounds, arity, base.nodes + perturbation * scale * jitter)
 
 
 def formulate(
@@ -164,7 +166,8 @@ def formulate(
     raising).  The returned table is refit on the held-out batch used for
     ``final_loss``, matching how the receiver would be deployed.  Fully
     deterministic for a fixed config.  No tree is written to, so the result
-    may be ``initial_tree`` itself.
+    may be ``initial_tree`` itself.  A start the spec loader would refuse
+    raises its ``ValueError``; the line search rejects such a candidate.
     """
     root = np.random.SeedSequence(cfg.seed)
     init_seq, holdout_seq, iter_root = root.spawn(3)
@@ -177,6 +180,8 @@ def formulate(
         if (initial_tree.rounds, initial_tree.arity) != (rounds, arity):
             raise ValueError("initial tree shape mismatch")
         tree = initial_tree
+    if not _means_in_range(c, rounds, tree.nodes, nm):
+        raise ValueError(_MEANS_OUT_OF_RANGE)
 
     table: DecisionTable | None = None
     rows: list[tuple[int, float, float, float, float]] = []
@@ -201,12 +206,15 @@ def formulate(
         if gnorm > 0:
             step = cfg.learning_rate
             for _ in range(_MAX_BACKTRACKS):
-                cand = DecisionTree(rounds, arity, tree.nodes - step * grad)
-                cand_loss = error_rate(batch_distribution(cand, c, nm, phase, scale), table)
-                if cand_loss <= loss_post_table:
-                    tree = cand
-                    loss_end = cand_loss
-                    break
+                with np.errstate(over="ignore", invalid="ignore"):
+                    nodes = tree.nodes - step * grad
+                # a candidate no receiver spec may hold is rejected as a worse one is
+                if _means_in_range(c, rounds, nodes, nm):
+                    cand = DecisionTree(rounds, arity, nodes)
+                    cand_loss = error_rate(batch_distribution(cand, c, nm, phase, scale), table)
+                    if cand_loss <= loss_post_table:
+                        tree, loss_end = cand, cand_loss
+                        break
                 step *= 0.5
         rows.append((it, loss_end, gnorm, loss_start, loss_post_table))
         if loss_end < best_loss:

@@ -89,13 +89,7 @@ class NoiseModel:
         return self.phase_jitter == 0.0 and self.amplitude_jitter == 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "visibility": self.visibility,
-            "efficiency": self.efficiency,
-            "dark_counts": self.dark_counts,
-            "phase_jitter": self.phase_jitter,
-            "amplitude_jitter": self.amplitude_jitter,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NoiseModel":
@@ -196,18 +190,15 @@ def sample_draws(nm: NoiseModel, batch_size: int, seed) -> tuple[np.ndarray, np.
     """Deterministic batch of per-run jitter draws for a given seed.
 
     Returns the phases and amplitude scales as float arrays of shape ``(B,)``.
-    Each draw takes its phase, then its amplitude scale, from one generator.
-    The amplitude scale is Normal(1, sigma^2) redrawn until positive, which
-    for realistic sigmas essentially never loops.  ``rng.normal(loc, sigma)``
-    forms each value as ``loc + sigma * z`` from one standard normal ``z``,
-    so one ``standard_normal`` call of every draw's values, de-interleaved,
-    gives a per-draw loop's values bit for bit, unless a scale comes out
-    non-positive: the loop redraws such a scale at once, which shifts every
-    later value, so such a batch is drawn again by that loop from the
-    generator's starting state.  Without jitter every draw is the ideal one
-    (phase 0, scale 1), so the batch collapses to arrays of length one for
-    any ``batch_size``, and an average over it is exactly batch-size
-    invariant.
+    One ``standard_normal`` call gives each draw its phase, then its scale,
+    as ``0.0 + sigma * z`` and ``1.0 + sigma * z`` (the bits of
+    ``rng.normal(loc, sigma)``).  The scale is Normal(1, sigma^2) truncated
+    to positive values: after the batch, the non-positive scales are drawn
+    again in draw order until positive, as in
+    :func:`~coherentrx.simulator.mc_sample`; for realistic sigmas none is redrawn.
+    Without jitter every draw is the ideal one (phase 0, scale 1), so the
+    batch collapses to arrays of length one for any ``batch_size``, and an
+    average over it is exactly batch-size invariant.
 
     Memory: with jitter, each draw keeps its phase and scale (8 bytes each)
     and its standard normals (8 bytes each, one or two).  These arrays are
@@ -228,9 +219,8 @@ def sample_draws(nm: NoiseModel, batch_size: int, seed) -> tuple[np.ndarray, np.
             f"the jitter sampler cannot hold {batch_size} draws: it keeps {8 * per_draw + 16} bytes a draw"
         ) from None
     rng = np.random.default_rng(seed)
-    start = rng.bit_generator.state
     rng.standard_normal(out=z)
-    # in place, as 0.0 + sigma * z (which keeps the loop's bits even for
+    # in place, as 0.0 + sigma * z (which keeps normal()'s bits even for
     # z = -0.0) and 1.0 + sigma * z
     if nm.phase_jitter > 0:
         np.multiply(nm.phase_jitter, z[:, 0], out=phase)
@@ -238,12 +228,8 @@ def sample_draws(nm: NoiseModel, batch_size: int, seed) -> tuple[np.ndarray, np.
     if nm.amplitude_jitter > 0:
         np.multiply(nm.amplitude_jitter, z[:, -1], out=scale)
         scale += 1.0
-    if not (scale > 0).all():
-        rng.bit_generator.state = start
-        for b in range(batch_size):
-            if nm.phase_jitter > 0:
-                phase[b] = rng.normal(0.0, nm.phase_jitter)
-            scale[b] = 0.0
-            while scale[b] <= 0.0:
-                scale[b] = rng.normal(1.0, nm.amplitude_jitter)
+    redraw = np.flatnonzero(scale <= 0)
+    while redraw.size:
+        scale[redraw] = rng.normal(1.0, nm.amplitude_jitter, redraw.size)
+        redraw = redraw[scale[redraw] <= 0]
     return phase, scale

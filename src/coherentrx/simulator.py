@@ -353,7 +353,8 @@ def mc_sample(
 
     The generator is called in a fixed order that the result for a seed
     depends on: the codewords, then the jitter (all phases, then all
-    amplitude scales, then the redraws of non-positive scales in run order),
+    amplitude scales, then the redraws of non-positive scales in run order
+    until positive, the rule of :func:`~coherentrx.photonics.sample_draws`),
     then each round's counts for all runs in run order.  Every draw over all
     runs is made in consecutive chunks of ``_CHUNK_ELEMS // 4`` runs;
     consecutive draws consume the generator exactly as one draw over all
@@ -374,7 +375,7 @@ def mc_sample(
     if (table.rounds, table.arity) != (tree.rounds, tree.arity):
         raise ValueError("table shape does not match the tree")
     code_dtype = np.min_scalar_type(c.n_codewords - 1)
-    jitter = nm.phase_jitter > 0 or nm.amplitude_jitter > 0
+    jitter = not nm.is_deterministic
     try:
         y = np.empty(num_runs, dtype=code_dtype)
         # leaf indices stay below MAX_LEAVES = 2^16 at every level

@@ -187,6 +187,24 @@ _SPEC_KEYS = ("N", "M", "constellation", "noise_model", "nodes", "table")
 # jitter draw's amplitude scale room for a factor of 1e4 before the squared
 # displacement overflows float64 near 1.8e308.
 _MAX_MEAN_PHOTONS = 1e300
+_MEANS_OUT_OF_RANGE = (
+    f"receiver spec out of range: a detected mean photon number exceeds {_MAX_MEAN_PHOTONS:g}; "
+    "node displacements and codeword amplitudes must stay below about 1e150"
+)
+
+
+def _means_in_range(c: Constellation, rounds: int, nodes: np.ndarray, nm: NoiseModel) -> bool:
+    """True when no detected mean of these displacements (without jitter)
+    exceeds ``_MAX_MEAN_PHOTONS``, as no spec's may; inf and NaN fail without
+    a numpy warning.  The means are computed only where their bound
+    ``eta * (|b| + |u|)**2 + nu`` on the largest slice and node exceeds half that."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slices = c.amplitudes[:, None] / np.sqrt(rounds)
+        reach = float(np.abs(slices).max() + np.abs(nodes).max())
+        if nm.efficiency * reach * reach + nm.dark_counts <= 0.5 * _MAX_MEAN_PHOTONS:
+            return True
+        means = detected_mean(slices, nodes, nm)
+    return bool((means <= _MAX_MEAN_PHOTONS).all())
 
 
 @dataclass
@@ -241,17 +259,8 @@ class Receiver:
         table = DecisionTable(rounds, arity, guesses)
         if np.any(table.guesses >= constellation.n_codewords):
             raise ValueError("table guesses exceed the constellation labels")
-        # every later computation squares |slice - node|, jitter included; an
-        # overflow would surface as numpy warnings and NaN (NaN fails the check)
-        with np.errstate(over="ignore", invalid="ignore"):
-            slices = constellation.amplitudes[:, None] / np.sqrt(rounds)
-            means = detected_mean(slices, tree.nodes, nm)
-        if not (means <= _MAX_MEAN_PHOTONS).all():
-            raise ValueError(
-                f"receiver spec out of range: a detected mean photon number exceeds "
-                f"{_MAX_MEAN_PHOTONS:g}; node displacements and codeword amplitudes "
-                "must stay below about 1e150"
-            )
+        if not _means_in_range(constellation, rounds, tree.nodes, nm):
+            raise ValueError(_MEANS_OUT_OF_RANGE)
         return cls(tree, table, constellation, nm, dict(metadata))
 
 

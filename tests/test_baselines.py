@@ -634,6 +634,24 @@ class TestHeterodyne:
             rotated = custom(c.amplitudes * np.exp(1j * angle), c.priors)
             assert abs(heterodyne_sql(rotated) - base) <= 1e-13
 
+    def test_relabeling_and_quarter_turn_invariant(self):
+        # alphabets of 2-8 codewords on a coarse grid, so that codewords share
+        # rows and columns (a quarter-turn makes each column a row), with one
+        # codeword repeated and one prior zero
+        rng = np.random.default_rng(26)
+        grid = np.array([-1.5, -0.75, 0.0, 0.5, 1.25])
+        for _ in range(60):
+            k = int(rng.integers(2, 9))
+            amps = rng.choice(grid, k) + 1j * rng.choice(grid, k)
+            amps[-1] = amps[0]
+            priors = rng.random(k)
+            priors[int(rng.integers(k))] = 0.0
+            priors = priors / priors.sum()
+            base = heterodyne_sql(custom(amps, priors))
+            order = rng.permutation(k)
+            assert abs(heterodyne_sql(custom(amps[order], priors[order])) - base) <= 1e-14
+            assert abs(heterodyne_sql(custom(1j * amps, priors)) - base) <= 1e-14
+
     def test_halving_cap_raises(self, monkeypatch):
         # one halving settles every piece of the QAM6 range, none settles unhalved
         want = heterodyne_sql(qam6(7.8))

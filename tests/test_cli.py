@@ -4,16 +4,18 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from coherentrx import cli, simulator
+from coherentrx import cli, formulator, simulator
 from coherentrx.cli import main
 from coherentrx.formulator import FormulatorConfig
 from coherentrx.photonics import NoiseModel
@@ -188,6 +190,37 @@ class TestOptimize:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: design out of range: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("encoding, rounds", [("qam6", 3), ("bpsk", 4)])
+    def test_huge_learning_rate_rejects_its_steps_without_a_warning(self, tmp_path, capsys, encoding, rounds):
+        # the line search once tried candidates whose detected means overflowed
+        # into inf and NaN: numpy warnings, then a refused spec for qam6
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                "optimize", "--encoding", encoding, "--rounds", rounds, "--arity", 3,
+                "--mean-photon", 1, "--learning-rate", 1e200, "--out", tmp_path / "r.json",
+            )
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        load_receiver(str(tmp_path / "r.json"))
+
+    def test_huge_perturbation_fails_before_learning(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("learning ran on a start no spec can hold")
+
+        monkeypatch.setattr(formulator, "_batch_forward", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(
+                "optimize", "--encoding", "qam6", "--rounds", 3, "--arity", 3, "--mean-photon", 1,
+                "--perturbation", 1e308, "--out", tmp_path / "r.json",
+            )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_loadable_receiver(self, bpsk_receiver):
@@ -606,6 +639,25 @@ class TestBaseline:
         assert err.endswith(f"error: argument --sweep: a grid of {num} points is more than memory holds\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            ("0:1:1e3", "the grid count must be an integer, got '1e3'"),
+            ("a:1:3", "sweep values must be numbers"),
+            ("0.5,x", "sweep values must be numbers"),
+        ],
+    )
+    def test_sweep_text_that_is_not_numbers_is_usage_error(self, tmp_path, capsys, sweep, message):
+        # each once read "invalid _parse_sweep value", naming a private function
+        out = tmp_path / "x"
+        with pytest.raises(SystemExit) as exc:
+            run("baseline", "--receivers", "helstrom", "--sweep", sweep, "--out-dir", out)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: argument --sweep: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0:1:1", "0.5:1.5:3", "-2:7:10", "1e-3:3:64"])
     def test_grid_that_fits_is_linspace(self, grid):
         start, stop, num = grid.split(":")
@@ -915,3 +967,34 @@ class TestSpecMutations:
         assert code == 2
         assert capsys.readouterr().err == "error: jitter sigmas must be at most 100\n"
         assert not (tmp_path / "rx.json").exists()
+
+
+class TestLearningFlagProperty:
+    """Any finite step size and perturbation is either learned from or refused in one line."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        encoding=st.sampled_from(["bpsk", "qam6"]),
+        learning_rate=st.floats(max_value=1.7e308, allow_nan=False, allow_infinity=False),
+        perturbation=st.floats(max_value=1.7e308, allow_nan=False, allow_infinity=False),
+    )
+    # each warned once: a line-search candidate, or the first forward, overflowed
+    @example(encoding="qam6", learning_rate=1e200, perturbation=0.01)
+    @example(encoding="bpsk", learning_rate=2.0, perturbation=1e308)
+    def test_optimize_exits_0_or_2_with_at_most_one_error_line(self, encoding, learning_rate, perturbation):
+        with tempfile.TemporaryDirectory() as workdir:
+            err = io.StringIO()
+            # a numpy warning is raised, and fails the property with its traceback
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = run(
+                    "optimize", "--encoding", encoding, "--rounds", 2, "--arity", 3, "--mean-photon", 1,
+                    "--iters", 2, "--batch", 2, f"--learning-rate={learning_rate!r}",
+                    f"--perturbation={perturbation!r}", "--out", f"{workdir}/r.json",
+                )
+            text = err.getvalue()
+            assert code in (0, 2), text
+            assert text.count("error:") <= 1 and "Traceback" not in text, text
+            if code == 2:
+                assert os.listdir(workdir) == []

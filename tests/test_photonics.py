@@ -159,16 +159,22 @@ def no_draws(*args, **kwargs):
 
 
 def reference_draws(nm, batch_size, seed):
-    """One draw at a time from one generator: its phase, then its scale,
-    redrawn until positive."""
+    """One standard-normal call of every draw's values, de-interleaved into
+    phases and scales; then each non-positive scale, in draw order, drawn
+    again after the batch, and those still non-positive again."""
     rng = np.random.default_rng(seed)
-    phase, scale = [], []
-    for _ in range(batch_size):
-        phase.append(float(rng.normal(0.0, nm.phase_jitter)) if nm.phase_jitter > 0 else 0.0)
-        s = 0.0 if nm.amplitude_jitter > 0 else 1.0
-        while s <= 0.0:
-            s = float(rng.normal(1.0, nm.amplitude_jitter))
-        scale.append(s)
+    per_draw = int(nm.phase_jitter > 0) + int(nm.amplitude_jitter > 0)
+    z = rng.standard_normal(batch_size * per_draw).tolist()
+    phase, scale = [0.0] * batch_size, [1.0] * batch_size
+    if nm.phase_jitter > 0:
+        phase = [0.0 + nm.phase_jitter * v for v in z[0::per_draw]]
+    if nm.amplitude_jitter > 0:
+        scale = [1.0 + nm.amplitude_jitter * v for v in z[per_draw - 1 :: per_draw]]
+    pending = [b for b in range(batch_size) if scale[b] <= 0.0]
+    while pending:
+        for b in pending:
+            scale[b] = float(rng.normal(1.0, nm.amplitude_jitter))
+        pending = [b for b in pending if scale[b] <= 0.0]
     return np.array(phase), np.array(scale)
 
 
@@ -177,30 +183,29 @@ class TestJitterArrays:
         "phase_only": NoiseModel(phase_jitter=0.02),
         "amplitude_only": NoiseModel(amplitude_jitter=0.005),
         "both": NoiseModel(visibility=0.99, phase_jitter=0.05, amplitude_jitter=0.3),
-        # about 18% of these scales come out non-positive: such batches take
-        # the per-draw loop
+        # about 18% of these scales come out non-positive and are redrawn
         "amplitude_above_one": NoiseModel(phase_jitter=0.1, amplitude_jitter=1.1),
     }
 
     @pytest.mark.parametrize("batch", [1, 16, 200])
     @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_arrays_equal_the_per_draw_loop_bit_for_bit(self, model, batch):
+    def test_arrays_equal_the_batch_then_redraw_rule_bit_for_bit(self, model, batch):
         nm = self.MODELS[model]
-        fallbacks = 0
+        redraws = 0
         for seed in range(50):
             want_phase, want_scale = reference_draws(nm, batch, seed)
             phase, scale = sample_draws(nm, batch, seed)
             assert phase.tobytes() == want_phase.tobytes()
             assert scale.tobytes() == want_scale.tobytes()
-            # the single standard-normal call would have drawn a non-positive scale
+            # the single standard-normal call drew a non-positive scale
             z = np.random.default_rng(seed).standard_normal(2 * batch)
-            fallbacks += bool((1.0 + nm.amplitude_jitter * z[1::2] <= 0).any())
+            redraws += bool((1.0 + nm.amplitude_jitter * z[1::2] <= 0).any())
         if model == "amplitude_above_one" and batch > 1:
-            assert fallbacks > 0
+            assert redraws > 0
         if model in ("phase_only", "amplitude_only"):
-            assert fallbacks == 0
+            assert redraws == 0
 
-    def test_seed_sequences_and_generators_restart_for_the_loop(self):
+    def test_seed_sequences_and_generators_are_drawn_where_they_stand(self):
         nm = self.MODELS["amplitude_above_one"]
         for seed in range(5):
             seq = np.random.SeedSequence(seed).spawn(3)[2]
