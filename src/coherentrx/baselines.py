@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -703,49 +704,64 @@ def heterodyne_sql_mc(
 ) -> tuple[float, float]:
     """Monte Carlo heterodyne SQL with its binomial standard error.
 
-    Samples are drawn ``_MC_CHUNK`` at a time, and each chunk calls the
-    generator in a fixed order that the result for a seed depends on: the
-    codewords, then the real noise, then the imaginary noise.  Each sample
-    is decided by a running maximum of ``log prior - |z - beta|^2`` over the
-    codewords, where only a strictly larger score replaces the best, so ties
-    go to the lowest label.  No array holds a value per (sample, codeword)
-    pair.  The noisy field ``z`` is built in place in one buffer that every
-    chunk reuses, so a chunk's draw peaks at about 32 bytes per sample.  The
-    scoring adds the codewords to the field and decides the samples
-    ``_MC_SCORE_BLOCK`` at a time; it draws nothing, and its temporaries
-    stay near 2 MB.
+    Samples are drawn ``_MC_CHUNK`` at a time, and each chunk reads the
+    generator's stream in a fixed order that the result for a seed depends
+    on: the codewords (one ``random()`` double each), then the real noise,
+    then the imaginary noise.  Each sample is decided by a running maximum
+    of ``log prior - |z - beta|^2`` over the codewords, where only a strictly
+    larger score replaces the best, so ties go to the lowest label.  No array
+    holds a value per (sample, codeword) pair.
+
+    Two walkers read each chunk's stream ``_MC_SCORE_BLOCK`` samples at a
+    time.  A copy of the generator, set to the generator's state at the
+    chunk's start, draws the codewords.  The generator itself draws past
+    them into a reused block buffer, then draws the chunk's real noise, then
+    the imaginary noise one block at a time, so it leaves the chunk where one
+    call per part would, whatever its bit generator.  Each block builds its
+    noisy field and scores it, so a chunk holds 8 bytes a sample (its real
+    noise) plus one score block's arrays.
     """
+    try:
+        num_samples = operator.index(num_samples)
+    except TypeError:
+        raise ValueError("num_samples must be a positive integer") from None
     if num_samples < 1:
-        raise ValueError("num_samples must be at least 1")
+        raise ValueError("num_samples must be a positive integer")
     rng = np.random.default_rng(seed)
+    labels = np.random.Generator(type(rng.bit_generator)())
     amps = c.amplitudes
     log_priors = np.where(c.priors > 0, np.log(np.where(c.priors > 0, c.priors, 1.0)), -np.inf)
     sigma = math.sqrt(0.5)
-    # one field buffer for every chunk, and each chunk's labels freed before
-    # the next draw, so no two chunks' arrays are ever held at once
-    field = np.empty(min(_MC_CHUNK, num_samples), dtype=np.complex128)
+    block = min(_MC_SCORE_BLOCK, num_samples)
+    # the skipped codeword doubles, then each block's imaginary noise
+    spare = np.empty(block)
+    field = np.empty(block, dtype=np.complex128)
     correct = 0
     for first in range(0, num_samples, _MC_CHUNK):
         size = min(_MC_CHUNK, num_samples - first)
-        y = rng.choice(c.n_codewords, size=size, p=c.priors)
-        # amps[y] + sigma * (n1 + 1j*n2) built in place, with the same bits
-        # (a zero part's sign aside, which |z - beta|^2 ignores)
-        z = field[:size]
-        z.real = rng.standard_normal(size)
-        z.imag = rng.standard_normal(size)
-        z *= sigma
-        for start in range(0, size, _MC_SCORE_BLOCK):
-            zb = z[start : start + _MC_SCORE_BLOCK]
-            yb = y[start : start + _MC_SCORE_BLOCK]
+        starts = range(0, size, block)
+        labels.bit_generator.state = rng.bit_generator.state
+        for start in starts:
+            rng.random(out=spare[: min(block, size - start)])
+        real = rng.standard_normal(size)
+        for start in starts:
+            n = min(block, size - start)
+            yb = labels.choice(c.n_codewords, size=n, p=c.priors)
+            # amps[y] + sigma * (n1 + 1j*n2) built in place, with the same bits
+            # (a zero part's sign aside, which |z - beta|^2 ignores)
+            zb = field[:n]
+            zb.real = real[start : start + n]
+            zb.imag = rng.standard_normal(out=spare[:n])
+            zb *= sigma
             zb += amps[yb]
             best = log_priors[0] - np.abs(zb - amps[0]) ** 2
-            guess = np.zeros(zb.size, dtype=np.int64)
+            guess = np.zeros(n, dtype=np.int64)
             for k in range(1, c.n_codewords):
                 score = log_priors[k] - np.abs(zb - amps[k]) ** 2
                 np.copyto(guess, k, where=score > best)
                 np.maximum(best, score, out=best)
             correct += int(np.count_nonzero(guess == yb))
-        del y, yb
+        del real  # freed before the next chunk's draw
     err = 1.0 - correct / num_samples
     stderr = math.sqrt(max(err * (1.0 - err), 0.0) / num_samples)
     return err, stderr

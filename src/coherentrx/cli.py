@@ -30,7 +30,16 @@ from .constellation import Constellation, bpsk, custom, mean_energy, qam6
 from .formulator import FormulatorConfig, formulate, optimize_sweep
 from .photonics import NoiseModel
 from .simulator import averaged_distribution, error_rate, exact_distribution, mc_sample
-from .tree import _MAX_MEAN_PHOTONS, Receiver, atomic_write, load_receiver, num_nodes, save_receiver
+from .tree import (
+    _MAX_MEAN_PHOTONS,
+    _MEANS_OUT_OF_RANGE,
+    Receiver,
+    _means_in_range,
+    atomic_write,
+    load_receiver,
+    num_nodes,
+    save_receiver,
+)
 
 _ENCODINGS = {"bpsk": bpsk, "qam6": qam6}
 
@@ -168,8 +177,8 @@ def _check_detected_means(c: Constellation, rounds: int, nm: NoiseModel) -> None
     if nm.efficiency * half * half + nm.dark_counts > _MAX_MEAN_PHOTONS:
         raise ValueError(
             f"design out of range: at any displacement some codeword's detected mean photon number "
-            f"exceeds {_MAX_MEAN_PHOTONS:g}, beyond what a receiver spec may hold; lower --mean-photon "
-            "or --dark, or raise --rounds"
+            f"exceeds {_MAX_MEAN_PHOTONS:g}, beyond what a receiver spec may hold; lower the mean photon "
+            "number or --dark, or raise --rounds"
         )
 
 
@@ -286,7 +295,13 @@ def _baseline_error(args, nm: NoiseModel, name: str, nbar: float, seed) -> float
     if curve is not None:
         return curve(args, nbar)
     c = _ENCODINGS[args.encoding](nbar)
+    # designed under ideal noise and scored under nm: neither may compute a
+    # detected mean beyond what the spec loader takes
+    for model in (NoiseModel(), nm):
+        _check_detected_means(c, args.rounds, model)
     tree, table = design(args, c, nbar)
+    if not _means_in_range(c, args.rounds, tree.nodes, nm):
+        raise ValueError(f"{name} at {nbar:g} mean photons: {_MEANS_OUT_OF_RANGE}")
     return error_rate(averaged_distribution(tree, c, nm, args.batch, seed), table)
 
 

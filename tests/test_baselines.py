@@ -674,8 +674,53 @@ class TestHeterodyne:
         got = heterodyne_sql_mc(qam6(7.8), 300_001, seed=3)
         assert got == reference_heterodyne_sql_mc(qam6(7.8), 300_001, 3, 70_000)
 
+    @pytest.mark.parametrize("block, chunk, num_samples", [(1, 13, 40), (7, 30, 1_001), (4096, 9_000, 20_001)])
+    def test_mc_score_blocks_match_argmax_oracle(self, monkeypatch, block, chunk, num_samples):
+        # chunks that are not a multiple of the block, so every chunk ends on
+        # a short block; a zero prior and a tied pair as in the oracle test
+        amps = np.array([0.0, 0.9 + 0.4j, -1.1 + 0.2j, 0.9 + 0.4j, 0.1 - 1.3j])
+        c = custom(amps, np.array([0.0, 0.3, 0.25, 0.3, 0.15]))
+        monkeypatch.setattr("coherentrx.baselines._MC_SCORE_BLOCK", block)
+        monkeypatch.setattr("coherentrx.baselines._MC_CHUNK", chunk)
+        for seed in (0, 11):
+            got = heterodyne_sql_mc(c, num_samples, seed=seed)
+            assert got == reference_heterodyne_sql_mc(c, num_samples, seed, chunk)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox])
+    def test_mc_reads_a_callers_generator_as_one_pass(self, monkeypatch, bit_generator):
+        # the oracle draws each chunk's codewords, real noise and imaginary
+        # noise in one call each; both generators must end in the same state
+        monkeypatch.setattr("coherentrx.baselines._MC_CHUNK", 70_000)
+        ours, theirs = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
+        got = heterodyne_sql_mc(qam6(7.8), 150_001, seed=ours)
+        assert got == reference_heterodyne_sql_mc(qam6(7.8), 150_001, theirs, 70_000)
+        np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+    @pytest.mark.parametrize("bad", [1e3, 10.5, "1000", 0, -3])
+    def test_mc_sample_count_must_be_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="^num_samples must be a positive integer$"):
+            heterodyne_sql_mc(bpsk(0.8), bad)
+
+    def test_mc_takes_numpy_integer_counts(self):
+        assert heterodyne_sql_mc(bpsk(0.8), np.int64(1_000), seed=2) == heterodyne_sql_mc(bpsk(0.8), 1_000, seed=2)
+
+    def test_mc_memory_is_real_noise_and_one_block(self):
+        # a 500k-sample chunk holds its real noise (4 MB) and one score
+        # block's arrays; more chunks hold no more
+        heterodyne_sql_mc(qam6(7.8), 10, seed=3)  # first-call allocations out of the way
+        peaks = []
+        for num_samples in (2_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                heterodyne_sql_mc(qam6(7.8), num_samples, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 9e6
+        assert abs(peaks[1] - peaks[0]) <= 1e6
+
     def test_mc_memory_is_one_chunk_draw(self):
-        # the draw of a 500k-sample chunk holds about 16 MB, and scoring in
+        # a chunk holds its real noise (4 MB for 500k samples), and scoring in
         # sub-blocks adds a few MB whatever the chunk size
         tracemalloc.start()
         try:

@@ -691,6 +691,31 @@ class TestBaseline:
                    "--out-dir", tmp_path / "x")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "receiver, rounds, nbar, message",
+        [
+            # every displacement is out of range: refused before the design
+            ("dolinar", 3, 1.7e308, "design out of range: "),
+            ("cn", 1, 1.7e308, "design out of range: "),
+            # the designed tree is: refused before it is scored
+            ("dolinar", 1, 1e300, "dolinar at 1e+300 mean photons: receiver spec out of range: "),
+            ("cn", 1, 1e300, "cn at 1e+300 mean photons: receiver spec out of range: "),
+        ],
+    )
+    def test_designed_receiver_beyond_the_loaders_range(self, tmp_path, capsys, receiver, rounds, nbar, message):
+        # each once warned of an overflow and wrote an error of 0.0, or a
+        # receiver no spec could hold
+        out = tmp_path / "x"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("baseline", "--receivers", receiver, "--rounds", rounds, f"--sweep={nbar!r}",
+                       "--out-dir", out)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestMetrics:
     def test_posterior_and_kl_files(self, bpsk_receiver, tmp_path):
@@ -997,4 +1022,44 @@ class TestLearningFlagProperty:
             assert code in (0, 2), text
             assert text.count("error:") <= 1 and "Traceback" not in text, text
             if code == 2:
+                assert os.listdir(workdir) == []
+
+
+class TestBaselineFlagProperty:
+    """Any receivers, tree shape, sweep point and noise flags are either scored or refused in one line."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        receivers=st.lists(st.sampled_from(cli._BASELINE_CHOICES), min_size=1, unique=True),
+        encoding=st.sampled_from(["bpsk", "qam6"]),
+        rounds=st.integers(0, 4),
+        arity=st.integers(1, 4),
+        batch=st.integers(0, 5),
+        nbar=st.floats(max_value=1.7e308, allow_nan=False, allow_infinity=False),
+        noise=st.fixed_dictionaries(
+            {flag: st.floats(allow_nan=False, allow_infinity=False) for flag in cli._NOISE_FLAGS}
+        ),
+    )
+    # each once warned of an overflow and wrote an error of 0.0: the Dolinar
+    # DP's bracket squared, and the detected means of either design
+    @example(receivers=["dolinar"], encoding="bpsk", rounds=3, arity=2, batch=32, nbar=1.7e308, noise={})
+    @example(receivers=["cn"], encoding="bpsk", rounds=1, arity=2, batch=32, nbar=1.7e308, noise={})
+    def test_baseline_exits_0_1_or_2_with_at_most_one_error_line(
+        self, receivers, encoding, rounds, arity, batch, nbar, noise
+    ):
+        with tempfile.TemporaryDirectory() as workdir:
+            err = io.StringIO()
+            # a numpy warning is raised, and fails the property with its traceback
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = run(
+                    "baseline", "--receivers", ",".join(receivers), "--encoding", encoding,
+                    "--rounds", rounds, "--arity", arity, "--batch", batch, f"--sweep={nbar!r}",
+                    *(f"{flag}={value!r}" for flag, value in noise.items()), "--out-dir", f"{workdir}/out",
+                )
+            text = err.getvalue()
+            assert code in (0, 1, 2), text
+            assert text.count("error:") <= 1 and "Traceback" not in text, text
+            if code != 0:
                 assert os.listdir(workdir) == []
