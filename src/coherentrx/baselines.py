@@ -501,7 +501,8 @@ def dolinar_tree(mean_photons: float, rounds: int) -> DecisionTree:
     tree = DecisionTree.zeros(rounds, 2)
     if mean_photons == 0:
         return tree
-    slice_amp = math.sqrt(mean_photons / rounds)
+    # the slice the simulator scores, bit for bit, so that nulling it is exact
+    slice_amp = float((bpsk(mean_photons).amplitudes / math.sqrt(rounds))[0].real)
     bracket = 2.0 + 3.0 * math.sqrt(mean_photons)
     p_grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     # the value interpolants of levels rounds, rounds - 1, ..., 1; the unroll

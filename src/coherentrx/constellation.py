@@ -23,6 +23,10 @@ __all__ = [
 ]
 
 _PRIOR_TOL = 1e-12
+# Largest codeword amplitude magnitude: its square, a mean photon number, stays
+# within 1e300, so no design, sampler or sweep point squares an amplitude into
+# overflow
+_MAX_AMPLITUDE = 1e150
 
 
 def _integer(value, what: str) -> int:
@@ -45,7 +49,7 @@ class Constellation:
 
     Attributes:
         amplitudes: complex array of shape (K,); entry ``y`` is the field
-            amplitude of codeword ``y``.
+            amplitude of codeword ``y``, finite and at most 1e150 in magnitude.
         priors: float array of shape (K,); non-negative, sums to one.
         name: short identifier of the geometry ("bpsk", "qam6", "custom").
     """
@@ -55,12 +59,16 @@ class Constellation:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        # contiguous, so that the finiteness check can view it as float pairs
+        # contiguous, so that heterodyne_sql can view it as float pairs
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
         if amps.ndim != 1 or amps.size < 2:
             raise ValueError("constellation needs at least 2 codewords")
-        if not np.all(np.isfinite(amps.view(np.float64))):
-            raise ValueError("codeword amplitudes must be finite")
+        # written so that NaN fails it; np.abs goes to inf without a warning
+        if not (np.abs(amps) <= _MAX_AMPLITUDE).all():
+            raise ValueError(
+                f"codeword amplitudes must be finite and at most {_MAX_AMPLITUDE:g} in magnitude "
+                f"({_MAX_AMPLITUDE**2:g} photons)"
+            )
         priors = np.asarray(self.priors, dtype=np.float64)
         if priors.shape != amps.shape:
             raise ValueError("priors must match codewords one-to-one")

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -183,9 +183,10 @@ def displacement_report(
 
 _SPEC_KEYS = ("N", "M", "constellation", "noise_model", "nodes", "table")
 
-# Largest detected mean a loaded spec may give (without jitter).  It leaves a
-# jitter draw's amplitude scale room for a factor of 1e4 before the squared
-# displacement overflows float64 near 1.8e308.
+# Largest detected mean a loaded spec may give, without jitter and at unit
+# efficiency, so that it bounds the square before the efficiency scales it.
+# It leaves a jitter draw's amplitude scale room for a factor of 1e4 before
+# the squared displacement overflows float64 near 1.8e308.
 _MAX_MEAN_PHOTONS = 1e300
 _MEANS_OUT_OF_RANGE = (
     f"receiver spec out of range: a detected mean photon number exceeds {_MAX_MEAN_PHOTONS:g}; "
@@ -194,16 +195,17 @@ _MEANS_OUT_OF_RANGE = (
 
 
 def _means_in_range(c: Constellation, rounds: int, nodes: np.ndarray, nm: NoiseModel) -> bool:
-    """True when no detected mean of these displacements (without jitter)
-    exceeds ``_MAX_MEAN_PHOTONS``, as no spec's may; inf and NaN fail without
-    a numpy warning.  The means are computed only where their bound
-    ``eta * (|b| + |u|)**2 + nu`` on the largest slice and node exceeds half that."""
+    """True when no detected mean of these displacements, without jitter and
+    at unit efficiency, exceeds ``_MAX_MEAN_PHOTONS``, as no spec's may; inf
+    and NaN fail without a numpy warning.  The means are computed only where
+    their bound ``(|b| + |u|)**2 + nu`` on the largest slice and node exceeds
+    half that."""
     with np.errstate(over="ignore", invalid="ignore"):
         slices = c.amplitudes[:, None] / np.sqrt(rounds)
         reach = float(np.abs(slices).max() + np.abs(nodes).max())
-        if nm.efficiency * reach * reach + nm.dark_counts <= 0.5 * _MAX_MEAN_PHOTONS:
+        if reach * reach + nm.dark_counts <= 0.5 * _MAX_MEAN_PHOTONS:
             return True
-        means = detected_mean(slices, nodes, nm)
+        means = detected_mean(slices, nodes, replace(nm, efficiency=1.0))
     return bool((means <= _MAX_MEAN_PHOTONS).all())
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -445,6 +446,15 @@ class TestDolinar:
         with pytest.raises(ValueError, match="finite and non-negative"):
             dolinar_tree(bad, 4)
 
+    @pytest.mark.parametrize("rounds", [2, 3])
+    @pytest.mark.parametrize("nbar", [1e20, 1e50, 1e100, 1e150, 1e200, 1e250, 1e290, 1e296])
+    def test_nulls_the_slice_the_simulator_scores(self, nbar, rounds):
+        # the DP took its slice as sqrt(nbar / N); where that differs from the
+        # simulator's slice in the last bit, "exact nulling" left a detected
+        # mean of an ulp squared, and both hypotheses always clicked (0.5)
+        tree, table = dolinar_receiver(nbar, rounds)
+        assert simulated_error(tree, table, bpsk(nbar)) == 0.0
+
     @pytest.mark.parametrize("rounds", [1, 2, 4, 10])
     def test_tree_bytes_do_not_depend_on_parts(self, rounds, monkeypatch):
         # the anchors cut each value-table level into parts; an anchor gap
@@ -695,6 +705,18 @@ class TestHeterodyne:
         got = heterodyne_sql_mc(qam6(7.8), 150_001, seed=ours)
         assert got == reference_heterodyne_sql_mc(qam6(7.8), 150_001, theirs, 70_000)
         np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: heterodyne_sql_mc(bpsk(1e308), 1000), lambda: dolinar_tree(1e308, 3)],
+        ids=["heterodyne_sql_mc", "dolinar_tree"],
+    )
+    def test_codewords_beyond_1e150_are_refused_without_a_warning(self, call):
+        # each once squared the amplitudes into numpy's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^codeword amplitudes must be finite and at most 1e\+150 "):
+                call()
 
     @pytest.mark.parametrize("bad", [1e3, 10.5, "1000", 0, -3])
     def test_mc_sample_count_must_be_a_positive_integer(self, bad):

@@ -22,6 +22,15 @@ from coherentrx.photonics import NoiseModel
 from coherentrx.tree import load_receiver
 
 
+# what a Constellation says of a codeword amplitude beyond 1e150, and the
+# spec loader of a detected mean beyond 1e300
+AMPLITUDE_OUT_OF_RANGE = "codeword amplitudes must be finite and at most 1e+150 in magnitude (1e+300 photons)"
+SPEC_OUT_OF_RANGE = (
+    "receiver spec out of range: a detected mean photon number exceeds 1e+300; "
+    "node displacements and codeword amplitudes must stay below about 1e150"
+)
+
+
 def run(*argv):
     return main([str(a) for a in argv])
 
@@ -189,7 +198,7 @@ class TestOptimize:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: design out of range: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {AMPLITUDE_OUT_OF_RANGE}") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("encoding, rounds", [("qam6", 3), ("bpsk", 4)])
@@ -503,27 +512,34 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("command", ["evaluate", "metrics"])
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, message",
         [
-            lambda doc: doc["nodes"][0].update(re=1e155),
-            lambda doc: doc["nodes"][-1].update(im=-1e300),
-            lambda doc: doc["constellation"][0].update(re=1e200),
+            (lambda doc: doc["nodes"][0].update(re=1e155), SPEC_OUT_OF_RANGE),
+            (lambda doc: doc["nodes"][-1].update(im=-1e300), SPEC_OUT_OF_RANGE),
+            (lambda doc: doc["constellation"][0].update(re=1e200), AMPLITUDE_OUT_OF_RANGE),
             # finite without jitter, but a jitter draw's scale would overflow it
-            lambda doc: [doc["nodes"][0].update(re=1.3e154), doc["noise_model"].update(amplitude_jitter=0.05)],
+            (
+                lambda doc: [doc["nodes"][0].update(re=1.3e154), doc["noise_model"].update(amplitude_jitter=0.05)],
+                SPEC_OUT_OF_RANGE,
+            ),
+            # efficiency scales the mean into range, but not the square before it
+            (
+                lambda doc: [doc["nodes"][0].update(re=2e154), doc["noise_model"].update(efficiency=1e-10)],
+                SPEC_OUT_OF_RANGE,
+            ),
         ],
-        ids=["node_re", "node_im", "codeword", "node_with_jitter"],
+        ids=["node_re", "node_im", "codeword", "node_with_jitter", "node_at_tiny_efficiency"],
     )
-    def test_out_of_range_detected_mean_is_usage_error(self, bpsk_receiver, tmp_path, capsys, command, mutate):
+    def test_out_of_range_detected_mean_is_usage_error(
+        self, bpsk_receiver, tmp_path, capsys, command, mutate, message
+    ):
         doc = json.loads(bpsk_receiver.read_text())
         mutate(doc)
         spec = tmp_path / "big.json"
         spec.write_text(json.dumps(doc))
         code = self._run_without_warnings(command, "--spec", spec, *_SPEC_COMMAND_ARGS[command], tmp_path / "out")
         assert code == 2
-        assert capsys.readouterr().err == (
-            "error: receiver spec out of range: a detected mean photon number exceeds 1e+300; "
-            "node displacements and codeword amplitudes must stay below about 1e150\n"
-        )
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestBaseline:
@@ -672,7 +688,7 @@ class TestBaseline:
                        "--out-dir", tmp_path / "x")
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: heterodyne_sql takes codeword quadratures up to 1e+08")
+        assert err.startswith(f"error: {AMPLITUDE_OUT_OF_RANGE}")
         assert err.count("\n") == 1
 
     def test_refused_sweep_point_leaves_no_partial_output(self, tmp_path, capsys):
@@ -694,9 +710,9 @@ class TestBaseline:
     @pytest.mark.parametrize(
         "receiver, rounds, nbar, message",
         [
-            # every displacement is out of range: refused before the design
-            ("dolinar", 3, 1.7e308, "design out of range: "),
-            ("cn", 1, 1.7e308, "design out of range: "),
+            # the codewords are out of range: refused before the design
+            ("dolinar", 3, 1.7e308, AMPLITUDE_OUT_OF_RANGE),
+            ("cn", 1, 1.7e308, AMPLITUDE_OUT_OF_RANGE),
             # the designed tree is: refused before it is scored
             ("dolinar", 1, 1e300, "dolinar at 1e+300 mean photons: receiver spec out of range: "),
             ("cn", 1, 1e300, "cn at 1e+300 mean photons: receiver spec out of range: "),
@@ -1063,3 +1079,51 @@ class TestBaselineFlagProperty:
             assert text.count("error:") <= 1 and "Traceback" not in text, text
             if code != 0:
                 assert os.listdir(workdir) == []
+
+
+class TestSpecCommandFlagProperty:
+    """Any sweep point, count and seed of evaluate and metrics is either scored or refused in one line."""
+
+    @staticmethod
+    def _run_quietly(workdir, *argv):
+        err = io.StringIO()
+        # a numpy warning is raised, and fails the property with its traceback
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = run(*argv)
+        text = err.getvalue()
+        assert code in (0, 1, 2), text
+        assert text.count("error:") <= 1 and "Traceback" not in text, text
+        if code != 0:
+            assert os.listdir(workdir) == []
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        nbar=st.floats(max_value=1.7e308, allow_nan=False, allow_infinity=False),
+        reoptimize=st.booleans(),
+        iters=st.integers(0, 3),
+        batch=st.integers(-1, 4),
+        mc_samples=st.integers(-1, 2000),
+        seed=st.integers(-1, 2**64),
+    )
+    # it once warned of an overflow in the Dolinar DP's start, then refused
+    @example(nbar=1e308, reoptimize=True, iters=2, batch=2, mc_samples=1000, seed=0)
+    def test_evaluate_exits_0_1_or_2_with_at_most_one_error_line(
+        self, bpsk_receiver, nbar, reoptimize, iters, batch, mc_samples, seed
+    ):
+        with tempfile.TemporaryDirectory() as workdir:
+            self._run_quietly(
+                workdir, "evaluate", "--spec", bpsk_receiver, f"--sweep={nbar!r}",
+                *(["--reoptimize", "--iters", iters] if reoptimize else []), "--batch", batch,
+                "--mc-samples", mc_samples, "--seed", seed, "--out", f"{workdir}/o.csv",
+            )
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(batch=st.integers(-1, 4), seed=st.integers(-1, 2**64))
+    def test_metrics_exits_0_1_or_2_with_at_most_one_error_line(self, bpsk_receiver, batch, seed):
+        with tempfile.TemporaryDirectory() as workdir:
+            self._run_quietly(
+                workdir, "metrics", "--spec", bpsk_receiver, "--batch", batch, "--seed", seed,
+                "--out-dir", f"{workdir}/out",
+            )

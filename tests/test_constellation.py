@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,29 @@ class TestValidation:
     def test_priors_must_lie_in_the_unit_interval(self, prior):
         with pytest.raises(ValueError, match=r"priors must lie in \[0, 1\]"):
             Constellation(np.array([1.0, -1.0, 0.5]), np.array([prior, prior, 0.5]))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bpsk(1e301),
+            lambda: qam6(1e300),
+            lambda: custom(np.array([1e151, 0.0])),
+            lambda: custom(np.array([0.0, 8e149 + 8e149j])),
+            lambda: custom(np.array([np.nan, 0.0])),
+            lambda: Constellation.from_records([{"label": 0, "re": 1e200, "im": 0.0, "prior": 0.5},
+                                                {"label": 1, "re": 0.0, "im": 0.0, "prior": 0.5}]),
+        ],
+        ids=["bpsk", "qam6", "custom", "custom_complex", "custom_nan", "from_records"],
+    )
+    def test_amplitudes_beyond_1e150_are_refused(self, build):
+        # 1e150 is 1e300 photons, the largest detected mean a receiver spec may hold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^codeword amplitudes must be finite and at most 1e\+150 "):
+                build()
+
+    def test_bpsk_at_1e300_photons_is_taken(self):
+        assert np.abs(bpsk(1e300).amplitudes).max() == 1e150
 
     def test_needs_two_codewords(self):
         with pytest.raises(ValueError):

@@ -181,6 +181,23 @@ def test_only_simulator_reads_the_forward_recursion():
     assert readers == {}
 
 
+# each half of the detected-mean range rule, stated once on the type that
+# holds its values: the spec loader's bound in tree, the amplitude cap in
+# constellation
+RANGE_CONSTANTS = {"_MAX_MEAN_PHOTONS": "src/coherentrx/tree.py", "_MAX_AMPLITUDE": "src/coherentrx/constellation.py"}
+
+
+def test_only_the_owning_module_names_each_range_constant():
+    namers = {}
+    for path in CALLER_FILES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            # a variable, an attribute or an imported name
+            for name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                if name in RANGE_CONSTANTS:
+                    namers.setdefault(name, set()).add(path.relative_to(REPO).as_posix())
+    assert namers == {name: {owner} for name, owner in RANGE_CONSTANTS.items()}
+
+
 def public_methods(tree: ast.AST) -> list[str]:
     """``Class.method`` for each public method or property of an exported class."""
     exported = set(exported_names(tree))
