@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, baselines, metrics
-from .constellation import Constellation, bpsk, custom, mean_energy, qam6
+from .constellation import Constellation, _amplitude_scale, bpsk, custom, mean_energy, qam6
 from .formulator import FormulatorConfig, formulate, optimize_sweep
 from .photonics import NoiseModel
 from .simulator import averaged_distribution, error_rate, exact_distribution, mc_sample
@@ -138,7 +138,10 @@ def _scaled_constellation(c: Constellation, nbar: float) -> Constellation:
     current = mean_energy(c)
     if current == 0:
         raise ValueError("cannot rescale a zero-energy constellation")
-    return custom(c.amplitudes * np.sqrt(nbar / current), c.priors, name=c.name)
+    # an infinite scale makes inf or NaN amplitudes, which custom() refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        amplitudes = c.amplitudes * _amplitude_scale(nbar, current)
+    return custom(amplitudes, c.priors, name=c.name)
 
 
 def _check_writable(*paths: str) -> None:

@@ -156,3 +156,11 @@ def custom(
 def mean_energy(c: Constellation) -> float:
     """Prior-averaged mean photon number of the alphabet."""
     return float(np.dot(c.priors, np.abs(c.amplitudes) ** 2))
+
+
+def _amplitude_scale(nbar: float, current: float) -> float:
+    """Factor that takes amplitudes at a mean photon number ``current > 0``
+    to ``nbar``: ``sqrt(nbar / current)``, or, where that quotient overflows,
+    the quotient of the roots (which may still be inf)."""
+    quotient = float(nbar) / current
+    return math.sqrt(quotient) if math.isfinite(quotient) else math.sqrt(nbar) / math.sqrt(current)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import cn_tree, dolinar_tree
-from .constellation import Constellation, mean_energy
+from .constellation import Constellation, _amplitude_scale, mean_energy
 from .photonics import NoiseModel, sample_draws
 from .simulator import _batch_forward, _gradient, batch_distribution, error_rate, map_table
 from .tree import _MEANS_OUT_OF_RANGE, DecisionTable, DecisionTree, _means_in_range
@@ -271,8 +271,12 @@ def optimize_sweep(
             starts.append(dolinar_tree(nbar, rounds))
         if prev is not None:
             prev_nbar, prev_tree = prev
-            ratio = math.sqrt(nbar / prev_nbar) if prev_nbar > 0 else 1.0
-            starts.append(DecisionTree(rounds, arity, prev_tree.nodes * ratio))
+            ratio = _amplitude_scale(nbar, prev_nbar) if prev_nbar > 0 else 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                nodes = prev_tree.nodes * ratio
+            # a start the spec loader would refuse is dropped; the others run
+            if _means_in_range(c, rounds, nodes, nm):
+                starts.append(DecisionTree(rounds, arity, nodes))
         runs = (formulate(c, rounds, arity, nm, point_cfg, initial_tree=t) for t in starts)
         res = min(runs, key=lambda r: r.final_loss)
         results.append((float(nbar), res))

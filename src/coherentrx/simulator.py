@@ -356,16 +356,16 @@ def mc_sample(
     amplitude scales, then the redraws of non-positive scales in run order
     until positive, the rule of :func:`~coherentrx.photonics.sample_draws`),
     then each round's counts for all runs in run order.  Every draw over all
-    runs is made in consecutive chunks of ``_CHUNK_ELEMS // 4`` runs;
+    runs is made in consecutive chunks of ``_CHUNK_ELEMS // 16`` runs;
     consecutive draws consume the generator exactly as one draw over all
     runs does, so the result does not depend on the chunk size.  The jitter
     rotation ``scale * exp(i*phase)`` is formed once per run; without jitter
     there is no rotation and the displacements are used as they are.
 
     Memory: only the codewords (one byte each for up to 256 codewords), the
-    leaf indices (4 bytes) and, with jitter, the rotations (16 bytes) are
-    held for every run: 21 bytes a run with jitter and 5 without.  One
-    chunk's temporaries add about 6 MB, whatever ``num_runs`` is (both
+    leaf indices (2 bytes) and, with jitter, the rotations (16 bytes) are
+    held for every run: 19 bytes a run with jitter and 3 without.  One
+    chunk's temporaries add about 1.6 MB, whatever ``num_runs`` is (both
     figures are tracemalloc peaks on a QAM6 tree of 6 ternary rounds).  The
     whole-run arrays are allocated before the first draw, and a count they
     cannot hold raises ValueError, naming that cost.
@@ -379,17 +379,18 @@ def mc_sample(
     try:
         y = np.empty(num_runs, dtype=code_dtype)
         # leaf indices stay below MAX_LEAVES = 2^16 at every level
-        leaf = np.zeros(num_runs, dtype=np.int32)
+        leaf = np.zeros(num_runs, dtype=np.uint16)
         rot = np.ones(num_runs, dtype=np.complex128) if jitter else None
     except (MemoryError, ValueError):
-        per_run = code_dtype.itemsize + 4 + 16 * jitter
+        per_run = code_dtype.itemsize + 2 + 16 * jitter
         raise ValueError(
             f"the Monte Carlo sampler cannot hold {num_runs} runs: it keeps {per_run} bytes a run"
         ) from None
     rng = np.random.default_rng(seed)
-    # each run of a chunk holds about four values: slice, displacement,
-    # mean and count
-    step = max(1, _CHUNK_ELEMS // 4)
+    # at a chunk's peak about sixteen float64-sized values a run are alive:
+    # the widened codewords, the complex slices and displacements, and the
+    # detected mean's temporaries
+    step = max(1, _CHUNK_ELEMS // 16)
 
     def chunks():
         return (slice(s, min(s + step, num_runs)) for s in range(0, num_runs, step))
@@ -441,7 +442,7 @@ def mc_sample(
                 ) from None
             np.minimum(k, tree.arity - 1, out=k)
             leaf[s] *= tree.arity
-            leaf[s] += k
+            np.add(leaf[s], k, out=leaf[s], casting="unsafe")
     n_paths = tree.arity**tree.rounds
     errors = 0
     counts = np.zeros(n_paths, dtype=np.int64)

@@ -61,6 +61,31 @@ def bpsk_receiver(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def two_round_receiver(tmp_path_factory):
+    # the Dolinar start of a 2-round sweep point costs a third of a 4-round one
+    out = tmp_path_factory.mktemp("opt2") / "receiver.json"
+    code = run(
+        "optimize", "--encoding", "bpsk", "--rounds", 2, "--arity", 2, "--mean-photon", 1.2,
+        "--visibility", 0.9975, "--efficiency", 0.85, "--dark", 1e-3, "--phase-jitter", 0.02,
+        "--amp-jitter", 0.005, "--iters", 10, "--batch", 4, "--seed", 7, "--out", out,
+    )
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def subnormal_custom_receiver(two_round_receiver, tmp_path_factory):
+    # a custom alphabet whose mean energy, 5e-321, is subnormal
+    doc = json.loads(two_round_receiver.read_text())
+    doc["metadata"]["encoding"] = "custom"
+    doc["constellation"][0]["re"] = 1e-160
+    doc["constellation"][1]["re"] = 0.0
+    out = tmp_path_factory.mktemp("custom") / "receiver.json"
+    out.write_text(json.dumps(doc))
+    return out
+
+
 class TestOptimize:
     def test_writes_receiver_and_trace(self, bpsk_receiver):
         trace = bpsk_receiver.parent / "receiver_trace.csv"
@@ -299,7 +324,7 @@ class TestEvaluate:
                    "--mc-samples", count, "--batch", 2, "--out", out)
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: the Monte Carlo sampler cannot hold {count} runs: it keeps 21 bytes a run\n"
+            f"error: the Monte Carlo sampler cannot hold {count} runs: it keeps 19 bytes a run\n"
         )
         assert not out.exists()
 
@@ -1117,6 +1142,31 @@ class TestSpecCommandFlagProperty:
                 workdir, "evaluate", "--spec", bpsk_receiver, f"--sweep={nbar!r}",
                 *(["--reoptimize", "--iters", iters] if reoptimize else []), "--batch", batch,
                 "--mc-samples", mc_samples, "--seed", seed, "--out", f"{workdir}/o.csv",
+            )
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        custom=st.booleans(),
+        exponents=st.lists(st.floats(-300, 12), min_size=2, max_size=3),
+        iters=st.integers(0, 2),
+        batch=st.integers(1, 3),
+        seed=st.integers(0, 2**32),
+    )
+    # each once warned of an invalid multiply: the warm start's scale
+    # overflowed to inf (and the second point was refused), and so did the
+    # custom alphabet's
+    @example(custom=False, exponents=[-300, 10], iters=1, batch=2, seed=185)
+    @example(custom=True, exponents=[-300, 10], iters=1, batch=2, seed=0)
+    def test_reoptimized_sweep_exits_0_1_or_2_with_at_most_one_error_line(
+        self, two_round_receiver, subnormal_custom_receiver, custom, exponents, iters, batch, seed
+    ):
+        spec = subnormal_custom_receiver if custom else two_round_receiver
+        sweep = ",".join(repr(10.0**e) for e in exponents)
+        with tempfile.TemporaryDirectory() as workdir:
+            self._run_quietly(
+                workdir, "evaluate", "--spec", spec, f"--sweep={sweep}", "--reoptimize",
+                "--iters", iters, "--batch", batch, "--mc-samples", 100, "--seed", seed,
+                "--out", f"{workdir}/o.csv",
             )
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -275,6 +275,15 @@ def test_optimize_sweep_keeps_the_first_best_start(point):
         assert want is runs[1]
 
 
+def test_optimize_sweep_warm_starts_across_far_apart_points():
+    # the points' quotient overflows to inf, and a zero node times inf was
+    # NaN; the warm start takes the quotient of their roots instead, or is
+    # dropped where the spec loader would refuse it
+    cfg = FormulatorConfig(max_iterations=1, batch_size=2, seed=185)
+    got = optimize_sweep(bpsk, [1e-300, 1e10], 4, 2, LAB, cfg)
+    assert [nbar for nbar, _ in got] == [1e-300, 1e10]
+
+
 def reference_formulate(c, rounds, arity, nm, cfg):
     """The learning loop with a separate MAP-table forward per iteration and
     every iteration's seed spawned up front, from public pieces."""

@@ -258,7 +258,7 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("num_runs", [2**70, 2**62])
     def test_run_count_beyond_memory_is_refused_before_any_draw(self, monkeypatch, num_runs, jitter):
-        # a codeword byte and a 4-byte leaf index a run, and a 16-byte
+        # a codeword byte and a 2-byte leaf index a run, and a 16-byte
         # rotation with jitter; the generator is never made
         def no_draws(*args, **kwargs):
             raise AssertionError("a draw was made before the run arrays were allocated")
@@ -268,7 +268,7 @@ class TestMonteCarlo:
         tree = DecisionTree(2, 2, np.full(num_nodes(2, 2), 1.0 + 0j))
         table = DecisionTable(2, 2, np.array([0, 1, 1, 1]))
         nm = NoiseModel(phase_jitter=0.02, amplitude_jitter=0.005) if jitter else IDEAL
-        per_run = 21 if jitter else 5
+        per_run = 19 if jitter else 3
         with pytest.raises(ValueError, match=f"cannot hold {num_runs} runs: it keeps {per_run} bytes a run"):
             mc_sample(tree, table, c, nm, num_runs, seed=0)
 
