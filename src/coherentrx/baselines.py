@@ -44,16 +44,15 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .constellation import Constellation, bpsk
+from .constellation import Constellation, _count, bpsk
 from .photonics import NoiseModel
 from .simulator import _ideal_prefixes, exact_distribution, map_table
-from .tree import DecisionTable, DecisionTree, level_offset
+from .tree import DecisionTable, DecisionTree
 
 __all__ = [
     "BoundCurve",
@@ -122,12 +121,8 @@ def cn_tree(c: Constellation, rounds: int, arity: int) -> DecisionTree:
     are exact in floating point: two weighted prefix probabilities that agree
     in exact arithmetic but differ in their last bits go to the larger one.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
-    if arity < 2:
-        raise ValueError("arity must be at least 2")
     tree = DecisionTree.zeros(rounds, arity)
-    slices = c.amplitudes / math.sqrt(rounds)
+    slices = c.slices(rounds)
     ideal = NoiseModel()
     probs = np.ones((c.n_codewords, 1))
     for level in range(rounds):
@@ -496,13 +491,11 @@ def dolinar_tree(mean_photons: float, rounds: int) -> DecisionTree:
     problem's real-axis symmetry.
     """
     _check_nbar(mean_photons)
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
     tree = DecisionTree.zeros(rounds, 2)
     if mean_photons == 0:
         return tree
     # the slice the simulator scores, bit for bit, so that nulling it is exact
-    slice_amp = float((bpsk(mean_photons).amplitudes / math.sqrt(rounds))[0].real)
+    slice_amp = float(bpsk(mean_photons).slices(rounds)[0].real)
     bracket = 2.0 + 3.0 * math.sqrt(mean_photons)
     p_grid = np.linspace(0.0, 1.0, _GRID_POINTS)
     # the value interpolants of levels rounds, rounds - 1, ..., 1; the unroll
@@ -514,8 +507,7 @@ def dolinar_tree(mean_photons: float, rounds: int) -> DecisionTree:
     posteriors = np.array([0.5])
     for level in range(rounds):
         u, _ = _best_displacements(posteriors, slice_amp, interpolants.pop(), bracket)
-        start = level_offset(2, level)
-        tree.nodes[start : start + 2**level] = u
+        tree.level_nodes(level)[:] = u
         prob, post, joint = np.empty((3, 2, posteriors.size))
         _round_terms(posteriors, 1.0 - posteriors, u, slice_amp, prob, post, joint)
         # children of node i are 2i (no click) and 2i + 1 (click)
@@ -722,12 +714,7 @@ def heterodyne_sql_mc(
     noisy field and scores it, so a chunk holds 8 bytes a sample (its real
     noise) plus one score block's arrays.
     """
-    try:
-        num_samples = operator.index(num_samples)
-    except TypeError:
-        raise ValueError("num_samples must be a positive integer") from None
-    if num_samples < 1:
-        raise ValueError("num_samples must be a positive integer")
+    num_samples = _count(num_samples, "num_samples")
     rng = np.random.default_rng(seed)
     labels = np.random.Generator(type(rng.bit_generator)())
     amps = c.amplitudes

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, baselines, metrics
-from .constellation import Constellation, _amplitude_scale, bpsk, custom, mean_energy, qam6
+from .constellation import Constellation, _amplitude_scale, _count, bpsk, custom, mean_energy, qam6
 from .formulator import FormulatorConfig, formulate, optimize_sweep
 from .photonics import NoiseModel
 from .simulator import averaged_distribution, error_rate, exact_distribution, mc_sample
@@ -180,11 +180,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         ),
         "cn_ordering": "null current MAP hypothesis, ties toward lowest label",
     }
-    if not result.trace.converged:
-        metadata["warning"] = "did not converge within max iterations; best iterate returned"
+    t = result.trace
+    warnings = [] if t.converged else ["did not converge within max iterations; best iterate returned"]
+    if t.exhausted.any():
+        warnings.append(f"the line search accepted no step in {t.exhausted.sum()} of {len(t)} iterations; "
+                        "a smaller --learning-rate may let it descend")
+    if warnings:
+        metadata["warning"] = "; ".join(warnings)
     receiver = Receiver(result.tree, result.table, c, nm, metadata)
     save_receiver(args.out, receiver)
-    t = result.trace
     _write_csv(
         trace_path,
         _meta(args, "optimize"),
@@ -195,17 +199,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_counts(*flags: tuple[str, int]) -> None:
-    """Reject counts below 1 before any work or output."""
-    for flag, value in flags:
-        if value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     # checked before any evaluation, so that a bad count never waits for a
     # --reoptimize sweep
-    _check_counts(("--mc-samples", args.mc_samples), ("--batch", args.batch))
+    _count(args.mc_samples, "--mc-samples")
+    _count(args.batch, "--batch")
     _check_writable(args.out)
     receiver = load_receiver(args.spec)
     grid = args.sweep if args.sweep else [args.mean_photon]
@@ -282,9 +280,10 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     # only a designed receiver averages over noise draws and builds a tree
     designed = [r for r in receivers if _BASELINES[r][2] is not None]
     if designed:
-        _check_counts(("--batch", args.batch), ("--rounds", args.rounds))
-        if "cn" in designed and args.arity < 2:
-            raise ValueError(f"--arity must be at least 2, got {args.arity}")
+        _count(args.batch, "--batch")
+        _count(args.rounds, "--rounds")
+        if "cn" in designed:
+            _count(args.arity, "--arity", least=2)
         # the largest tree asked for, since cn's arity is at least dolinar's 2
         num_nodes(args.rounds, args.arity if "cn" in designed else 2)
     if any(x < 0 for x in args.sweep):
@@ -315,7 +314,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    _check_counts(("--batch", args.batch))
+    _count(args.batch, "--batch")
     receiver = load_receiver(args.spec)
     tree, c, nm = receiver.tree, receiver.constellation, receiver.noise_model
     models = [("ideal", NoiseModel())]

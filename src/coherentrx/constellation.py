@@ -36,6 +36,15 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _count(value, what: str, least: int = 1) -> int:
+    """``value`` as an int of at least ``least``, else ``ValueError``: every count's one check."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value!r}")
+    return int(value)
+
+
 def _real(value, what: str) -> float:
     """``value`` as a float, rejecting strings (which ``float()`` would parse) and bools."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -83,6 +92,10 @@ class Constellation:
     @property
     def n_codewords(self) -> int:
         return self.amplitudes.size
+
+    def slices(self, rounds: int) -> np.ndarray:
+        """Each codeword's share of one of ``rounds`` equal time slices, ``beta / sqrt(rounds)``."""
+        return self.amplitudes / math.sqrt(rounds)
 
     def to_records(self) -> list[dict]:
         """Serialize as a list of {label, re, im, prior} records."""

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .baselines import cn_tree, dolinar_tree
-from .constellation import Constellation, _amplitude_scale, mean_energy
+from .constellation import Constellation, _amplitude_scale, _count, mean_energy
 from .photonics import NoiseModel, sample_draws
 from .simulator import _batch_forward, _gradient, batch_distribution, error_rate, map_table
 from .tree import _MEANS_OUT_OF_RANGE, DecisionTable, DecisionTree, _means_in_range
@@ -62,13 +62,12 @@ class FormulatorConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1 or self.batch_size < 1:
-            raise ValueError("max_iterations and batch_size must be positive")
+        _count(self.max_iterations, "max_iterations")
+        _count(self.batch_size, "batch_size")
         # the float checks are written so that NaN fails them
         if not 0 < self.learning_rate < math.inf:
             raise ValueError("learning_rate must be positive and finite")
-        if self.convergence_window < 2:
-            raise ValueError("convergence_window must be at least 2")
+        _count(self.convergence_window, "convergence_window", least=2)
         if not 0 < self.convergence_delta < math.inf:
             raise ValueError("convergence_delta must be positive and finite")
         if not 0 <= self.init_perturbation < math.inf:
@@ -83,6 +82,8 @@ class LearningTrace:
     the previous table), ``loss_post_table`` after the table refit, ``loss``
     after the accepted descent step; all three refer to the same frozen
     batch, so ``loss <= loss_post_table <= loss_start`` up to rounding.
+    ``exhausted`` is true where the gradient was non-zero but the line search
+    accepted no step within its halvings, so the iterate stood still.
     """
 
     iteration: np.ndarray
@@ -90,6 +91,7 @@ class LearningTrace:
     gradient_norm: np.ndarray
     loss_start: np.ndarray
     loss_post_table: np.ndarray
+    exhausted: np.ndarray
     converged: bool
     best_iteration: int
 
@@ -184,7 +186,7 @@ def formulate(
         raise ValueError(_MEANS_OUT_OF_RANGE)
 
     table: DecisionTable | None = None
-    rows: list[tuple[int, float, float, float, float]] = []
+    rows: list[tuple[int, float, float, float, float, bool]] = []
     best_loss = math.inf
     best_tree = tree
     best_iteration = -1
@@ -203,6 +205,7 @@ def formulate(
         grad = _gradient(tree, table, c, nm, phase, scale, held)
         gnorm = float(np.linalg.norm(grad.view(np.float64)))
         loss_end = loss_post_table
+        exhausted = gnorm > 0  # until a step is accepted
         if gnorm > 0:
             step = cfg.learning_rate
             for _ in range(_MAX_BACKTRACKS):
@@ -213,10 +216,10 @@ def formulate(
                     cand = DecisionTree(rounds, arity, nodes)
                     cand_loss = error_rate(batch_distribution(cand, c, nm, phase, scale), table)
                     if cand_loss <= loss_post_table:
-                        tree, loss_end = cand, cand_loss
+                        tree, loss_end, exhausted = cand, cand_loss, False
                         break
                 step *= 0.5
-        rows.append((it, loss_end, gnorm, loss_start, loss_post_table))
+        rows.append((it, loss_end, gnorm, loss_start, loss_post_table, exhausted))
         if loss_end < best_loss:
             best_loss = loss_end
             best_tree = tree
@@ -234,6 +237,7 @@ def formulate(
         gradient_norm=arr[:, 2],
         loss_start=arr[:, 3],
         loss_post_table=arr[:, 4],
+        exhausted=arr[:, 5].astype(bool),
         converged=converged,
         best_iteration=best_iteration,
     )

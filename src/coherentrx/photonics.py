@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constellation import _real
+from .constellation import _count, _real
 
 __all__ = [
     "NoiseModel",
@@ -153,8 +153,7 @@ def outcome_probs(n, arity: int) -> np.ndarray:
     ``exp(-n) n^k / k!``; the top bin collects ``>= arity-1`` photons.  ``n``
     may be a scalar or an array; the outcome axis is appended last.
     """
-    if arity < 2:
-        raise ValueError("arity must be at least 2")
+    _count(arity, "arity", least=2)
     n_arr = np.asarray(n, dtype=np.float64)
     if np.any(n_arr < 0):
         raise ValueError("mean photon number must be non-negative")
@@ -205,8 +204,7 @@ def sample_draws(nm: NoiseModel, batch_size: int, seed) -> tuple[np.ndarray, np.
     allocated before the generator is made, and a batch they cannot hold
     raises ValueError, naming that cost.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    batch_size = _count(batch_size, "batch_size")
     if nm.is_deterministic:
         return np.zeros(1), np.ones(1)
     per_draw = int(nm.phase_jitter > 0) + int(nm.amplitude_jitter > 0)

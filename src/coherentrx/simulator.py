@@ -3,8 +3,8 @@
 For an (N, M) tree the conditional distribution of the full outcome path
 given each codeword is an exact product of binned-Poisson terms, enumerable
 over all M^N paths (at most 729 for the shapes of interest).  Each of the N
-rounds receives the equal time slice ``beta / sqrt(N)`` of the codeword
-amplitude, so the slice energies sum to the symbol energy.
+rounds receives the slice ``beta / sqrt(N)`` (``Constellation.slices``) of
+the codeword amplitude, so the slice energies sum to the symbol energy.
 
 Exact enumeration is the workhorse, and every walk of a tree is in this
 module.  Its one forward recursion, the private ``_forward``, takes the
@@ -22,12 +22,11 @@ statistical cross-check.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .constellation import Constellation
+from .constellation import Constellation, _count
 from .photonics import NoiseModel, detected_mean, outcome_prob_derivs, outcome_probs, sample_draws
 from .tree import DecisionTable, DecisionTree, level_offset, num_nodes
 
@@ -104,7 +103,7 @@ def _forward(
     ``n`` levels' nodes alone.
     """
     batch, k_codes, m = phase.shape[0], c.n_codewords, tree.arity
-    slices = (c.amplitudes / np.sqrt(tree.rounds))[None, :, None]
+    slices = c.slices(tree.rounds)[None, :, None]
     rot = scale * np.exp(1j * phase)
     means = detected_mean(slices, rot[:, None, None] * tree.nodes[None, None, :], nm)
     q, dq = outcome_prob_derivs(means, m) if derivs else (outcome_probs(means, m), None)
@@ -212,7 +211,7 @@ def _sensitivities(
     n, m = tree.rounds, tree.arity
     k_codes = c.n_codewords
     batch = phase.shape[0]
-    slices = c.amplitudes / math.sqrt(n)
+    slices = c.slices(n)
     a = scale[:, None, None]
     w = slices[None, :] * np.exp(-1j * phase[:, None])
     forward_probs, q_levels, dq_levels = forward
@@ -370,8 +369,7 @@ def mc_sample(
     whole-run arrays are allocated before the first draw, and a count they
     cannot hold raises ValueError, naming that cost.
     """
-    if num_runs < 1:
-        raise ValueError("num_runs must be at least 1")
+    num_runs = _count(num_runs, "num_runs")
     if (table.rounds, table.arity) != (tree.rounds, tree.arity):
         raise ValueError("table shape does not match the tree")
     code_dtype = np.min_scalar_type(c.n_codewords - 1)
@@ -399,7 +397,7 @@ def mc_sample(
         y[s] = rng.choice(c.n_codewords, size=s.stop - s.start, p=c.priors)
     # per-codeword slice amplitudes and |b|^2, gathered for a chunk of runs;
     # only the visibility < 1 form reads |b|^2
-    code_slices = c.amplitudes / np.sqrt(tree.rounds)
+    code_slices = c.slices(tree.rounds)
     code_power = None if nm.visibility == 1.0 else np.abs(code_slices) ** 2
     # exp(i*phase), then times the scale where one is drawn: a scale of
     # exactly 1 changes no bit of these rotations.  A non-positive scale

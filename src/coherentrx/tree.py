@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constellation import Constellation, _integer, _real
+from .constellation import Constellation, _count, _integer, _real
 from .photonics import NoiseModel, detected_mean
 
 __all__ = [
@@ -49,16 +49,18 @@ MAX_LEAVES = 1 << 16
 def num_nodes(rounds: int, arity: int) -> int:
     """Internal node count of a full arity^rounds tree: (M^N - 1) / (M - 1).
 
-    Every tree allocation goes through here, so this is where trees with more
-    than :data:`MAX_LEAVES` leaves are refused (``ValueError``).
+    It owns the shape rule of every tree and table: rounds of at least 1 and
+    arity of at least 2 (``constellation._count``), and at most
+    :data:`MAX_LEAVES` leaves, else ``ValueError``.
     """
+    rounds, arity = _count(rounds, "rounds"), _count(arity, "arity", least=2)
     # any arity >= 2 passes the cap by round 17; capping the exponent keeps
     # absurd round counts from building a huge integer first
     if arity ** min(rounds, MAX_LEAVES.bit_length()) > MAX_LEAVES:
         raise ValueError(
             f"a tree of arity {arity} and {rounds} rounds exceeds {MAX_LEAVES} leaves"
         )
-    return (arity**rounds - 1) // (arity - 1)
+    return level_offset(arity, rounds)
 
 
 def level_offset(arity: int, level: int) -> int:
@@ -109,13 +111,9 @@ class DecisionTree:
     nodes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
-        if self.arity < 2:
-            raise ValueError("arity must be at least 2")
+        expected = num_nodes(self.rounds, self.arity)
         # contiguous, so that the finiteness check can view it as float pairs
         nodes = np.ascontiguousarray(self.nodes, dtype=np.complex128)
-        expected = num_nodes(self.rounds, self.arity)
         if nodes.shape != (expected,):
             raise ValueError(f"expected {expected} nodes, got shape {nodes.shape}")
         if not np.all(np.isfinite(nodes.view(np.float64))):
@@ -146,6 +144,7 @@ class DecisionTable:
     guesses: np.ndarray
 
     def __post_init__(self) -> None:
+        num_nodes(self.rounds, self.arity)  # the tree shape rule: rounds, arity and leaf cap
         try:
             guesses = np.asarray(self.guesses, dtype=np.int64)
         except OverflowError as exc:
@@ -201,7 +200,7 @@ def _means_in_range(c: Constellation, rounds: int, nodes: np.ndarray, nm: NoiseM
     their bound ``(|b| + |u|)**2 + nu`` on the largest slice and node exceeds
     half that."""
     with np.errstate(over="ignore", invalid="ignore"):
-        slices = c.amplitudes[:, None] / np.sqrt(rounds)
+        slices = c.slices(rounds)[:, None]
         reach = float(np.abs(slices).max() + np.abs(nodes).max())
         if reach * reach + nm.dark_counts <= 0.5 * _MAX_MEAN_PHOTONS:
             return True

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -720,8 +721,14 @@ class TestHeterodyne:
 
     @pytest.mark.parametrize("bad", [1e3, 10.5, "1000", 0, -3])
     def test_mc_sample_count_must_be_a_positive_integer(self, bad):
-        with pytest.raises(ValueError, match="^num_samples must be a positive integer$"):
+        rule = "at least 1" if isinstance(bad, int) else "an integer"
+        with pytest.raises(ValueError, match=f"^num_samples must be {rule}, got {re.escape(repr(bad))}$"):
             heterodyne_sql_mc(bpsk(0.8), bad)
+
+    def test_mc_sample_count_is_not_a_bool(self):
+        # True once ran one sample and returned (0.0, 0.0)
+        with pytest.raises(ValueError, match="^num_samples must be an integer, got True$"):
+            heterodyne_sql_mc(bpsk(0.8), True)
 
     def test_mc_takes_numpy_integer_counts(self):
         assert heterodyne_sql_mc(bpsk(0.8), np.int64(1_000), seed=2) == heterodyne_sql_mc(bpsk(0.8), 1_000, seed=2)

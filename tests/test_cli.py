@@ -166,6 +166,29 @@ class TestOptimize:
         assert "65536 leaves" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "iters, warning",
+        [
+            (60, "the line search accepted no step in 21 of 21 iterations; "
+                 "a smaller --learning-rate may let it descend"),
+            (5, "did not converge within max iterations; best iterate returned; "
+                "the line search accepted no step in 5 of 5 iterations; "
+                "a smaller --learning-rate may let it descend"),
+        ],
+    )
+    def test_exhausted_line_search_is_warned(self, tmp_path, iters, warning):
+        # the run once reported converged: true, at its start's loss, without a warning
+        out = tmp_path / "r.json"
+        code = run(
+            "optimize", "--encoding", "qam6", "--rounds", 3, "--arity", 3, "--mean-photon", 1,
+            "--learning-rate", 1e200, "--iters", iters, "--out", out,
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["metadata"]["warning"] == warning
+
+    def test_descending_run_has_no_warning(self, bpsk_receiver):
+        assert "warning" not in json.loads(bpsk_receiver.read_text())["metadata"]
+
     def test_out_in_missing_directory_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "r.json"
         code = run(
@@ -1058,6 +1081,43 @@ class TestLearningFlagProperty:
                     "optimize", "--encoding", encoding, "--rounds", 2, "--arity", 3, "--mean-photon", 1,
                     "--iters", 2, "--batch", 2, f"--learning-rate={learning_rate!r}",
                     f"--perturbation={perturbation!r}", "--out", f"{workdir}/r.json",
+                )
+            text = err.getvalue()
+            assert code in (0, 2), text
+            assert text.count("error:") <= 1 and "Traceback" not in text, text
+            if code == 2:
+                assert os.listdir(workdir) == []
+
+
+class TestOptimizeFlagProperty:
+    """Any tree shape, count, threshold, energy and noise flag of optimize is learned from or refused in one line."""
+
+    # any float up to 1.7e308, but half of them in a valid range, and each
+    # optional flag set or left at its default, so that some runs learn
+    FLOATS = st.floats(0, 1) | st.floats(max_value=1.7e308, allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        encoding=st.sampled_from(["bpsk", "qam6"]),
+        nbar=FLOATS,
+        rounds=st.integers(-1, 4),
+        arity=st.integers(-1, 4),
+        counts=st.dictionaries(st.sampled_from(("--iters", "--window", "--batch")), st.integers(-1, 4)),
+        floats=st.dictionaries(st.sampled_from(("--delta", *cli._NOISE_FLAGS)), FLOATS),
+    )
+    @example(encoding="qam6", nbar=1.0, rounds=2, arity=3, counts={"--iters": 4, "--window": 2, "--batch": 4},
+             floats={"--phase-jitter": 100.0, "--amp-jitter": 100.0, "--dark": 1e250})
+    def test_optimize_exits_0_or_2_with_at_most_one_error_line(self, encoding, nbar, rounds, arity, counts, floats):
+        with tempfile.TemporaryDirectory() as workdir:
+            err = io.StringIO()
+            # a numpy warning is raised, and fails the property with its traceback
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error")
+                code = run(
+                    "optimize", "--encoding", encoding, "--rounds", rounds, "--arity", arity,
+                    f"--mean-photon={nbar!r}", *(f"{flag}={value!r}" for flag, value in {**counts, **floats}.items()),
+                    "--out", f"{workdir}/r.json",
                 )
             text = err.getvalue()
             assert code in (0, 2), text

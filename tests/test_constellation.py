@@ -1,10 +1,11 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from coherentrx.constellation import Constellation, bpsk, custom, mean_energy, qam6
+from coherentrx.constellation import Constellation, _count, bpsk, custom, mean_energy, qam6
 
 
 class TestBpsk:
@@ -79,6 +80,43 @@ class TestMeanEnergy:
     def test_energy_round_trip_log_grid(self, builder):
         for x in np.geomspace(1e-3, 20, 25):
             assert abs(mean_energy(builder(x)) - x) < 1e-12
+
+
+class TestSlices:
+    def test_slices_are_every_spelling_of_the_round_slice_to_the_bit(self):
+        # the spellings the modules once wrote out: a Python or a numpy root,
+        # and a column of the slices
+        rng = np.random.default_rng(30)
+        for _ in range(200):
+            rounds = int(rng.integers(1, 17))
+            c = custom(rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, size=6)
+                       + 1j * rng.normal(size=6) * 10.0 ** rng.uniform(-3, 3, size=6))
+            slices = c.slices(rounds)
+            assert slices.tobytes() == (c.amplitudes / math.sqrt(rounds)).tobytes()
+            assert slices.tobytes() == (c.amplitudes / np.sqrt(rounds)).tobytes()
+            assert slices[:, None].tobytes() == (c.amplitudes[:, None] / np.sqrt(rounds)).tobytes()
+
+
+class TestCount:
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3)])
+    def test_python_and_numpy_integers_are_counts(self, value):
+        count = _count(value, "n")
+        assert count == 3 and type(count) is int
+
+    @pytest.mark.parametrize(
+        "value, least, message",
+        [
+            (2.0, 1, "n must be an integer, got 2.0"),
+            (True, 1, "n must be an integer, got True"),
+            ("3", 1, "n must be an integer, got '3'"),
+            (None, 1, "n must be an integer, got None"),
+            (0, 1, "n must be at least 1, got 0"),
+            (1, 2, "n must be at least 2, got 1"),
+        ],
+    )
+    def test_refusals_are_value_errors_in_one_of_two_words(self, value, least, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _count(value, "n", least=least)
 
 
 class TestValidation:

@@ -198,6 +198,32 @@ def test_only_the_owning_module_names_each_range_constant():
     assert namers == {name: {owner} for name, owner in RANGE_CONSTANTS.items()}
 
 
+def amplitude_divisions(source: str) -> list[int]:
+    """Lines of every division whose left side reads an ``.amplitudes`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+        and any(isinstance(n, ast.Attribute) and n.attr == "amplitudes" for n in ast.walk(node.left))
+    )
+
+
+def test_amplitude_division_detector():
+    source = "a = c.amplitudes / 2\nb = (x.amplitudes[:, None] / s)[0]\nd = 2 / c.amplitudes\ne = c.priors / 2\n"
+    assert amplitude_divisions(source) == [1, 2]
+
+
+def test_only_constellation_divides_the_amplitudes():
+    # the round slice beta / sqrt(N) is Constellation.slices, computed in one
+    # place so that every design, forward and sampler scores the same bits
+    dividers = {
+        path.relative_to(REPO).as_posix(): amplitude_divisions(path.read_text())
+        for path in CALLER_FILES
+        if module_name(path) != "coherentrx.constellation"
+    }
+    assert {path: lines for path, lines in dividers.items() if lines} == {}
+
+
 def public_methods(tree: ast.AST) -> list[str]:
     """``Class.method`` for each public method or property of an exported class."""
     exported = set(exported_names(tree))

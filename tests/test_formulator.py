@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 
@@ -236,6 +237,38 @@ class TestConfigValidation:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             FormulatorConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+            (dict(max_iterations=3.5), "max_iterations must be an integer, got 3.5"),
+            (dict(convergence_window=2.5), "convergence_window must be an integer, got 2.5"),
+            (dict(max_iterations=0), "max_iterations must be at least 1, got 0"),
+            (dict(convergence_window=1), "convergence_window must be at least 2, got 1"),
+        ],
+    )
+    def test_counts_are_refused_in_their_own_words(self, kwargs, message):
+        # batch_size=2.5 was once accepted, and formulate failed inside numpy
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FormulatorConfig(**kwargs)
+
+
+class TestExhaustedLineSearch:
+    def test_a_step_too_large_for_every_halving_is_flagged(self):
+        # every halving of 1e200 leaves a step the spec loader refuses, so the
+        # iterate never moves and the run "converges" at its start
+        cfg = FormulatorConfig(max_iterations=60, learning_rate=1e200)
+        res = formulate(qam6(1.0), 3, 3, NoiseModel(), cfg)
+        assert res.trace.exhausted.dtype == bool
+        assert res.trace.exhausted.all() and res.trace.converged
+        assert (res.trace.gradient_norm > 0).all()
+        assert np.unique(res.trace.loss).size == 1
+
+    def test_a_run_that_descends_is_not_flagged(self):
+        res = formulate(bpsk(1.0), 3, 2, NoiseModel(), FormulatorConfig(max_iterations=10, batch_size=4))
+        assert res.trace.exhausted.shape == res.trace.loss.shape
+        assert not res.trace.exhausted.any()
 
 
 def result_bytes(res):

@@ -112,6 +112,12 @@ class TestSampling:
         phase, scale = sample_draws(nm, batch, 5)
         assert phase.tolist() == [0.0] and scale.tolist() == [1.0]
 
+    @pytest.mark.parametrize("nm", [NoiseModel(), NoiseModel(phase_jitter=0.02)], ids=["ideal", "jitter"])
+    def test_batch_size_must_be_an_integer(self, nm):
+        # the jitter-free batch once took 2.5 and gave the ideal draw
+        with pytest.raises(ValueError, match=r"^batch_size must be an integer, got 2\.5$"):
+            sample_draws(nm, 2.5, 0)
+
     def test_phase_jitter_mean(self):
         nm = NoiseModel(phase_jitter=0.1)
         phases, _ = sample_draws(nm, 100_000, 123)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -271,6 +272,18 @@ class TestMonteCarlo:
         per_run = 19 if jitter else 3
         with pytest.raises(ValueError, match=f"cannot hold {num_runs} runs: it keeps {per_run} bytes a run"):
             mc_sample(tree, table, c, nm, num_runs, seed=0)
+
+    @pytest.mark.parametrize(
+        "num_runs, message",
+        [(10.5, "num_runs must be an integer, got 10.5"), (True, "num_runs must be an integer, got True"),
+         (0, "num_runs must be at least 1, got 0")],
+    )
+    def test_run_count_must_be_a_positive_integer(self, num_runs, message):
+        # 10.5 once failed inside numpy with a TypeError
+        tree = DecisionTree.zeros(2, 2)
+        table = DecisionTable(2, 2, np.array([0, 1, 1, 1]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mc_sample(tree, table, bpsk(1.0), IDEAL, num_runs, seed=0)
 
     def test_table_shape_mismatch_rejected(self):
         c = bpsk(0.5)

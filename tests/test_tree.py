@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,27 @@ class TestDecisionTree:
             DecisionTree(3, 2, np.zeros(6, dtype=complex))
         with pytest.raises(ValueError):
             DecisionTree(0, 2, np.zeros(0, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "rounds, arity, message",
+        [
+            (0, 2, "rounds must be at least 1, got 0"),
+            (2, 1, "arity must be at least 2, got 1"),
+            (17, 2, "a tree of arity 2 and 17 rounds exceeds 65536 leaves"),
+        ],
+    )
+    def test_a_table_takes_the_tree_shape_rule(self, rounds, arity, message):
+        # each was once accepted: a table checked only its guess count
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DecisionTable(rounds, arity, np.zeros(arity**rounds, dtype=int))
+
+    @pytest.mark.parametrize("rounds, size", [(2.0, 3), (True, 1)])
+    def test_rounds_must_be_an_integer(self, rounds, size):
+        # each was once accepted, as a tree of 2 rounds and of 1
+        with pytest.raises(ValueError, match=f"^rounds must be an integer, got {rounds!r}$"):
+            DecisionTree(rounds, 2, np.zeros(size, dtype=complex))
+        with pytest.raises(ValueError, match=f"^rounds must be an integer, got {rounds!r}$"):
+            DecisionTable(rounds, 2, np.zeros(2**size, dtype=int))
 
     def test_rejects_non_finite(self):
         nodes = np.zeros(7, dtype=complex)
