@@ -17,7 +17,10 @@ scan only windows around the anchors' winners.  The trees are the full
 scan's to the byte at N = 1, 2, 4 and 10 for 0.2, 1.5 and 100 photons, and
 at N = 4 and 10 for 0.5-30 photons.  At N = 10 and 35, 45, 60 or 80
 photons some nodes differ, where near-zero values tie; the error rates agree
-to 2.2e-16.
+to 2.2e-16.  Which of such tied nodes wins rests on the last bits of
+``np.exp``, so the byte equality at N = 10 and 100 photons holds on numpy's
+AVX-512 kernels only: on its AVX2 kernels 253 of the 1023 nodes differ, by
+up to 41.2, for the same reason.
 
 The heterodyne SQL is the minimum-error decision on an isotropic Gaussian
 outcome with variance 1/2 per quadrature around the codeword amplitude,
@@ -706,39 +709,45 @@ def heterodyne_sql_mc(
     holds a value per (sample, codeword) pair.
 
     Two walkers read each chunk's stream ``_MC_SCORE_BLOCK`` samples at a
-    time.  A copy of the generator, set to the generator's state at the
-    chunk's start, draws the codewords.  The generator itself draws past
-    them into a reused block buffer, then draws the chunk's real noise, then
-    the imaginary noise one block at a time, so it leaves the chunk where one
-    call per part would, whatever its bit generator.  Each block builds its
-    noisy field and scores it, so a chunk holds 8 bytes a sample (its real
-    noise) plus one score block's arrays.
+    time.  The generator draws the chunk's codewords into one reused array
+    of the smallest unsigned type that holds every label.  A second
+    generator is then set to the generator's state, which is the start of
+    the real noise, and the generator draws past the real noise into a
+    reused block buffer.  Block by block, the second generator draws the
+    real noise and the generator the imaginary noise, and the block is
+    scored.  So the generator leaves each chunk where one call per part
+    would, whatever its bit generator, and a chunk holds its codewords
+    (1 byte a sample up to 256 codewords, 2 up to 65,536) plus one score
+    block's arrays.
     """
     num_samples = _count(num_samples, "num_samples")
     rng = np.random.default_rng(seed)
-    labels = np.random.Generator(type(rng.bit_generator)())
+    real_rng = np.random.Generator(type(rng.bit_generator)())
     amps = c.amplitudes
     log_priors = np.where(c.priors > 0, np.log(np.where(c.priors > 0, c.priors, 1.0)), -np.inf)
     sigma = math.sqrt(0.5)
     block = min(_MC_SCORE_BLOCK, num_samples)
-    # the skipped codeword doubles, then each block's imaginary noise
+    sent = np.empty(min(_MC_CHUNK, num_samples), dtype=np.min_scalar_type(c.n_codewords - 1))
+    # the skipped real noise, then each block's real and imaginary noise
     spare = np.empty(block)
     field = np.empty(block, dtype=np.complex128)
     correct = 0
     for first in range(0, num_samples, _MC_CHUNK):
         size = min(_MC_CHUNK, num_samples - first)
         starts = range(0, size, block)
-        labels.bit_generator.state = rng.bit_generator.state
-        for start in starts:
-            rng.random(out=spare[: min(block, size - start)])
-        real = rng.standard_normal(size)
         for start in starts:
             n = min(block, size - start)
-            yb = labels.choice(c.n_codewords, size=n, p=c.priors)
+            sent[start : start + n] = rng.choice(c.n_codewords, size=n, p=c.priors)
+        real_rng.bit_generator.state = rng.bit_generator.state
+        for start in starts:
+            rng.standard_normal(out=spare[: min(block, size - start)])
+        for start in starts:
+            n = min(block, size - start)
+            yb = sent[start : start + n]
             # amps[y] + sigma * (n1 + 1j*n2) built in place, with the same bits
             # (a zero part's sign aside, which |z - beta|^2 ignores)
             zb = field[:n]
-            zb.real = real[start : start + n]
+            zb.real = real_rng.standard_normal(out=spare[:n])
             zb.imag = rng.standard_normal(out=spare[:n])
             zb *= sigma
             zb += amps[yb]
@@ -749,7 +758,6 @@ def heterodyne_sql_mc(
                 np.copyto(guess, k, where=score > best)
                 np.maximum(best, score, out=best)
             correct += int(np.count_nonzero(guess == yb))
-        del real  # freed before the next chunk's draw
     err = 1.0 - correct / num_samples
     stderr = math.sqrt(max(err * (1.0 - err), 0.0) / num_samples)
     return err, stderr

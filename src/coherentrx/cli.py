@@ -159,6 +159,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     _check_writable(args.out, trace_path)
     c = _ENCODINGS[args.encoding](args.mean_photon)
     nm = _from_flags(NoiseModel, _NOISE_FLAGS, args)
+    # under the flags' names, where the config and the tree would name fields
+    _count(args.iters, "--iters")
+    _count(args.window, "--window", least=2)
+    _count(args.batch, "--batch")
+    _count(args.rounds, "--rounds")
+    _count(args.arity, "--arity", least=2)
     cfg = _from_flags(FormulatorConfig, _LEARNING_FLAGS, args, batch_size=args.batch, seed=args.seed)
     result = formulate(c, args.rounds, args.arity, nm, cfg)
     metadata = {
@@ -204,6 +210,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # --reoptimize sweep
     _count(args.mc_samples, "--mc-samples")
     _count(args.batch, "--batch")
+    if args.reoptimize:
+        _count(args.iters, "--iters")
+        _count(args.window, "--window", least=2)
     _check_writable(args.out)
     receiver = load_receiver(args.spec)
     grid = args.sweep if args.sweep else [args.mean_photon]

@@ -733,9 +733,9 @@ class TestHeterodyne:
     def test_mc_takes_numpy_integer_counts(self):
         assert heterodyne_sql_mc(bpsk(0.8), np.int64(1_000), seed=2) == heterodyne_sql_mc(bpsk(0.8), 1_000, seed=2)
 
-    def test_mc_memory_is_real_noise_and_one_block(self):
-        # a 500k-sample chunk holds its real noise (4 MB) and one score
-        # block's arrays; more chunks hold no more
+    def test_mc_memory_is_codewords_and_one_block(self):
+        # a 500k-sample chunk holds its codewords (1 byte a sample for QAM6)
+        # and one score block's arrays; more chunks hold no more
         heterodyne_sql_mc(qam6(7.8), 10, seed=3)  # first-call allocations out of the way
         peaks = []
         for num_samples in (2_000_000, 4_000_000):
@@ -745,19 +745,20 @@ class TestHeterodyne:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[0] <= 9e6
-        assert abs(peaks[1] - peaks[0]) <= 1e6
+        assert max(peaks) <= 4e6
+        assert abs(peaks[1] - peaks[0]) <= 0.5e6
 
-    def test_mc_memory_is_one_chunk_draw(self):
-        # a chunk holds its real noise (4 MB for 500k samples), and scoring in
-        # sub-blocks adds a few MB whatever the chunk size
-        tracemalloc.start()
-        try:
-            heterodyne_sql_mc(qam6(7.8), 2_000_000, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 22e6
+    def test_mc_codewords_past_256_match_argmax_oracle(self, monkeypatch):
+        # 300 codewords need 2 bytes a sample; most of the prior sits on
+        # labels 256-299, which a 1-byte array would wrap onto labels 0-43
+        rng = np.random.default_rng(4)
+        amps = 3.0 * (rng.standard_normal(300) + 1j * rng.standard_normal(300))
+        priors = np.r_[np.full(256, 0.2 / 256), np.full(44, 0.8 / 44)]
+        c = custom(amps, priors)
+        monkeypatch.setattr("coherentrx.baselines._MC_SCORE_BLOCK", 700)
+        monkeypatch.setattr("coherentrx.baselines._MC_CHUNK", 3_000)
+        got = heterodyne_sql_mc(c, 10_001, seed=6)
+        assert got == reference_heterodyne_sql_mc(c, 10_001, 6, 3_000)
 
     def test_mc_matches_quadrature_bpsk(self):
         c = bpsk(0.8)

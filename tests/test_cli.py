@@ -154,6 +154,27 @@ class TestOptimize:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, least",
+        [("--iters", 0, 1), ("--window", 1, 2), ("--batch", 0, 1), ("--rounds", 0, 1), ("--arity", 1, 2)],
+    )
+    def test_bad_count_names_its_flag(self, tmp_path, capsys, monkeypatch, flag, value, least):
+        # each once named the library field behind it (max_iterations,
+        # convergence_window, batch_size, rounds, arity)
+        def no_work(*args, **kwargs):
+            raise AssertionError("learning ran before the counts were checked")
+
+        monkeypatch.setattr(cli, "formulate", no_work)
+        out = tmp_path / "r.json"
+        shape = {"--rounds": 2, "--arity": 2, flag: value}
+        code = run(
+            "optimize", "--encoding", "bpsk", "--mean-photon", 1.0,
+            *(part for item in shape.items() for part in item), "--out", out,
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least {least}, got {value}\n"
+        assert not out.exists()
+
     def test_oversized_tree_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r.json"
         code = run(
@@ -336,6 +357,23 @@ class TestEvaluate:
                    flag, value, "--out", out)
         assert code == 2
         assert capsys.readouterr().err == f"error: {flag} must be at least 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, least", [("--iters", 0, 1), ("--window", 1, 2)])
+    def test_bad_learning_count_names_its_flag_before_reoptimizing(
+        self, bpsk_receiver, tmp_path, capsys, monkeypatch, flag, value, least
+    ):
+        # each once named the library field behind it, after the spec loaded
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluation ran before the counts were checked")
+
+        for name in ("optimize_sweep", "averaged_distribution", "mc_sample"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "o.csv"
+        code = run("evaluate", "--spec", bpsk_receiver, "--sweep", "0.6,1.0", "--reoptimize",
+                   flag, value, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flag} must be at least {least}, got {value}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [2**70, 2**62])
