@@ -357,6 +357,25 @@ _COARSE = 512
 _GRID_POINTS = 2001
 
 
+def _window_candidates(centres: np.ndarray) -> np.ndarray:
+    """Displacement indices the windowed scan tries, one column a posterior.
+
+    ``centres`` is the ``(2, n)`` pair of window centres of each posterior.
+    The rows are both windows' indices, clipped to the coarse grid and
+    sorted down each column, then the three special displacements.  They
+    are built in one ``(2 * (2 * _HALF_WINDOW + 1) + 3, n)`` array, in
+    place.
+    """
+    width = 2 * _HALF_WINDOW + 1
+    cand = np.empty((2 * width + 3, centres.shape[1]), dtype=np.intp)
+    windows = cand[: 2 * width]
+    np.add.outer(np.arange(-_HALF_WINDOW, _HALF_WINDOW + 1), centres, out=windows.reshape(width, *centres.shape))
+    np.clip(windows, 0, _COARSE - 1, out=windows)
+    windows.sort(axis=0)
+    cand[2 * width :] = np.arange(_COARSE, _COARSE + 3)[:, None]
+    return cand
+
+
 def _best_displacements(
     p: np.ndarray,
     slice_amp: float,
@@ -389,7 +408,9 @@ def _best_displacements(
     posterior and the last) scan in full, and the others scan, in grid
     order, windows around the index interpolated between their anchors'
     winners and around its mirror (the other hypothesis's basin), then the
-    special displacements.  They scan in full where the anchors' winners are
+    special displacements.  Their candidate indices are built in place in
+    one integer array (:func:`_window_candidates`), which is dropped once
+    their scan is done.  They scan in full where the anchors' winners are
     over ``2 * _HALF_WINDOW`` apart or special, or where they win on a
     window edge.  Errors are elementwise, so each scanned pair's bits are the
     full scan's; the winners match it in the checked range (see the module
@@ -442,10 +463,7 @@ def _best_displacements(
         w_lo, w_hi = best_idx[left], best_idx[right]
         centre = np.rint(w_lo + (w_hi - w_lo) * (i - left) / (right - left)).astype(np.intp)
         centres = np.stack([centre, _COARSE - 1 - centre])
-        windows = np.add.outer(np.arange(-_HALF_WINDOW, _HALF_WINDOW + 1), centres)
-        windows = np.sort(np.clip(windows, 0, _COARSE - 1).reshape(-1, i.size), axis=0)
-        special = np.broadcast_to(np.arange(_COARSE, u_grid.size)[:, None], (3, i.size))
-        scan(i, np.concatenate([windows, special]))
+        scan(i, _window_candidates(centres))
         doubt = (np.abs(w_hi - w_lo) > 2 * _HALF_WINDOW) | (np.maximum(w_lo, w_hi) >= _COARSE)
         doubt |= (np.abs(best_idx[i] - centres) == _HALF_WINDOW).any(axis=0)
         redo = i[doubt]
@@ -492,6 +510,12 @@ def dolinar_tree(mean_photons: float, rounds: int) -> DecisionTree:
     is then unrolled into tree form node by node at each node's exact
     posterior, scanning in full there.  Displacements stay real by the
     problem's real-axis symmetry.
+
+    The DP holds each level's value table as its ``(_GRID_POINTS,)`` array
+    and builds that level's :class:`_Pchip` only when a table level or an
+    unroll level reads it, so one interpolant (six rows of the grid) is
+    alive at a time.  The interpolant is a function of its table, so a
+    rebuilt one has the same rows.
     """
     _check_nbar(mean_photons)
     tree = DecisionTree.zeros(rounds, 2)
@@ -501,15 +525,16 @@ def dolinar_tree(mean_photons: float, rounds: int) -> DecisionTree:
     slice_amp = float(bpsk(mean_photons).slices(rounds)[0].real)
     bracket = 2.0 + 3.0 * math.sqrt(mean_photons)
     p_grid = np.linspace(0.0, 1.0, _GRID_POINTS)
-    # the value interpolants of levels rounds, rounds - 1, ..., 1; the unroll
-    # takes them back from the end and drops each one once it has used it
-    interpolants = [_Pchip(p_grid, np.minimum(p_grid, 1.0 - p_grid))]
+    # the value tables of levels rounds, rounds - 1, ..., 1; the unroll takes
+    # them back from the end, and each level that reads a table builds its
+    # interpolant then
+    tables = [np.minimum(p_grid, 1.0 - p_grid)]
     for _ in range(rounds - 1):
-        _, v = _best_displacements(p_grid, slice_amp, interpolants[-1], bracket, window=True)
-        interpolants.append(_Pchip(p_grid, v))
+        _, v = _best_displacements(p_grid, slice_amp, _Pchip(p_grid, tables[-1]), bracket, window=True)
+        tables.append(v)
     posteriors = np.array([0.5])
     for level in range(rounds):
-        u, _ = _best_displacements(posteriors, slice_amp, interpolants.pop(), bracket)
+        u, _ = _best_displacements(posteriors, slice_amp, _Pchip(p_grid, tables.pop()), bracket)
         tree.level_nodes(level)[:] = u
         prob, post, joint = np.empty((3, 2, posteriors.size))
         _round_terms(posteriors, 1.0 - posteriors, u, slice_amp, prob, post, joint)
@@ -688,9 +713,9 @@ def heterodyne_sql(c: Constellation) -> float:
 
 
 # Samples a heterodyne Monte Carlo chunk draws at once, and samples of a chunk
-# scored at once
+# scored at once in buffers allocated once per call
 _MC_CHUNK = 500_000
-_MC_SCORE_BLOCK = 1 << 15
+_MC_SCORE_BLOCK = 1 << 13
 
 
 def heterodyne_sql_mc(
@@ -719,6 +744,14 @@ def heterodyne_sql_mc(
     would, whatever its bit generator, and a chunk holds its codewords
     (1 byte a sample up to 256 codewords, 2 up to 65,536) plus one score
     block's arrays.
+
+    A block is ``_MC_SCORE_BLOCK`` = 8,192 samples, and every array that
+    scores it is allocated once per call: the noise, the field, the
+    codeword amplitudes and then ``z - beta``, the score, the running best,
+    a comparison mask and the best labels (of the codewords' type).  Each
+    operation writes into them, in the order of
+    ``log_prior - np.abs(z - beta) ** 2``.  The traced peak of 2e6 QAM6
+    samples is ~1.2 MB, most of it the 500k-sample chunk's codewords.
     """
     num_samples = _count(num_samples, "num_samples")
     rng = np.random.default_rng(seed)
@@ -727,10 +760,20 @@ def heterodyne_sql_mc(
     log_priors = np.where(c.priors > 0, np.log(np.where(c.priors > 0, c.priors, 1.0)), -np.inf)
     sigma = math.sqrt(0.5)
     block = min(_MC_SCORE_BLOCK, num_samples)
-    sent = np.empty(min(_MC_CHUNK, num_samples), dtype=np.min_scalar_type(c.n_codewords - 1))
+    labels = np.min_scalar_type(c.n_codewords - 1)
+    sent = np.empty(min(_MC_CHUNK, num_samples), dtype=labels)
     # the skipped real noise, then each block's real and imaginary noise
     spare = np.empty(block)
     field = np.empty(block, dtype=np.complex128)
+    # a block's codeword amplitudes, then z - beta; its scores, running best,
+    # comparison mask and best labels
+    scoring = (
+        np.empty(block, dtype=np.complex128),
+        np.empty(block),
+        np.empty(block),
+        np.empty(block, dtype=bool),
+        np.empty(block, dtype=labels),
+    )
     correct = 0
     for first in range(0, num_samples, _MC_CHUNK):
         size = min(_MC_CHUNK, num_samples - first)
@@ -750,14 +793,25 @@ def heterodyne_sql_mc(
             zb.real = real_rng.standard_normal(out=spare[:n])
             zb.imag = rng.standard_normal(out=spare[:n])
             zb *= sigma
-            zb += amps[yb]
-            best = log_priors[0] - np.abs(zb - amps[0]) ** 2
-            guess = np.zeros(n, dtype=np.int64)
+            diff, score, best, mask, guess = (buf[:n] for buf in scoring)
+            # mode "clip" writes straight into diff ("raise" buffers its output)
+            zb += np.take(amps, yb, out=diff, mode="clip")
+            # log prior - |z - beta|^2, its operations in the order of
+            # log_priors[k] - np.abs(zb - amps[k]) ** 2
+            np.subtract(zb, amps[0], out=diff)
+            np.abs(diff, out=best)
+            np.square(best, out=best)
+            np.subtract(log_priors[0], best, out=best)
+            guess.fill(0)
             for k in range(1, c.n_codewords):
-                score = log_priors[k] - np.abs(zb - amps[k]) ** 2
-                np.copyto(guess, k, where=score > best)
+                np.subtract(zb, amps[k], out=diff)
+                np.abs(diff, out=score)
+                np.square(score, out=score)
+                np.subtract(log_priors[k], score, out=score)
+                np.greater(score, best, out=mask)
+                np.copyto(guess, k, where=mask)
                 np.maximum(best, score, out=best)
-            correct += int(np.count_nonzero(guess == yb))
+            correct += int(np.count_nonzero(np.equal(guess, yb, out=mask)))
     err = 1.0 - correct / num_samples
     stderr = math.sqrt(max(err * (1.0 - err), 0.0) / num_samples)
     return err, stderr

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, baselines, metrics
 from .constellation import Constellation, _amplitude_scale, _count, bpsk, custom, mean_energy, qam6
-from .formulator import FormulatorConfig, formulate, optimize_sweep
+from .formulator import FormulatorConfig, _stalled, formulate, optimize_sweep
 from .photonics import NoiseModel
 from .simulator import averaged_distribution, error_rate, exact_distribution, mc_sample
 from .tree import _MEANS_OUT_OF_RANGE, Receiver, _means_in_range, atomic_write, load_receiver, num_nodes, save_receiver
@@ -187,7 +187,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         "cn_ordering": "null current MAP hypothesis, ties toward lowest label",
     }
     t = result.trace
-    warnings = [] if t.converged else ["did not converge within max iterations; best iterate returned"]
+    if t.converged:
+        warnings = []
+    elif _stalled(t.exhausted, cfg.convergence_window):
+        warnings = [f"stalled: the line search accepted no step in the last {cfg.convergence_window} "
+                    "iterations; best iterate returned"]
+    else:
+        warnings = ["did not converge within max iterations; best iterate returned"]
     if t.exhausted.any():
         warnings.append(f"the line search accepted no step in {t.exhausted.sum()} of {len(t)} iterations; "
                         "a smaller --learning-rate may let it descend")

@@ -49,6 +49,13 @@ _MAX_BACKTRACKS = 40
 _HOLDOUT_FACTOR = 10
 
 
+def _stalled(exhausted, window: int) -> bool:
+    """Whether the line search accepted no step in each of the last ``window``
+    of more than ``window`` iterations, so that the iterate stood still over
+    a whole convergence window."""
+    return len(exhausted) > window and all(exhausted[-window:])
+
+
 @dataclass(frozen=True)
 class FormulatorConfig:
     """Hyperparameters of one learning run."""
@@ -84,6 +91,9 @@ class LearningTrace:
     batch, so ``loss <= loss_post_table <= loss_start`` up to rounding.
     ``exhausted`` is true where the gradient was non-zero but the line search
     accepted no step within its halvings, so the iterate stood still.
+    ``converged`` is true where the run stopped at its convergence window,
+    unless every iteration of that window was exhausted: such a run stalled,
+    and reads false.
     """
 
     iteration: np.ndarray
@@ -165,8 +175,11 @@ def formulate(
     line-search step).  Stops when the loss improvement over
     ``convergence_window`` iterations falls below ``convergence_delta`` or
     at ``max_iterations`` (then the trace is flagged unconverged rather than
-    raising).  The returned table is refit on the held-out batch used for
-    ``final_loss``, matching how the receiver would be deployed.  Fully
+    raising).  A stop at the window where the line search accepted no step
+    in any of the window's iterations is a stall, not convergence: the trace
+    is flagged unconverged there too.  The returned table is refit on the
+    held-out batch used for ``final_loss``, matching how the receiver would
+    be deployed.  Fully
     deterministic for a fixed config.  No tree is written to, so the result
     may be ``initial_tree`` itself.  A start the spec loader would refuse
     raises its ``ValueError``; the line search rejects such a candidate.
@@ -227,7 +240,7 @@ def formulate(
         if it >= cfg.convergence_window:
             improvement = rows[it - cfg.convergence_window][1] - loss_end
             if improvement < cfg.convergence_delta:
-                converged = True
+                converged = not _stalled([row[5] for row in rows], cfg.convergence_window)
                 break
 
     arr = np.array(rows)

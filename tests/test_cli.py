@@ -190,7 +190,9 @@ class TestOptimize:
     @pytest.mark.parametrize(
         "iters, warning",
         [
-            (60, "the line search accepted no step in 21 of 21 iterations; "
+            (60, "stalled: the line search accepted no step in the last 20 iterations; "
+                 "best iterate returned; "
+                 "the line search accepted no step in 21 of 21 iterations; "
                  "a smaller --learning-rate may let it descend"),
             (5, "did not converge within max iterations; best iterate returned; "
                 "the line search accepted no step in 5 of 5 iterations; "
@@ -206,6 +208,21 @@ class TestOptimize:
         )
         assert code == 0
         assert json.loads(out.read_text())["metadata"]["warning"] == warning
+
+    def test_stalled_run_is_not_converged(self, tmp_path):
+        # it once stopped at the window with converged: true, at its start's loss
+        out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        code = run(
+            "optimize", "--encoding", "qam6", "--rounds", 3, "--arity", 3, "--mean-photon", 1,
+            "--learning-rate", 1e200, "--iters", 60, "--out", out, "--trace", trace,
+        )
+        assert code == 0
+        metadata = json.loads(out.read_text())["metadata"]
+        assert metadata["converged"] is False
+        assert metadata["iterations_run"] == 21
+        assert metadata["warning"].startswith("stalled: ")
+        losses = {row.split(",")[1] for row in trace.read_text().splitlines() if row[:1].isdigit()}
+        assert len(losses) == 1
 
     def test_descending_run_has_no_warning(self, bpsk_receiver):
         assert "warning" not in json.loads(bpsk_receiver.read_text())["metadata"]

@@ -12,6 +12,7 @@ from coherentrx.constellation import bpsk, custom, qam6
 from coherentrx.formulator import (
     FormulatorConfig,
     _gradient,
+    _stalled,
     formulate,
     init_tree,
     optimize_sweep,
@@ -257,13 +258,26 @@ class TestConfigValidation:
 class TestExhaustedLineSearch:
     def test_a_step_too_large_for_every_halving_is_flagged(self):
         # every halving of 1e200 leaves a step the spec loader refuses, so the
-        # iterate never moves and the run "converges" at its start
+        # iterate never moves, and the run stops at the window as a stall
         cfg = FormulatorConfig(max_iterations=60, learning_rate=1e200)
         res = formulate(qam6(1.0), 3, 3, NoiseModel(), cfg)
         assert res.trace.exhausted.dtype == bool
-        assert res.trace.exhausted.all() and res.trace.converged
+        assert res.trace.exhausted.all() and not res.trace.converged
+        assert len(res.trace) == cfg.convergence_window + 1
         assert (res.trace.gradient_norm > 0).all()
         assert np.unique(res.trace.loss).size == 1
+
+    @pytest.mark.parametrize("exhausted, window, stalled", [
+        ([True] * 21, 20, True),
+        ([True] * 20, 20, False),  # the window was never checked
+        ([False] + [True] * 20, 20, True),
+        ([True] * 20 + [False], 20, False),
+        ([True, False, True, True], 2, True),
+        ([True, True, False, True], 2, False),
+    ])
+    def test_a_stall_is_a_whole_window_exhausted(self, exhausted, window, stalled):
+        assert _stalled(exhausted, window) is stalled
+        assert _stalled(np.array(exhausted), window) is stalled
 
     def test_a_run_that_descends_is_not_flagged(self):
         res = formulate(bpsk(1.0), 3, 2, NoiseModel(), FormulatorConfig(max_iterations=10, batch_size=4))
